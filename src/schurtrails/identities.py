@@ -1,8 +1,8 @@
 """Exact checkers for Schur-polynomial product identities.
 
 Each checker expands both sides of an identity -- tableau sums for the
-Schur factors, signed permutation expansions for the determinant forms
--- and compares them coefficient by coefficient.  The outcome is an
+Schur factors, determinants for the determinant forms -- and compares
+them coefficient by coefficient.  The outcome is an
 IdentityReport that keeps both polynomials, so a failed check names the
 first monomial whose coefficients disagree instead of returning a bare
 boolean.
@@ -199,12 +199,22 @@ def _padded(p: Partition, n: int) -> tuple:
 
 
 def _coords_to_partition(coords) -> tuple:
-    """Sorted endpoint coordinates c_1 > c_2 > ... read back as parts c_i + i."""
-    ordered = sorted(coords, reverse=True)
-    parts = tuple(c + i for i, c in enumerate(ordered, start=1))
-    if any(v < 0 for v in parts) or any(a < b for a, b in zip(parts, parts[1:])):
-        raise ValueError("endpoint exchange does not give a partition: %r" % (parts,))
-    return parts
+    """Endpoint coordinates sorted to c_1 > c_2 > ... read back as parts c_i + i.
+
+    A negative part is kept: its Schur factor vanishes (see schur_of).
+    """
+    return tuple(c + i for i, c in enumerate(sorted(coords, reverse=True), start=1))
+
+
+def _decreasing_sort_sign(coords) -> int:
+    """Sign of the sort taking coords into strictly decreasing order; 0 on a repeat."""
+    sign = 1
+    for a, b in itertools.combinations(coords, 2):
+        if a == b:
+            return 0
+        if a < b:
+            sign = -sign
+    return sign
 
 
 def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=None) -> IdentityReport:
@@ -217,11 +227,15 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
     resulting bracket products.
 
     Schur mode replays the same exchange on endpoint coordinates: top
-    row p carries lam_p - p, bottom row q carries sigma_q - q, an
-    exchange trades the selected top coordinates for a subset of bottom
-    ones, and each new coordinate set is re-read as a partition (an
-    exchange that does not give one raises).  Factors are then tableau
-    expansions in x_1..x_N, with N defaulting to n.
+    row p carries lam_p - p, bottom row q carries sigma_q - q, and an
+    exchange trades the selected top coordinates in place for a subset
+    of bottom ones.  Each coordinate row is then sorted into strictly
+    decreasing order and re-read as a partition, and the product of the
+    two sorting signs becomes the sign of the term; a row with a
+    repeated coordinate is a determinant with two equal rows, so its
+    term vanishes and is left out.  Factors are tableau expansions in
+    x_1..x_N, with N defaulting to n.  params["products"] lists each
+    remaining term as [lam', sigma'], followed by -1 for a negative term.
     """
     started = time.monotonic()
     if mode not in ("formal", "schur"):
@@ -273,14 +287,18 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
     rhs = Polynomial.zero()
     products = []
     for subset in itertools.combinations(range(1, n + 1), k):
-        new_top = [top_coords[p - 1] for p in range(1, n + 1) if p not in r_list]
-        new_top += [bottom_coords[s - 1] for s in subset]
-        new_bottom = [bottom_coords[q - 1] for q in range(1, n + 1) if q not in subset]
-        new_bottom += [top_coords[p - 1] for p in r_list]
-        lam2 = _coords_to_partition(new_top)
-        sigma2 = _coords_to_partition(new_bottom)
-        products.append([list(lam2), list(sigma2)])
-        rhs = rhs + schur_of(lam2, N) * schur_of(sigma2, N)
+        first = list(top_coords)
+        second = list(bottom_coords)
+        for r_i, s_i in zip(r_list, subset):
+            first[r_i - 1] = bottom_coords[s_i - 1]
+            second[s_i - 1] = top_coords[r_i - 1]
+        sign = _decreasing_sort_sign(first) * _decreasing_sort_sign(second)
+        if not sign:
+            continue
+        lam2 = _coords_to_partition(first)
+        sigma2 = _coords_to_partition(second)
+        products.append([list(lam2), list(sigma2)] + ([-1] if sign < 0 else []))
+        rhs = rhs + sign * (schur_of(lam2, N) * schur_of(sigma2, N))
     params = {
         "mode": mode,
         "n": n,

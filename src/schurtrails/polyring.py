@@ -60,7 +60,37 @@ class Monomial:
         return 0
 
     def __mul__(self, other):
-        return Monomial(self.vars + other.vars)
+        # Both operands hold the constructor's invariant -- variables
+        # strictly increasing, each with a positive exponent -- and cannot
+        # change after construction, so one merge pass of the two sorted
+        # tuples is already canonical and needs no re-validation.
+        a, b = self.vars, other.vars
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            va, vb = a[i][0], b[j][0]
+            if va == vb:
+                out.append((va, a[i][1] + b[j][1]))
+                i += 1
+                j += 1
+            elif va < vb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        vs = tuple(out)
+        m = object.__new__(Monomial)
+        _set_vars(m, vs)
+        _set_hash(m, hash(vs))
+        return m
 
     def __eq__(self, other):
         if isinstance(other, Monomial):
@@ -84,6 +114,11 @@ class Monomial:
         for v, e in self.vars:
             bits.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
         return "*".join(bits)
+
+
+# slot setters that bypass Monomial.__setattr__, for products built in __mul__
+_set_vars = Monomial.vars.__set__
+_set_hash = Monomial._hash.__set__
 
 
 ONE = Monomial()
@@ -253,14 +288,6 @@ class Polynomial:
         return " ".join(bits)
 
 
-def poly_add(p, q):
-    return p + q
-
-
-def poly_mul(p, q):
-    return p * q
-
-
 def complete_homogeneous(m, n_vars):
     """Sum of all monomials of degree m in x_1..x_n; 1 for m=0, 0 for m<0.
 
@@ -345,41 +372,37 @@ MAX_EXPANSION_DIM = 6
 
 
 def determinant(matrix):
-    """Full signed permutation expansion; guarded to dimension 6."""
+    """Laplace expansion along the rows, memoized over column subsets.
+
+    Working up from the last row, the minor of the last k rows on each
+    k-column subset (a bitmask) is built from the minors on its
+    (k-1)-subsets, so a d x d determinant costs 2^d subproblems and at
+    most d * 2^(d-1) entry-times-minor products.  Zero entries and zero
+    sub-minors are skipped.
+    Division-based routes (Bareiss elimination, Dodgson condensation)
+    would need exact polynomial division, which the ring does not have.
+    Guarded to dimension MAX_EXPANSION_DIM.
+    """
     if matrix.n_rows != matrix.n_cols:
         raise ValueError("determinant of a %dx%d matrix" % (matrix.n_rows, matrix.n_cols))
     d = matrix.n_rows
     if d > MAX_EXPANSION_DIM:
         raise ValueError("dimension %d exceeds the expansion guard (%d)" % (d, MAX_EXPANSION_DIM))
-    if d == 0:
-        return Polynomial.const(1)
-    total = Polynomial.zero()
-    for perm in itertools.permutations(range(d)):
-        sign = _perm_sign(perm)
-        term = Polynomial.const(sign)
-        for i, j in enumerate(perm):
-            term = term * matrix.entries[i][j]
-            if term.is_zero():
-                break
-        total = total + term
-    return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    minors = {0: Polynomial.const(1)}
+    for row in reversed(matrix.entries):
+        entries = [(1 << j, e, -e) for j, e in enumerate(row) if e]
+        grown = {}
+        for mask, sub in minors.items():
+            for bit, e, neg in entries:
+                if mask & bit:
+                    continue
+                # the sign of column j in the expansion along this row
+                # counts the columns of mask to its left
+                term = (neg if (mask & (bit - 1)).bit_count() & 1 else e) * sub
+                key = mask | bit
+                grown[key] = grown[key] + term if key in grown else term
+        minors = {mask: p for mask, p in grown.items() if p}
+    return minors.get((1 << d) - 1, Polynomial.zero())
 
 
 def minor(matrix, rows, cols):

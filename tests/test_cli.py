@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from jsonschema import validate
 
+import schurtrails
 from schurtrails.cli import REPORT_SCHEMA, main
 from schurtrails.partitions import Partition, SkewShape
 from schurtrails.schur import TerminalSpec, enumerate_families
@@ -233,3 +237,18 @@ def test_catalan_odd_input(runner):
 def test_catalan_json(runner):
     result = runner.invoke(main, ["catalan", "--points", "8", "--format", "json"])
     assert json.loads(result.output) == {"matchings": 14, "points": 8}
+
+
+def test_python_dash_m_runs_the_cli():
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(schurtrails.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "schurtrails", "catalan", "--points", "6"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "5\n"

@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -199,9 +201,34 @@ def test_pluecker_schur_exchange():
     assert rep.rhs == schur_of((3, 2), 3) * schur_of((4, 1), 3) + schur_of((1, 1), 3) * schur_of((4, 4), 3)
 
 
-def test_pluecker_schur_rejects_non_partition_exchange():
-    with pytest.raises(ValueError, match="does not give a partition"):
-        verify_pluecker(2, (2,), mode="schur", lam=(2, 0), sigma=(2, 1), N=2)
+def test_pluecker_schur_drops_vanishing_term():
+    # exchanging row 2 against bottom row 1 repeats a coordinate: that
+    # term is a determinant with two equal rows and is left out
+    rep = verify_pluecker(2, (2,), mode="schur", lam=(2, 0), sigma=(2, 1), N=2)
+    assert rep.equal
+    assert rep.params["products"] == [[[2, 1], [2, 0]]]
+
+
+def test_pluecker_schur_keeps_sort_sign():
+    rep = verify_pluecker(3, (1, 3), mode="schur", lam=(4, 3, 1), sigma=(3, 2, 2), N=3)
+    assert rep.equal
+    assert rep.params["products"] == [
+        [[3, 3, 3], [4, 1, 1], -1],
+        [[3, 3, 2], [4, 2, 1]],
+        [[2, 2, 2], [4, 4, 1]],
+    ]
+
+
+def test_pluecker_schur_random_instances():
+    rng = random.Random(20001)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        lam = sorted((rng.randint(0, 4) for _ in range(n)), reverse=True)
+        sigma = sorted((rng.randint(0, 4) for _ in range(n)), reverse=True)
+        r_list = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        N = rng.randint(1, 4)
+        rep = verify_pluecker(n, r_list, mode="schur", lam=lam, sigma=sigma, N=N)
+        assert rep.equal, (n, lam, sigma, r_list, N)
 
 
 def test_pluecker_schur_needs_shapes():

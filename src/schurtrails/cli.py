@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -70,12 +68,17 @@ def _usage_guard(fn):
     return wrapped
 
 
-def _emit(text, out):
+def _emit(chunks, out):
+    """Write a string, or each string of an iterable as soon as it is produced."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if out is None:
-        click.echo(text, nl=False)
+        for text in chunks:
+            click.echo(text, nl=False)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            for text in chunks:
+                fh.write(text)
 
 
 def _report_json(rep) -> str:
@@ -93,21 +96,6 @@ def _finish_report(rep, fmt, out):
     _emit(_report_json(rep) if fmt == "json" else _report_text(rep), out)
     if not rep.equal:
         raise SystemExit(1)
-
-
-def _pool_size(n_items: int) -> int:
-    threads = os.environ.get("SCHURTRAILS_THREADS", "").strip()
-    if threads:
-        size = int(threads)
-        if size < 1:
-            raise ValueError("SCHURTRAILS_THREADS must be positive, got %r" % threads)
-        return size
-    return min(8, max(1, n_items))
-
-
-def _run_sweep(worker, items):
-    with ThreadPoolExecutor(max_workers=_pool_size(len(items))) as pool:
-        return list(pool.map(worker, items))
 
 
 fmt_option = click.option(
@@ -156,9 +144,16 @@ def general(lam, n_vars, sweep, fmt, out):
         shapes = [_ints(bit) for bit in sweep.split(";") if bit.strip()]
         if not shapes:
             raise click.UsageError("--sweep names no part lists")
-        reports = _run_sweep(lambda parts: verify_general(parts, n_vars), shapes)
-        _emit("".join(_report_json(rep) for rep in reports), out)
-        if not all(rep.equal for rep in reports):
+        verdicts = []
+
+        def reports():
+            for parts in shapes:
+                rep = verify_general(parts, n_vars)
+                verdicts.append(rep.equal)
+                yield _report_json(rep)
+
+        _emit(reports(), out)
+        if not all(verdicts):
             raise SystemExit(1)
         return
     if lam is None:

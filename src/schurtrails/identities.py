@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace as dataclass_replace
 from functools import lru_cache
 
@@ -35,7 +35,7 @@ from .partitions import (
     partition_from_corners,
     partition_from_set,
 )
-from .polyring import FormalMatrix, Polynomial, determinant, minor
+from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_mul, monomial_str
 from .schur import TerminalSpec, enumerate_families, path_weight, schur_poly
 from .trails import (
     BLACK,
@@ -108,7 +108,7 @@ def _witness(lhs: Polynomial, rhs: Polynomial) -> str | None:
     if diff.is_zero():
         return None
     m = diff.leading_monomial()
-    return "%s: %d versus %d" % (m, lhs.coeffs.get(m, 0), rhs.coeffs.get(m, 0))
+    return "%s: %d versus %d" % (monomial_str(m), lhs.coeffs.get(m, 0), rhs.coeffs.get(m, 0))
 
 
 def _report(identity: str, params: dict, lhs: Polynomial, rhs: Polynomial, started: float) -> IdentityReport:
@@ -500,7 +500,7 @@ def bijection_audit(lam, N=None) -> AuditReport:
     for gf in greens:
         for bf in blues:
             graph = build_graph(bf, gf)
-            weight_before = path_weight(bf) * path_weight(gf)
+            weight_before = monomial_mul(path_weight(bf), path_weight(gf))
             trail = trail_at_terminal(graph, probe)
             assert trail.start == probe
             far = trail.end
@@ -520,10 +520,11 @@ def bijection_audit(lam, N=None) -> AuditReport:
             # and only the image itself tells the cases apart
             if keep_end != exchange_end and kind != ("A" if far == keep_end else "B"):
                 raise RuntimeError("far endpoint %r disagrees with the image layout %s" % (far, kind))
-            weight_after = path_weight(image.blue) * path_weight(image.green)
+            weight_after = monomial_mul(path_weight(image.blue), path_weight(image.green))
             if weight_before != weight_after:
                 raise RuntimeError(
-                    "recolouring changed the weight: %s -> %s" % (weight_before, weight_after)
+                    "recolouring changed the weight: %s -> %s"
+                    % (monomial_str(weight_before), monomial_str(weight_after))
                 )
             tally[kind] += 1
     if expected:
@@ -708,7 +709,7 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     queued = {initial_key}
     processed = set()
     counts = ({}, {})
-    weights = [Polynomial.zero(), Polynomial.zero()]
+    weights = (Counter(), Counter())
     image_of = {}
     while pending:
         key = pending.popleft()
@@ -721,9 +722,7 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
             canon = _canonical_pattern(key)
             counts[side][canon] = counts[side].get(canon, 0) + len(objects)
         for blue_family, green_family in objects:
-            weights[side] = weights[side] + Polynomial(
-                {path_weight(blue_family) * path_weight(green_family): 1}
-            )
+            weights[side][monomial_mul(path_weight(blue_family), path_weight(green_family))] += 1
             if degenerate:
                 continue
             graph = build_graph(blue_family, green_family)
@@ -739,10 +738,11 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
             raise RuntimeError("recolouring from the selected points is not an involution at %r" % (oid,))
     O0_size = sum(counts[0].values())
     O1_size = sum(counts[1].values())
+    weight0, weight1 = Polynomial(weights[0]), Polynomial(weights[1])
     if not degenerate:
         if O0_size != O1_size:
             raise RuntimeError("the two sides differ in size: %d vs %d" % (O0_size, O1_size))
-        if weights[0] != weights[1]:
+        if weight0 != weight1:
             raise RuntimeError("the two sides differ in summed weight")
         if parity_uniform and counts[0] and set(counts[0]) != {_canonical_pattern(initial_key)}:
             raise RuntimeError("uniform parities should pin the original side to the input pattern")
@@ -756,8 +756,8 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
         counts1=dict(counts[1]),
         O0_size=O0_size,
         O1_size=O1_size,
-        weight0=weights[0],
-        weight1=weights[1],
+        weight0=weight0,
+        weight1=weight1,
         degenerate=degenerate,
         parity_uniform=parity_uniform,
     )

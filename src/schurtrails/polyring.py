@@ -2,13 +2,17 @@
 
 Variables are alphabet-tagged tuples: ('x', 3) is x_3, ('h', 2) is the
 formal symbol h_2, ('a', 1, 2) is the generic matrix entry a_{1,2}.
-A monomial keeps its variables sorted; a polynomial maps monomials to
-(arbitrary precision) integer coefficients and never stores zeros.
+A monomial is a canonical tuple key ((var, exp), ...): variables strictly
+increasing, exponents positive, ONE = ().  Plain tuples give immutability,
+equality and hashing; monomial() is the one constructor that canonicalises
+and monomial_mul() keeps keys canonical.  A polynomial maps canonical keys
+to (arbitrary precision) integer coefficients and never stores zeros.
 Term order everywhere is graded lexicographic, largest first, so text
 output and term listings are canonical.
 """
 
 import itertools
+from collections import Counter
 from math import comb
 
 
@@ -28,104 +32,80 @@ def var_name(v):
     return v[0] + "_".join(str(i) for i in v[1:])
 
 
-class Monomial:
-    """Product of variables with positive integer exponents."""
+def monomial(pairs=()):
+    """The canonical key of a product of (var, exponent) pairs, or of a dict.
 
-    __slots__ = ("vars", "_hash")
-
-    def __init__(self, vars=()):
-        if isinstance(vars, dict):
-            vars = vars.items()
-        merged = {}
-        for v, e in vars:
-            e = int(e)
-            if e < 0:
-                raise ValueError("negative exponent for %r" % (v,))
-            if e:
-                merged[v] = merged.get(v, 0) + e
-        vs = tuple(sorted(merged.items()))
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "_hash", hash(vs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def degree(self):
-        return sum(e for _, e in self.vars)
-
-    def exponent(self, v):
-        for w, e in self.vars:
-            if w == v:
-                return e
-        return 0
-
-    def __mul__(self, other):
-        # Both operands hold the constructor's invariant -- variables
-        # strictly increasing, each with a positive exponent -- and cannot
-        # change after construction, so one merge pass of the two sorted
-        # tuples is already canonical and needs no re-validation.
-        a, b = self.vars, other.vars
-        if not b:
-            return self
-        if not a:
-            return other
-        out = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            va, vb = a[i][0], b[j][0]
-            if va == vb:
-                out.append((va, a[i][1] + b[j][1]))
-                i += 1
-                j += 1
-            elif va < vb:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        vs = tuple(out)
-        m = object.__new__(Monomial)
-        _set_vars(m, vs)
-        _set_hash(m, hash(vs))
-        return m
-
-    def __eq__(self, other):
-        if isinstance(other, Monomial):
-            return self.vars == other.vars
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def sort_key(self):
-        # ascending sort of keys = descending graded-lex order of monomials
-        return (-self.degree(), tuple((v, -e) for v, e in self.vars))
-
-    def __repr__(self):
-        return "Monomial(%r)" % (self.vars,)
-
-    def __str__(self):
-        if not self.vars:
-            return "1"
-        bits = []
-        for v, e in self.vars:
-            bits.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
-        return "*".join(bits)
+    Repeated variables are merged and zero exponents dropped; a negative
+    exponent is an error.
+    """
+    if isinstance(pairs, dict):
+        pairs = pairs.items()
+    merged = {}
+    for v, e in pairs:
+        e = int(e)
+        if e < 0:
+            raise ValueError("negative exponent for %r" % (v,))
+        if e:
+            merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items()))
 
 
-# slot setters that bypass Monomial.__setattr__, for products built in __mul__
-_set_vars = Monomial.vars.__set__
-_set_hash = Monomial._hash.__set__
+ONE = ()
 
 
-ONE = Monomial()
+def monomial_mul(a, b):
+    """Product of two canonical keys by one merge pass; the result is canonical."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, vb = a[i][0], b[j][0]
+        if va == vb:
+            out.append((va, a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def x_monomial(indices):
+    """prod of x_i over the indices, counted with multiplicity, as a canonical key."""
+    return tuple((x_var(i), e) for i, e in sorted(Counter(indices).items()))
+
+
+def monomial_degree(m):
+    return sum(e for _, e in m)
+
+
+def monomial_sort_key(m):
+    # ascending sort of keys = descending graded-lex order of monomials
+    return (-monomial_degree(m), tuple((v, -e) for v, e in m))
+
+
+def monomial_str(m):
+    if not m:
+        return "1"
+    return "*".join(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e) for v, e in m)
 
 
 class Polynomial:
-    """Mapping monomial -> nonzero integer coefficient."""
+    """Mapping canonical monomial key -> nonzero integer coefficient.
+
+    The constructor takes (key, coefficient) pairs or a dict whose keys
+    are already canonical (see monomial()); it sums repeated keys and
+    drops zeros.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -134,8 +114,6 @@ class Polynomial:
             coeffs = coeffs.items()
         acc = {}
         for m, c in coeffs:
-            if not isinstance(m, Monomial):
-                m = Monomial(m)
             c = int(c)
             if c:
                 acc[m] = acc.get(m, 0) + c
@@ -156,7 +134,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, v):
-        return cls({Monomial(((v, 1),)): 1})
+        return cls({((v, 1),): 1})
 
     def is_zero(self):
         return not self.coeffs
@@ -203,7 +181,7 @@ class Polynomial:
         acc = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                m = m1 * m2
+                m = monomial_mul(m1, m2)
                 s = acc.get(m, 0) + c1 * c2
                 if s:
                     acc[m] = s
@@ -235,25 +213,25 @@ class Polynomial:
 
     def terms(self):
         """(monomial, coefficient) pairs in descending graded-lex order."""
-        return [(m, self.coeffs[m]) for m in sorted(self.coeffs, key=Monomial.sort_key)]
+        return [(m, self.coeffs[m]) for m in sorted(self.coeffs, key=monomial_sort_key)]
 
     def n_terms(self):
         return len(self.coeffs)
 
     def degree(self):
-        return max((m.degree() for m in self.coeffs), default=0)
+        return max(map(monomial_degree, self.coeffs), default=0)
 
     def leading_monomial(self):
         if not self.coeffs:
             return None
-        return min(self.coeffs, key=Monomial.sort_key)
+        return min(self.coeffs, key=monomial_sort_key)
 
     def substitute(self, mapping):
         """Replace variables by polynomials (or ints); unmapped variables stay."""
         out = Polynomial.zero()
         for m, c in self.coeffs.items():
             term = Polynomial.const(c)
-            for v, e in m.vars:
+            for v, e in m:
                 if v in mapping:
                     repl = mapping[v]
                     if isinstance(repl, int):
@@ -274,7 +252,7 @@ class Polynomial:
             return "0"
         bits = []
         for m, c in self.terms():
-            mono = str(m)
+            mono = monomial_str(m)
             if mono == "1":
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -301,8 +279,7 @@ def complete_homogeneous(m, n_vars):
         return Polynomial.const(1)
     coeffs = {}
     for combo in itertools.combinations_with_replacement(range(1, n_vars + 1), m):
-        mono = Monomial((x_var(i), combo.count(i)) for i in set(combo))
-        coeffs[mono] = 1
+        coeffs[x_monomial(combo)] = 1
     assert len(coeffs) == comb(m + n_vars - 1, n_vars - 1)
     return Polynomial(coeffs)
 

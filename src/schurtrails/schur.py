@@ -13,8 +13,10 @@ homogeneous pieces.  Both are exact polynomials at a fixed variable
 count N.
 """
 
+from collections import Counter
+
 from .partitions import Partition, SkewShape
-from .polyring import FormalMatrix, Monomial, Polynomial, complete_homogeneous, determinant, formal_h, x_var
+from .polyring import FormalMatrix, Polynomial, complete_homogeneous, determinant, formal_h, x_monomial
 
 EAST = "E"
 NORTH = "N"
@@ -144,11 +146,7 @@ def enumerate_ssyt(shape, N):
 
 def tableau_weight(t):
     """prod_k x_k^(number of entries equal to k)."""
-    counts = {}
-    for row in t.rows:
-        for v in row:
-            counts[v] = counts.get(v, 0) + 1
-    return Monomial({x_var(k): c for k, c in counts.items()})
+    return x_monomial(v for row in t.rows for v in row)
 
 
 def jacobi_trudi_matrix(outer, inner=None, N=None):
@@ -181,10 +179,7 @@ def schur_poly(shape, N, method="tableaux"):
     elif not isinstance(shape, SkewShape):
         shape = SkewShape(Partition(shape))
     if method == "tableaux":
-        total = Polynomial.zero()
-        for t in enumerate_ssyt(shape, N):
-            total = total + Polynomial({tableau_weight(t): 1})
-        return total
+        return Polynomial(Counter(tableau_weight(t) for t in enumerate_ssyt(shape, N)))
     if method == "jacobi_trudi":
         if not shape.is_straight():
             raise ValueError("jacobi_trudi method is for straight shapes; use skew_jacobi_trudi")
@@ -410,19 +405,12 @@ def paths_to_tableau(f, offset=0, N=None):
 
 def path_weight(f):
     """prod over paths and east steps of x_height."""
-    counts = {}
-    for p in f:
-        for k in p.east_heights():
-            counts[k] = counts.get(k, 0) + 1
-    return Monomial({x_var(k): c for k, c in counts.items()})
+    return x_monomial(k for p in f for k in p.east_heights())
 
 
 def family_generating_function(families):
     """Sum of path weights as a polynomial."""
-    total = Polynomial.zero()
-    for f in families:
-        total = total + Polynomial({path_weight(f): 1})
-    return total
+    return Polynomial(Counter(path_weight(f) for f in families))
 
 
 def enumerate_families(spec):

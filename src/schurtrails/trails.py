@@ -526,19 +526,15 @@ def terminal_matching(graph: TwoColouredGraph) -> NoncrossingMatching:
     return NoncrossingMatching(frozenset(pairs))
 
 
-def _chords_cross(a, b):
-    (a1, a2), (b1, b2) = sorted(a), sorted(b)
-    if a1 > b1:
-        (a1, a2), (b1, b2) = (b1, b2), (a1, a2)
-    return a1 < b1 < a2 < b2
-
-
 def count_noncrossing_matchings(points: int) -> int:
     """Perfect noncrossing matchings on the given even number of points.
 
-    Counts by brute force over all perfect matchings; every matching
-    counted is checked to join odd to even indices, which is forced for
-    noncrossing chords.
+    Generates only the noncrossing matchings: the first point pairs with
+    a partner an odd number of places on, and the chord between them
+    splits the remaining points into an inside arc and an outside arc
+    that are matched independently, so the count is Catalan(points / 2).
+    Every matching counted is checked to join odd to even indices, which
+    is forced for noncrossing chords.
     """
     points = int(points)
     if points < 0 or points % 2:
@@ -549,15 +545,14 @@ def count_noncrossing_matchings(points: int) -> int:
             yield ()
             return
         first = avail[0]
-        for i in range(1, len(avail)):
-            partner = avail[i]
-            for rest in matchings(avail[1:i] + avail[i + 1 :]):
-                yield ((first, partner),) + rest
+        for i in range(1, len(avail), 2):
+            chord = ((first, avail[i]),)
+            for inside in matchings(avail[1:i]):
+                for outside in matchings(avail[i + 1 :]):
+                    yield chord + inside + outside
 
     count = 0
     for m in matchings(tuple(range(1, points + 1))):
-        if any(_chords_cross(p, q) for i, p in enumerate(m) for q in m[i + 1 :]):
-            continue
         assert all(a % 2 != b % 2 for a, b in m)
         count += 1
     return count

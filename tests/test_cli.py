@@ -114,8 +114,7 @@ def test_verify_out_writes_file(runner, tmp_path):
 
 # ---------------------------------------------------------------- sweep
 
-def test_sweep_streams_reports_in_input_order(runner, monkeypatch):
-    monkeypatch.setenv("SCHURTRAILS_THREADS", "3")
+def test_sweep_streams_reports_in_input_order(runner):
     result = runner.invoke(
         main, ["verify", "general", "--sweep", "2,1;4,4;3,2,1", "--vars", "3"]
     )
@@ -125,12 +124,6 @@ def test_sweep_streams_reports_in_input_order(runner, monkeypatch):
     assert shapes == [[2, 1], [4, 4], [3, 2, 1]]
     for line in lines:
         validate(json.loads(line), REPORT_SCHEMA)
-
-
-def test_sweep_rejects_bad_thread_count(runner, monkeypatch):
-    monkeypatch.setenv("SCHURTRAILS_THREADS", "0")
-    result = runner.invoke(main, ["verify", "general", "--sweep", "2,1"])
-    assert result.exit_code == 2
 
 
 def test_sweep_needs_entries(runner):

@@ -23,12 +23,13 @@ from schurtrails.identities import (
 from schurtrails.partitions import Partition
 from schurtrails.polyring import (
     FormalMatrix,
-    Monomial,
     Polynomial,
     a_var,
     determinant,
     formal_h,
+    h_var,
     minor,
+    monomial,
     x_var,
 )
 from schurtrails.schur import jacobi_trudi_matrix
@@ -57,12 +58,19 @@ def test_report_round_trip():
 
 
 def test_witness_names_first_differing_monomial():
-    lhs = Polynomial({Monomial({x_var(1): 2}): 3, Monomial({x_var(2): 1}): 1})
-    rhs = Polynomial({Monomial({x_var(1): 2}): 1, Monomial({x_var(2): 1}): 1})
+    lhs = Polynomial({monomial({x_var(1): 2}): 3, monomial({x_var(2): 1}): 1})
+    rhs = Polynomial({monomial({x_var(1): 2}): 1, monomial({x_var(2): 1}): 1})
     assert _witness(lhs, rhs) == "x1^2: 3 versus 1"
     assert _witness(lhs, lhs) is None
     # a failed report keeps the witness
     assert "witness" in IdentityReport("t", {}, lhs, rhs, False, _witness(lhs, rhs), 0.0).to_json()
+    # mixed alphabets: the first difference in graded-lex order is named
+    x1, x2, h2, a12 = x_var(1), x_var(2), h_var(2), a_var(1, 2)
+    terms = {(a12, x1, x1): 1, (x2, x2, x2): 1, (a12, a12): -1, (h2, x1): 2, (h2,): -4, (): 5}
+    lhs = Polynomial({monomial((v, 1) for v in vs): c for vs, c in terms.items()})
+    rhs = lhs + Polynomial({monomial({x2: 3}): 2, monomial({h2: 1, x1: 1}): 1})
+    assert _witness(lhs, rhs) == "x2^3: 1 versus 3"
+    assert _witness(rhs - lhs, lhs) == "a1_2*x1^2: 0 versus 1"
 
 
 def test_schur_of_negative_part_is_zero():
@@ -75,7 +83,7 @@ def test_schur_of_negative_part_is_zero():
 
 def test_general_two_parts_explicit():
     rep = verify_general((1, 1), N=2)
-    s1 = Polynomial({Monomial({x_var(1): 1}): 1, Monomial({x_var(2): 1}): 1})
+    s1 = Polynomial({monomial({x_var(1): 1}): 1, monomial({x_var(2): 1}): 1})
     assert rep.lhs == s1 * s1
     assert rep.rhs == schur_of((1, 1), 2) + schur_of((2,), 2)
     assert rep.equal

@@ -2,11 +2,11 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from schurtrails.polyring import (
+    ONE,
     FormalMatrix,
-    Monomial,
     Polynomial,
     a_var,
     complete_homogeneous,
@@ -14,13 +14,19 @@ from schurtrails.polyring import (
     formal_h,
     h_var,
     minor,
+    monomial,
+    monomial_degree,
+    monomial_mul,
+    monomial_str,
     x_var,
 )
+from schurtrails.partitions import Partition
+from schurtrails.schur import enumerate_ssyt, path_weight, tableau_to_paths, tableau_weight
 
 
 def P(text_terms):
     """tiny builder: [(coeff, {var: exp}), ...]"""
-    return Polynomial({Monomial(v): c for c, v in text_terms})
+    return Polynomial({monomial(v): c for c, v in text_terms})
 
 
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
@@ -28,19 +34,23 @@ x1, x2, x3 = x_var(1), x_var(2), x_var(3)
 
 monomials_st = st.dictionaries(
     st.sampled_from([x1, x2, x3]), st.integers(1, 3), max_size=3
-).map(Monomial)
+).map(monomial)
 polys_st = st.dictionaries(monomials_st, st.integers(-5, 5), max_size=4).map(Polynomial)
 
 
 def test_monomial_basics():
-    m = Monomial({x1: 2, x2: 1})
-    assert m.degree() == 3
-    assert m.exponent(x1) == 2 and m.exponent(x3) == 0
-    assert str(m) == "x1^2*x2"
-    assert m * Monomial({x2: 1}) == Monomial({x1: 2, x2: 2})
-    assert str(Monomial()) == "1"
+    m = monomial({x1: 2, x2: 1})
+    assert m == ((x1, 2), (x2, 1))
+    assert monomial([(x2, 1), (x1, 1), (x3, 0), (x1, 1)]) == m
+    assert monomial_degree(m) == 3
+    assert dict(m).get(x1) == 2 and x3 not in dict(m)
+    assert monomial_str(m) == "x1^2*x2"
+    assert monomial_mul(m, monomial({x2: 1})) == monomial({x1: 2, x2: 2})
+    assert monomial_mul(m, ONE) == m == monomial_mul(ONE, m)
+    assert monomial() == ONE == ()
+    assert monomial_str(ONE) == "1"
     with pytest.raises(ValueError):
-        Monomial({x1: -1})
+        monomial({x1: -1})
 
 
 def test_polynomial_arithmetic_and_zero_pruning():
@@ -60,9 +70,9 @@ def test_big_integers_survive():
 
 def test_graded_lex_order():
     p = P([(1, {}), (1, {x2: 2}), (1, {x1: 1, x2: 1}), (1, {x1: 1})])
-    order = [str(m) for m, _ in p.terms()]
+    order = [monomial_str(m) for m, _ in p.terms()]
     assert order == ["x1*x2", "x2^2", "x1", "1"]
-    assert str(p.leading_monomial()) == "x1*x2"
+    assert monomial_str(p.leading_monomial()) == "x1*x2"
 
 
 def test_poly_text():
@@ -70,6 +80,10 @@ def test_poly_text():
     assert str(p) == "x1^2*x2 + x1*x2^2"
     assert str(P([(-2, {x1: 1}), (3, {})])) == "-2*x1 + 3"
     assert str(Polynomial.zero()) == "0"
+    # mixed alphabets: graded first, then lexicographic by (alphabet, indices)
+    h2, a12 = h_var(2), a_var(1, 2)
+    p = P([(2, {x1: 1, h2: 1}), (-1, {a12: 2}), (1, {x2: 3}), (-4, {h2: 1}), (5, {}), (1, {a12: 1, x1: 2})])
+    assert str(p) == "a1_2*x1^2 + x2^3 - a1_2^2 + 2*h2*x1 - 4*h2 + 5"
 
 
 @given(polys_st, polys_st, polys_st)
@@ -189,17 +203,44 @@ def test_minor_matches_leibniz_on_permuted_selection(data):
     assert minor(g, rows, cols) == leibniz(sub)
 
 
+mixed_vars = [x1, x2, x3, h_var(1), h_var(4), a_var(1, 2), a_var(2, 1)]
 mixed_monomials_st = st.dictionaries(
-    st.sampled_from([x1, x2, x3, h_var(1), h_var(4), a_var(1, 2), a_var(2, 1)]),
-    st.integers(1, 3),
-    max_size=5,
-).map(Monomial)
+    st.sampled_from(mixed_vars), st.integers(1, 3), max_size=5
+).map(monomial)
 
 
 @given(mixed_monomials_st, mixed_monomials_st)
 def test_monomial_product_is_canonical(m1, m2):
-    product = m1 * m2
-    reference = Monomial(m1.vars + m2.vars)
+    product = monomial_mul(m1, m2)
+    reference = monomial(m1 + m2)
     assert product == reference
-    assert product.vars == reference.vars
+    assert monomial(product) == product
     assert hash(product) == hash(reference)
+
+
+# ------------------------------------------------- the key invariant
+
+def canonical_keys(poly):
+    return all(monomial(m) == m for m in poly.coeffs)
+
+
+mixed_polys_st = st.dictionaries(mixed_monomials_st, st.integers(-3, 3), max_size=3).map(Polynomial)
+
+
+@given(mixed_polys_st, mixed_polys_st, square_st(mixed_polys_st, 3), st.integers(-1, 4), st.integers(1, 4))
+def test_every_produced_key_is_canonical(p, q, m, degree, n_vars):
+    """Sums, products, determinants and h_m(x_1..x_N) keep their keys canonical."""
+    for result in (p + q, p - q, p * q, q * p, p * 3, determinant(m), complete_homogeneous(degree, n_vars)):
+        assert canonical_keys(result)
+
+
+@given(st.lists(st.integers(1, 3), max_size=3), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_x_weights_are_canonical(parts, n):
+    shape = Partition(sorted(parts, reverse=True))
+    for t in enumerate_ssyt(shape, n):
+        w = tableau_weight(t)
+        assert monomial(w) == w
+        assert w == monomial((x_var(v), 1) for row in t.rows for v in row)
+        assert path_weight(tableau_to_paths(t)) == w
+

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 import pytest
 
 from schurtrails.partitions import Partition, SkewShape
-from schurtrails.polyring import Monomial, Polynomial, complete_homogeneous, x_var
+from schurtrails.polyring import Polynomial, complete_homogeneous, monomial, x_var
 from schurtrails.schur import (
     LatticePath,
     PathFamily,
@@ -23,7 +23,7 @@ from schurtrails.schur import (
 
 
 def mono(*pairs):
-    return Monomial({x_var(k): e for k, e in pairs})
+    return monomial({x_var(k): e for k, e in pairs})
 
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=4), max_size=3).map(

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 import pytest
 
 from schurtrails.partitions import Partition
+from schurtrails.polyring import monomial_mul
 from schurtrails.schur import PathFamily, TerminalSpec, enumerate_families, path_weight
 from schurtrails.trails import (
     BACKWARD,
@@ -175,7 +176,7 @@ def test_trail_step_coherence_validated():
 # ---------------------------------------------------------------- recolouring
 
 def total_weight(g):
-    return path_weight(g.blue) * path_weight(g.green)
+    return monomial_mul(path_weight(g.blue), path_weight(g.green))
 
 
 def test_recolour_fig3_case_a_families():
@@ -277,6 +278,9 @@ def test_count_noncrossing_matchings():
     assert count_noncrossing_matchings(4) == 2
     assert count_noncrossing_matchings(6) == 5
     assert count_noncrossing_matchings(8) == 14
+    catalan = {10: 42, 12: 132, 14: 429, 16: 1430, 18: 4862, 20: 16796}
+    for points, count in catalan.items():
+        assert count_noncrossing_matchings(points) == count
     with pytest.raises(ValueError):
         count_noncrossing_matchings(5)
 

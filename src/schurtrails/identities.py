@@ -408,9 +408,9 @@ def _object_id(blue_family, green_family) -> tuple:
 
     Zero-length paths carry no edges, no weight and no enumeration
     freedom (they exist exactly when a start terminal equals an end
-    terminal), so they are bookkeeping and excluded from the identity;
-    recolouring, which rebuilds families from edge sets, cannot see
-    them either.
+    terminal), so they are bookkeeping and excluded from the identity.
+    Graph equality ignores them for the same reason, and a recoloured
+    graph, whose families are read off its edges, has none.
     """
 
     def texts(family):

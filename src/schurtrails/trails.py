@@ -9,6 +9,11 @@ single-colour vertex it runs straight while it can.  Tracing the trail
 through a terminal point and flipping the colours along it is the local
 move behind the exchange identities in this package.
 
+A graph is its edge-colour map; recolouring flips the trail's edge
+instances in a copy.  A zero-length path marks its point but has no
+edge, so graph equality ignores it, and a recoloured graph, whose
+families are read off its edges, has none.
+
 Orientation vocabulary: ``forward`` means right-upwards (the paths' own
 direction), ``backward`` means left-downwards.
 """
@@ -33,6 +38,10 @@ CYCLE_LIKE = "cycle_like"
 START = "start"
 END = "end"
 
+_NONE = frozenset()
+_ONLY = {BLUE: frozenset((BLUE,)), GREEN: frozenset((GREEN,))}
+_BOTH = frozenset((BLUE, GREEN))
+
 
 def other_colour(colour: str) -> str:
     return GREEN if colour == BLUE else BLUE
@@ -42,39 +51,57 @@ def other_orientation(orientation: str) -> str:
     return BACKWARD if orientation == FORWARD else FORWARD
 
 
-@dataclass(frozen=True)
 class TwoColouredGraph:
-    """Immutable superposition of a blue and a green path family.
+    """Superposition of a blue and a green path family, held as edge colours.
 
+    edge_colours maps each unit edge (tail, head) to the frozenset of its
+    colours, and vertices maps each point to the colours incident to it.
     Within one colour each vertex has at most one in- and one out-edge
     (the family is vertex-disjoint), which is what makes changing trails
-    deterministic.  An edge used by both families carries both colours.
+    deterministic.  blue and green are the families the graph was built
+    from, or, after a recolour, read off the edges on first use.
+    Equality and hashing use edge_colours only.  Graphs are not changed
+    after construction: recolour returns a new one.
     """
 
-    blue: PathFamily
-    green: PathFamily
+    __slots__ = ("edge_colours", "vertices", "_families")
 
-    def __post_init__(self):
-        if not isinstance(self.blue, PathFamily):
-            object.__setattr__(self, "blue", PathFamily(self.blue))
-        if not isinstance(self.green, PathFamily):
-            object.__setattr__(self, "green", PathFamily(self.green))
-        out = {BLUE: {}, GREEN: {}}
-        inc = {BLUE: {}, GREEN: {}}
-        colours_at: dict[tuple, set] = {}
-        edge_colours: dict[tuple, set] = {}
-        for colour, family in ((BLUE, self.blue), (GREEN, self.green)):
+    def __init__(self, blue, green):
+        self._families = {}
+        self.edge_colours = edge_colours = {}
+        self.vertices = vertices = {}
+        for colour, family in ((BLUE, blue), (GREEN, green)):
+            if not isinstance(family, PathFamily):
+                family = PathFamily(family)
+            self._families[colour] = family
+            # a family is vertex-disjoint, so a point or edge met twice has both colours
+            only = _ONLY[colour]
             for path in family:
-                for tail, head in path.edges():
-                    out[colour][tail] = (tail, head)
-                    inc[colour][head] = (tail, head)
-                    edge_colours.setdefault((tail, head), set()).add(colour)
-                for v in path.vertices():
-                    colours_at.setdefault(v, set()).add(colour)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
-        object.__setattr__(self, "edge_colours", {e: frozenset(cs) for e, cs in edge_colours.items()})
-        object.__setattr__(self, "vertices", {v: frozenset(cs) for v, cs in colours_at.items()})
+                points = path.vertices()
+                for v in points:
+                    vertices[v] = _BOTH if v in vertices else only
+                for edge in zip(points, points[1:]):
+                    edge_colours[edge] = _BOTH if edge in edge_colours else only
+
+    def family(self, colour: str) -> PathFamily:
+        """The colour's path family: as built, or read off the edges once."""
+        if colour not in self._families:
+            self._families[colour] = family_from_edges(self.colour_edges(colour))
+        return self._families[colour]
+
+    blue = property(lambda self: self.family(BLUE))
+    green = property(lambda self: self.family(GREEN))
+
+    def __eq__(self, other):
+        if isinstance(other, TwoColouredGraph):
+            return self.edge_colours == other.edge_colours
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.edge_colours.items()))
+
+    def __repr__(self):
+        return "TwoColouredGraph(%r, %r)" % (self.blue, self.green)
 
     def is_intersection(self, v) -> bool:
         """True when both colours are incident to v (a mere touch counts)."""
@@ -88,9 +115,6 @@ class TwoColouredGraph:
         for edge, colours in self.edge_colours.items():
             for colour in colours:
                 yield edge, colour
-
-    def family(self, colour: str) -> PathFamily:
-        return self.blue if colour == BLUE else self.green
 
     def to_json(self) -> dict:
         return {"blue": self.blue.to_text(), "green": self.green.to_text()}
@@ -149,41 +173,20 @@ def terminal_points_from_sets(blue_starts, blue_ends, green_starts, green_ends) 
     data can be ordered and coloured before (or without) enumerating any
     family that realizes it.
     """
-    blue_ends = set(blue_ends)
-    green_ends = set(green_ends)
-    blue_starts = set(blue_starts)
-    green_starts = set(green_starts)
-    top = [(pt, BLUE) for pt in blue_ends - green_ends]
-    top += [(pt, GREEN) for pt in green_ends - blue_ends]
+    blue_starts, blue_ends = set(blue_starts), set(blue_ends)
+    green_starts, green_ends = set(green_starts), set(green_ends)
+    top = [(pt, BLUE, BLACK) for pt in blue_ends - green_ends]
+    top += [(pt, GREEN, WHITE) for pt in green_ends - blue_ends]
     top.sort(key=lambda item: (-item[0][0], item[0][1]))
-    bottom = [(pt, BLUE) for pt in blue_starts - green_starts]
-    bottom += [(pt, GREEN) for pt in green_starts - blue_starts]
-    bottom.sort(key=lambda item: (item[0][0], item[0][1]))
-    points = []
-    for pt, colour in top:
-        idx = len(points) + 1
-        points.append(
-            TerminalPoint(
-                index=idx,
-                location=pt,
-                path_colour=colour,
-                matching_colour=BLACK if colour == BLUE else WHITE,
-                parity=ODD if idx % 2 else EVEN,
-            )
-        )
-    for pt, colour in bottom:
-        idx = len(points) + 1
-        points.append(
-            TerminalPoint(
-                index=idx,
-                location=pt,
-                path_colour=colour,
-                matching_colour=WHITE if colour == BLUE else BLACK,
-                parity=ODD if idx % 2 else EVEN,
-            )
-        )
+    bottom = [(pt, BLUE, WHITE) for pt in blue_starts - green_starts]
+    bottom += [(pt, GREEN, BLACK) for pt in green_starts - blue_starts]
+    bottom.sort(key=lambda item: item[0])
+    points = tuple(
+        TerminalPoint(index, pt, colour, matching, ODD if index % 2 else EVEN)
+        for index, (pt, colour, matching) in enumerate(top + bottom, start=1)
+    )
     assert len(points) % 2 == 0
-    return tuple(points)
+    return points
 
 
 @dataclass(frozen=True)
@@ -250,76 +253,68 @@ def _arrival(step):
     return head if orientation == FORWARD else tail
 
 
+def _reverse(step):
+    edge, colour, orientation = step
+    return (edge, colour, other_orientation(orientation))
+
+
+def _edges_at(v, orientation):
+    """The two unit edges leaving v forward (right, up) or backward (left, down)."""
+    x, y = v
+    if orientation == FORWARD:
+        return ((v, (x + 1, y)), (v, (x, y + 1)))
+    return (((x - 1, y), v), ((x, y - 1), v))
+
+
 def _leaving(graph, v, colour, orientation):
-    table = graph._out if orientation == FORWARD else graph._in
-    return table[colour].get(v)
-
-
-def _arriving(graph, v, colour, orientation):
-    table = graph._in if orientation == FORWARD else graph._out
-    return table[colour].get(v)
+    for edge in _edges_at(v, orientation):
+        if colour in graph.edge_colours.get(edge, _NONE):
+            return edge
+    return None
 
 
 def _successor(graph, step):
     _, colour, orientation = step
     v = _arrival(step)
     if graph.is_intersection(v):
-        c2 = other_colour(colour)
-        o2 = other_orientation(orientation)
-        e2 = _leaving(graph, v, c2, o2)
-        return (e2, c2, o2) if e2 is not None else None
-    e2 = _leaving(graph, v, colour, orientation)
-    return (e2, colour, orientation) if e2 is not None else None
+        colour, orientation = other_colour(colour), other_orientation(orientation)
+    edge = _leaving(graph, v, colour, orientation)
+    return (edge, colour, orientation) if edge is not None else None
 
 
-def _predecessor(graph, step):
-    _, colour, orientation = step
-    v = _begin(step)
-    if graph.is_intersection(v):
-        c2 = other_colour(colour)
-        o2 = other_orientation(orientation)
-        e2 = _arriving(graph, v, c2, o2)
-        return (e2, c2, o2) if e2 is not None else None
-    e2 = _arriving(graph, v, colour, orientation)
-    return (e2, colour, orientation) if e2 is not None else None
+def _walk(graph, seed, seen):
+    """Steps after seed in walk order, and whether the walk came back to seed."""
+    steps = []
+    cur = seed
+    while True:
+        cur = _successor(graph, cur)
+        if cur is None:
+            return steps, False
+        if cur == seed:
+            return steps, True
+        key = (cur[0], cur[1])
+        assert key not in seen, "trail revisited an edge instance"
+        seen.add(key)
+        steps.append(cur)
 
 
 def _trail_from_step(graph, step0):
-    back = [step0]
+    """Walk back from step0 by walking on from its reversal, then on from step0."""
     seen = {(step0[0], step0[1])}
-    kind = PATH_LIKE
-    cur = step0
-    while True:
-        prev = _predecessor(graph, cur)
-        if prev is None:
-            break
-        if prev == step0:
-            kind = CYCLE_LIKE
-            break
-        key = (prev[0], prev[1])
-        assert key not in seen, "trail revisited an edge instance going backwards"
-        back.append(prev)
-        seen.add(key)
-        cur = prev
-    steps = back[::-1]
-    if kind == PATH_LIKE:
-        cur = step0
-        while True:
-            nxt = _successor(graph, cur)
-            if nxt is None:
-                break
-            key = (nxt[0], nxt[1])
-            assert key not in seen, "path-like trail revisited an edge instance"
-            steps.append(nxt)
-            seen.add(key)
-            cur = nxt
-    return ChangingTrail(kind=kind, steps=tuple(steps))
+    back, closed = _walk(graph, _reverse(step0), seen)
+    steps = [_reverse(step) for step in reversed(back)]
+    steps.append(step0)
+    if closed:
+        return ChangingTrail(kind=CYCLE_LIKE, steps=tuple(steps))
+    ahead, _ = _walk(graph, step0, seen)
+    return ChangingTrail(kind=PATH_LIKE, steps=tuple(steps + ahead))
 
 
 def _start_instances(graph, location):
     """Edge instances leaving the point that no arrival feeds into.
 
-    A trail ends at v exactly when its reversal starts at v with such an
+    A step has no predecessor when its reversal has no successor.  A
+    trail ends at v exactly when its reversal starts at v with such an
     instance, so these are the first steps of the trails with an
     endpoint at the location.
     """
@@ -327,32 +322,20 @@ def _start_instances(graph, location):
     for colour in (BLUE, GREEN):
         for orientation in (FORWARD, BACKWARD):
             edge = _leaving(graph, location, colour, orientation)
-            if edge is None:
-                continue
-            step = (edge, colour, orientation)
-            if _predecessor(graph, step) is None:
-                found.append(step)
+            if edge is not None and _successor(graph, (edge, colour, other_orientation(orientation))) is None:
+                found.append((edge, colour, orientation))
     return found
 
 
 def _seed_step(graph, start):
-    spec = tuple(start)
-    if len(spec) == 3 and spec[1] in (BLUE, GREEN):
-        edge = (tuple(spec[0][0]), tuple(spec[0][1]))
-        colour, orientation = spec[1], spec[2]
-        if orientation not in (FORWARD, BACKWARD):
-            raise ValueError("unknown orientation %r" % (orientation,))
-    elif len(spec) == 2 and spec[1] in (BLUE, GREEN):
-        edge = (tuple(spec[0][0]), tuple(spec[0][1]))
-        colour, orientation = spec[1], FORWARD
-    elif len(spec) == 2:
-        edge = (tuple(spec[0]), tuple(spec[1]))
-        colours = graph.edge_colours.get(edge, frozenset())
-        colour = BLUE if BLUE in colours else GREEN
-        orientation = FORWARD
-    else:
+    try:
+        (tail, head), colour, orientation = start
+    except (TypeError, ValueError):
         raise ValueError("cannot interpret trail start %r" % (start,))
-    if colour not in graph.edge_colours.get(edge, frozenset()):
+    if orientation not in (FORWARD, BACKWARD):
+        raise ValueError("unknown orientation %r" % (orientation,))
+    edge = (tuple(tail), tuple(head))
+    if colour not in graph.edge_colours.get(edge, _NONE):
         raise ValueError("edge %r does not carry colour %s" % (edge, colour))
     return (edge, colour, orientation)
 
@@ -362,10 +345,8 @@ def trace_trail(graph: TwoColouredGraph, start) -> ChangingTrail:
 
     A TerminalPoint start yields the trail with an endpoint at that
     point, walked away from it.  Otherwise start is an (edge, colour,
-    orientation) triple, an (edge, colour) pair (traced forward) or a
-    bare edge (its colour picked for it): tracing from any instance of a
-    trail recovers the same trail edge set, with the step direction
-    following the seed.
+    orientation) triple: tracing from any instance of a trail recovers
+    the same trail edge set, with the step direction following the seed.
     """
     if isinstance(start, TerminalPoint):
         return trail_at_terminal(graph, start.location)
@@ -414,7 +395,8 @@ def family_from_edges(edges) -> PathFamily:
     """Reassemble one colour's edge set into its nonintersecting family.
 
     Paths are listed by start, rightmost first.  Raises when the edges
-    are not unit right/up steps forming vertex-disjoint monotone paths.
+    are not unit right/up steps forming vertex-disjoint monotone paths;
+    monotone steps cannot close a cycle, so every edge lies on a path.
     """
     edges = set((tuple(t), tuple(h)) for t, h in edges)
     out = {}
@@ -431,52 +413,60 @@ def family_from_edges(edges) -> PathFamily:
         inc[head] = (tail, head)
     starts = [v for v in out if v not in inc]
     paths = []
-    used = 0
     for v in sorted(starts, key=lambda p: (-p[0], p[1])):
         cur = v
         steps = []
         while cur in out:
             tail, head = out[cur]
             steps.append(EAST if head[0] > tail[0] else NORTH)
-            used += 1
             cur = head
         paths.append(LatticePath(v, "".join(steps)))
-    if used != len(edges):
-        raise ValueError("edge set contains a cycle")
     return PathFamily(paths)
 
 
-def decompose_to_families(graph: TwoColouredGraph):
-    """(blue, green) families read back off the graph's edge sets."""
-    return (
-        family_from_edges(graph.colour_edges(BLUE)),
-        family_from_edges(graph.colour_edges(GREEN)),
-    )
+def _point_colours(edge_colours, v):
+    """Colours of the edges at v; within one colour at most one enters and one leaves."""
+    colours = _NONE
+    for orientation, degree in ((FORWARD, "out"), (BACKWARD, "in")):
+        first, second = map(edge_colours.get, _edges_at(v, orientation), (_NONE, _NONE))
+        if first & second:
+            raise ValueError("vertex %r has %s-degree 2 within one colour" % (v, degree))
+        colours = colours | first | second
+    return colours
 
 
 def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
     """Flip the colour of every edge instance on the given trails.
 
-    The trails must be pairwise instance-disjoint.  The edge multiset is
-    untouched, so total path weight is conserved; the flipped edge sets
-    are reassembled into families (rightmost start first).
+    The trails must be pairwise instance-disjoint and flip both instances
+    of a doubly-coloured edge, so the edge multiset and the total path
+    weight are conserved.  Only the flipped edges and the points they
+    touch are updated, and each colour must still enter and leave every
+    touched point at most once.
     """
-    flips = {BLUE: set(), GREEN: set()}
-    seen = set()
+    flips = {}
     for trail in trails:
         for edge, colour, _ in trail.steps:
-            key = (edge, colour)
-            if key in seen:
-                raise ValueError("overlapping trails share the edge instance %r" % (key,))
-            seen.add(key)
-            flips[colour].add(edge)
-    blue_edges = set(graph.colour_edges(BLUE))
-    green_edges = set(graph.colour_edges(GREEN))
-    if not flips[BLUE] <= blue_edges or not flips[GREEN] <= green_edges:
-        raise ValueError("trail edges do not all belong to the graph")
-    new_blue = (blue_edges - flips[BLUE]) | flips[GREEN]
-    new_green = (green_edges - flips[GREEN]) | flips[BLUE]
-    return TwoColouredGraph(family_from_edges(new_blue), family_from_edges(new_green))
+            if colour in flips.setdefault(edge, set()):
+                raise ValueError("overlapping trails share the edge instance %r" % ((edge, colour),))
+            flips[edge].add(colour)
+    edge_colours = dict(graph.edge_colours)
+    touched = set()
+    for edge, colours in flips.items():
+        carried = edge_colours.get(edge, _NONE)
+        if not colours <= carried:
+            raise ValueError("trail edges do not all belong to the graph")
+        if colours != carried:
+            raise ValueError("the doubly-coloured edge %r must flip both colours or neither" % (edge,))
+        if len(carried) == 1:
+            edge_colours[edge] = _ONLY[other_colour(*carried)]
+            touched.update(edge)
+    vertices = dict(graph.vertices)
+    for v in touched:
+        vertices[v] = _point_colours(edge_colours, v)
+    image = object.__new__(TwoColouredGraph)
+    image.edge_colours, image.vertices, image._families = edge_colours, vertices, {}
+    return image
 
 
 @dataclass(frozen=True)
@@ -526,6 +516,11 @@ def terminal_matching(graph: TwoColouredGraph) -> NoncrossingMatching:
     return NoncrossingMatching(frozenset(pairs))
 
 
+#: Most points count_noncrossing_matchings enumerates: Catalan(12) = 208012
+#: matchings, and every two more points cost about four times as much.
+MAX_MATCHING_POINTS = 24
+
+
 def count_noncrossing_matchings(points: int) -> int:
     """Perfect noncrossing matchings on the given even number of points.
 
@@ -534,11 +529,14 @@ def count_noncrossing_matchings(points: int) -> int:
     splits the remaining points into an inside arc and an outside arc
     that are matched independently, so the count is Catalan(points / 2).
     Every matching counted is checked to join odd to even indices, which
-    is forced for noncrossing chords.
+    is forced for noncrossing chords.  More than MAX_MATCHING_POINTS
+    points are refused with ValueError.
     """
     points = int(points)
     if points < 0 or points % 2:
         raise ValueError("need an even, nonnegative number of points")
+    if points > MAX_MATCHING_POINTS:
+        raise ValueError("at most %d points are enumerated, got %d" % (MAX_MATCHING_POINTS, points))
 
     def matchings(avail):
         if not avail:

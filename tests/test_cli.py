@@ -227,6 +227,12 @@ def test_catalan_odd_input(runner):
     assert result.exit_code == 2
 
 
+def test_catalan_refuses_too_many_points(runner):
+    result = runner.invoke(main, ["catalan", "--points", "26"])
+    assert result.exit_code == 2
+    assert "at most 24 points" in result.output
+
+
 def test_catalan_json(runner):
     result = runner.invoke(main, ["catalan", "--points", "8", "--format", "json"])
     assert json.loads(result.output) == {"matchings": 14, "points": 8}

@@ -7,6 +7,7 @@ from schurtrails.partitions import Partition
 from schurtrails.polyring import monomial_mul
 from schurtrails.schur import PathFamily, TerminalSpec, enumerate_families, path_weight
 from schurtrails.trails import (
+    MAX_MATCHING_POINTS,
     BACKWARD,
     BLACK,
     BLUE,
@@ -23,7 +24,6 @@ from schurtrails.trails import (
     all_trails,
     build_graph,
     count_noncrossing_matchings,
-    decompose_to_families,
     family_from_edges,
     recolour,
     terminal_matching,
@@ -139,7 +139,7 @@ def test_trail_uniqueness_from_any_instance():
 def test_doubly_coloured_edge_is_a_two_cycle():
     fam = PathFamily.from_text(["(0,1):EN"])
     g = build_graph(fam, fam)
-    trail = trace_trail(g, ((0, 1), (1, 1)))
+    trail = trace_trail(g, (((0, 1), (1, 1)), BLUE, FORWARD))
     assert trail.kind == CYCLE_LIKE
     assert len(trail.steps) == 2
     assert {s[1] for s in trail.steps} == {BLUE, GREEN}
@@ -228,13 +228,78 @@ def test_recolour_disjoint_trails_together():
     assert recolour(g2, [trail_at_terminal(g2, (4, 5)), trail_at_terminal(g2, (-4, 1))]) == g
 
 
+def test_recolour_rejects_half_of_a_doubly_coloured_edge():
+    fam = PathFamily.from_text(["(0,1):EN"])
+    g = build_graph(fam, fam)
+    half = ChangingTrail(PATH_LIKE, ((((0, 1), (1, 1)), BLUE, FORWARD),))
+    with pytest.raises(ValueError):
+        recolour(g, [half])  # its blue instance would land on the green one
+    # flipping both instances of the two-cycle leaves the graph as it was
+    cycle = trace_trail(g, (((0, 1), (1, 1)), BLUE, FORWARD))
+    assert recolour(g, [cycle]) == g
+
+
+def rebuilt_families(graph, trails):
+    """Recolouring by rebuilding: flip the two edge sets, then reassemble each family."""
+    flips = {BLUE: set(), GREEN: set()}
+    for trail in trails:
+        for edge, colour, _ in trail.steps:
+            flips[colour].add(edge)
+    blue = graph.colour_edges(BLUE)
+    green = graph.colour_edges(GREEN)
+    return (
+        family_from_edges((blue - flips[BLUE]) | flips[GREEN]),
+        family_from_edges((green - flips[GREEN]) | flips[BLUE]),
+    )
+
+
+def distinct_trails(graph, locations):
+    trails = {}
+    for location in locations:
+        trail = trail_at_terminal(graph, location)
+        trails.setdefault(trail.edge_instances(), trail)
+    return list(trails.values())
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_recolour_matches_family_rebuild(data):
+    pb = data.draw(partitions_st)
+    pg = data.draw(partitions_st)
+    # N >= 2: on one line a blue end can sit on a green start, and the
+    # move stops being an involution there
+    n = data.draw(st.integers(min_value=max(len(pb), len(pg), 2), max_value=3))
+    t = data.draw(st.integers(min_value=-2, max_value=2))
+    fb = data.draw(st.sampled_from(list(enumerate_families(TerminalSpec.from_shape(pb, n)))))
+    fg = data.draw(st.sampled_from(list(enumerate_families(TerminalSpec.from_shape(pg, n, offset=t)))))
+    g = build_graph(fb, fg)
+
+    # equality and hashing see edge colours only, not the order of paths
+    shuffled = build_graph(PathFamily(reversed(list(fb))), PathFamily(reversed(list(fg))))
+    assert shuffled == g and hash(shuffled) == hash(g)
+    same = recolour(g, [])
+    assert same == g and hash(same) == hash(g)
+
+    locations = [q.location for q in terminal_points(g)]
+    chosen = data.draw(st.lists(st.sampled_from(locations), unique=True)) if locations else []
+    trails = distinct_trails(g, chosen)
+    image = recolour(g, trails)
+    rebuilt = build_graph(*rebuilt_families(g, trails))
+    assert (image.blue, image.green) == (rebuilt.blue, rebuilt.green)
+    assert image.vertices == rebuilt.vertices  # no zero-length paths here
+    assert total_weight(image) == total_weight(g)
+    assert recolour(image, distinct_trails(image, chosen)) == g
+
+
 # ---------------------------------------------------------------- decomposition
 
 def test_decompose_roundtrip():
     g = fig3()
-    blue, green = decompose_to_families(g)
-    assert blue == g.blue
-    assert green == g.green
+    assert family_from_edges(g.colour_edges(BLUE)) == g.blue
+    assert family_from_edges(g.colour_edges(GREEN)) == g.green
+    # a recoloured graph reads its families back off the edges
+    same = recolour(g, [])
+    assert (same.blue, same.green) == (g.blue, g.green)
 
 
 def test_family_from_edges_errors():
@@ -283,6 +348,8 @@ def test_count_noncrossing_matchings():
         assert count_noncrossing_matchings(points) == count
     with pytest.raises(ValueError):
         count_noncrossing_matchings(5)
+    with pytest.raises(ValueError):
+        count_noncrossing_matchings(MAX_MATCHING_POINTS + 2)
 
 
 # ---------------------------------------------------------------- family-pair laws

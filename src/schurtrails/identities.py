@@ -1,9 +1,9 @@
 """Exact checkers for Schur-polynomial product identities.
 
 Each checker expands both sides of an identity -- tableau sums for the
-Schur factors, determinants for the determinant forms -- and compares
-them coefficient by coefficient.  The outcome is an
-IdentityReport that keeps both polynomials, so a failed check names the
+Schur factors, determinants for the determinant forms -- and returns an
+IdentityReport that keeps the two polynomials.  The verdict is derived
+from them: the sides are equal or not, and a failed check names the
 first monomial whose coefficients disagree instead of returning a bare
 boolean.
 
@@ -12,13 +12,13 @@ polynomial identities: explore_orbit closes the trail-recolouring move
 over path families with fixed terminals and tallies both sides of the
 resulting object bijection, and bijection_audit replays the
 window-exchange bijection object by object, checking injectivity,
-surjectivity and weight preservation directly.
+surjectivity and weight preservation directly.  A terminal pattern of
+the orbit is a (blue, green) pair of TerminalSpecs.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from collections import Counter, deque
 from dataclasses import dataclass, replace as dataclass_replace
 from functools import lru_cache
@@ -70,15 +70,20 @@ def schur_of(parts, N: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of one identity check, with both sides kept for inspection."""
+    """Outcome of one identity check: both sides, with the verdict derived from them."""
 
     identity: str
     params: dict
     lhs: Polynomial
     rhs: Polynomial
-    equal: bool
-    witness: str | None
-    elapsed_ms: float
+
+    @property
+    def equal(self) -> bool:
+        return self.lhs == self.rhs
+
+    @property
+    def witness(self) -> str | None:
+        return None if self.equal else _witness(self.lhs, self.rhs)
 
     @property
     def lhs_terms(self) -> int:
@@ -95,9 +100,8 @@ class IdentityReport:
             "equal": self.equal,
             "lhs_terms": self.lhs_terms,
             "rhs_terms": self.rhs_terms,
-            "elapsed_ms": self.elapsed_ms,
         }
-        if self.witness is not None:
+        if not self.equal:
             payload["witness"] = self.witness
         return payload
 
@@ -111,18 +115,6 @@ def _witness(lhs: Polynomial, rhs: Polynomial) -> str | None:
     return "%s: %d versus %d" % (monomial_str(m), lhs.coeffs.get(m, 0), rhs.coeffs.get(m, 0))
 
 
-def _report(identity: str, params: dict, lhs: Polynomial, rhs: Polynomial, started: float) -> IdentityReport:
-    return IdentityReport(
-        identity=identity,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        equal=(lhs == rhs),
-        witness=_witness(lhs, rhs),
-        elapsed_ms=(time.monotonic() - started) * 1000.0,
-    )
-
-
 def verify_general(lam, N=None) -> IdentityReport:
     """Window-exchange identity for a weakly decreasing sequence of r+1 parts.
 
@@ -134,7 +126,6 @@ def verify_general(lam, N=None) -> IdentityReport:
     lowered window reaching -1 contributes zero.  N defaults to the
     number of parts and is recorded in the report.
     """
-    started = time.monotonic()
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     parts = lam.parts
     if len(parts) < 2:
@@ -147,7 +138,7 @@ def verify_general(lam, N=None) -> IdentityReport:
     rhs = schur_of(parts[1:r], N) * schur_of(parts, N) + schur_of(
         tuple(p - 1 for p in parts[1:]), N
     ) * schur_of(tuple(p + 1 for p in parts[:r]), N)
-    return _report("general", {"lambda": list(parts), "N": N}, lhs, rhs, started)
+    return IdentityReport("general", {"lambda": list(parts), "N": N}, lhs, rhs)
 
 
 def verify_kirillov(c, r, N=None) -> IdentityReport:
@@ -174,7 +165,6 @@ def verify_dodgson(r) -> IdentityReport:
     the product of the two off-corner minors.  For r = 1 the central
     minor is the empty determinant, 1.
     """
-    started = time.monotonic()
     r = int(r)
     if r < 1:
         raise ValueError("r must be positive, got %d" % r)
@@ -186,7 +176,7 @@ def verify_dodgson(r) -> IdentityReport:
     rhs = minor(matrix, head, head) * minor(matrix, tail, tail) - minor(
         matrix, tail, head
     ) * minor(matrix, head, tail)
-    return _report("dodgson", {"r": r}, lhs, rhs, started)
+    return IdentityReport("dodgson", {"r": r}, lhs, rhs)
 
 
 def _padded(p: Partition, n: int) -> tuple:
@@ -237,7 +227,6 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
     x_1..x_N, with N defaulting to n.  params["products"] lists each
     remaining term as [lam', sigma'], followed by -1 for a negative term.
     """
-    started = time.monotonic()
     if mode not in ("formal", "schur"):
         raise ValueError("mode must be 'formal' or 'schur', got %r" % (mode,))
     r_list = tuple(sorted(set(int(v) for v in r_list)))
@@ -272,9 +261,7 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
                 first[r_i - 1] = s_i
                 second[s_i - n - 1] = r_i
             rhs = rhs + minor(matrix, first, all_cols) * minor(matrix, second, all_cols)
-        return _report(
-            "pluecker", {"mode": mode, "n": n, "r_list": list(r_list)}, lhs, rhs, started
-        )
+        return IdentityReport("pluecker", {"mode": mode, "n": n, "r_list": list(r_list)}, lhs, rhs)
 
     if N is None:
         N = n
@@ -308,7 +295,7 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
         "N": N,
         "products": products,
     }
-    return _report("pluecker", params, lhs, rhs, started)
+    return IdentityReport("pluecker", params, lhs, rhs)
 
 
 def verify_ciucu(T, k, N=None) -> IdentityReport:
@@ -321,7 +308,6 @@ def verify_ciucu(T, k, N=None) -> IdentityReport:
     enumerate S.  N defaults to k, the number of parts of every shape
     involved.
     """
-    started = time.monotonic()
     k = int(k)
     if k < 1:
         raise ValueError("k must be positive, got %d" % k)
@@ -343,7 +329,7 @@ def verify_ciucu(T, k, N=None) -> IdentityReport:
     rhs = (2 ** k) * (
         schur_of(partition_from_set(elems[1::2]), N) * schur_of(partition_from_set(elems[0::2]), N)
     )
-    return _report("ciucu", {"T": list(elems), "k": k, "N": N}, lhs, rhs, started)
+    return IdentityReport("ciucu", {"T": list(elems), "k": k, "N": N}, lhs, rhs)
 
 
 def _nested_strip_pairs(n: int, k: int):
@@ -365,7 +351,6 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
     all be removed contributes zero and is skipped.  N defaults to the
     largest number of parts among the shapes that appear.
     """
-    started = time.monotonic()
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     encoding = corner_encoding(lam)
     n = encoding.n
@@ -400,7 +385,7 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
         "N": N,
         "products": [[sign, list(a), list(b)] for sign, a, b in products],
     }
-    return _report("kleber", params, lhs, rhs, started)
+    return IdentityReport("kleber", params, lhs, rhs)
 
 
 def _object_id(blue_family, green_family) -> tuple:
@@ -434,10 +419,12 @@ class AuditReport:
 
     lam: tuple
     N: int
-    objects: int
     case_a: int
     case_b: int
-    elapsed_ms: float
+
+    @property
+    def objects(self) -> int:
+        return self.case_a + self.case_b
 
     def to_json(self) -> dict:
         return {
@@ -446,7 +433,6 @@ class AuditReport:
             "objects": self.objects,
             "case_a": self.case_a,
             "case_b": self.case_b,
-            "elapsed_ms": self.elapsed_ms,
         }
 
 
@@ -465,7 +451,6 @@ def bijection_audit(lam, N=None) -> AuditReport:
     image, an image outside the two layouts, a changed weight, or a
     right-side object never reached.  Returns the tallies on success.
     """
-    started = time.monotonic()
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     parts = lam.parts
     if len(parts) < 2:
@@ -483,17 +468,18 @@ def bijection_audit(lam, N=None) -> AuditReport:
     protected = (-r - 1, 1)
 
     expected = {}
-    case_a_total = 0
-    for gf in _layout_families(parts[1:r], N, -1):
-        for bf in _layout_families(parts, N, 0):
-            expected[_object_id(bf, gf)] = "A"
-            case_a_total += 1
-    case_b_total = 0
-    for gf in _layout_families(tuple(p - 1 for p in parts[1:]), N, 0):
-        for bf in _layout_families(tuple(p + 1 for p in parts[:r]), N, -1):
-            expected[_object_id(bf, gf)] = "B"
-            case_b_total += 1
-    assert len(expected) == case_a_total + case_b_total, "the two layouts share an object"
+    layouts = {
+        "A": (_layout_families(parts[1:r], N, -1), _layout_families(parts, N, 0)),
+        "B": (
+            _layout_families(tuple(p - 1 for p in parts[1:]), N, 0),
+            _layout_families(tuple(p + 1 for p in parts[:r]), N, -1),
+        ),
+    }
+    for kind, (layout_greens, layout_blues) in layouts.items():
+        for gf, bf in itertools.product(layout_greens, layout_blues):
+            expected[_object_id(bf, gf)] = kind
+    n_layout_objects = sum(len(g) * len(b) for g, b in layouts.values())
+    assert len(expected) == n_layout_objects, "the two layouts share an object"
 
     tally = {"A": 0, "B": 0}
     images = set()
@@ -529,69 +515,31 @@ def bijection_audit(lam, N=None) -> AuditReport:
             tally[kind] += 1
     if expected:
         raise RuntimeError("%d layout objects were never reached" % (len(expected),))
-    return AuditReport(
-        lam=parts,
-        N=N,
-        objects=tally["A"] + tally["B"],
-        case_a=tally["A"],
-        case_b=tally["B"],
-        elapsed_ms=(time.monotonic() - started) * 1000.0,
-    )
+    return AuditReport(lam=parts, N=N, case_a=tally["A"], case_b=tally["B"])
 
 
-def _canonical_shape(starts, ends) -> tuple:
-    """(outer, inner) of the skew shape drawn by the terminal sets, offset normalized away."""
-    if not starts:
-        return ((), ())
-    ss = sorted((x for x, _ in starts), reverse=True)
-    es = sorted((x for x, _ in ends), reverse=True)
-    base = min(s + i for i, s in enumerate(ss, start=1))
-    inner = tuple(s + i - base for i, s in enumerate(ss, start=1))
-    outer = tuple(e + i - base for i, e in enumerate(es, start=1))
-    return (outer, inner)
+def _canonical_pattern(pattern) -> tuple:
+    """(blue outer, blue inner, green outer, green inner) of a (blue, green) spec pair."""
+    blue_spec, green_spec = pattern
+    return blue_spec.normal_form()[:2] + green_spec.normal_form()[:2]
 
 
-def _canonical_pattern(key) -> tuple:
-    """(blue outer, blue inner, green outer, green inner) for a terminal pattern."""
-    blue_starts, blue_ends, green_starts, green_ends = key
-    return _canonical_shape(blue_starts, blue_ends) + _canonical_shape(green_starts, green_ends)
-
-
-def _pattern_key(blue_family, green_family) -> tuple:
-    return (
-        frozenset(p.start for p in blue_family),
-        frozenset(p.end for p in blue_family),
-        frozenset(p.start for p in green_family),
-        frozenset(p.end for p in green_family),
-    )
-
-
-def _pattern_objects(key, N) -> list:
-    blue_starts, blue_ends, green_starts, green_ends = key
-    by_x = lambda p: -p[0]
-    blue_spec = TerminalSpec(sorted(blue_starts, key=by_x), sorted(blue_ends, key=by_x), N)
-    green_spec = TerminalSpec(sorted(green_starts, key=by_x), sorted(green_ends, key=by_x), N)
-    blues = list(enumerate_families(blue_spec))
-    greens = list(enumerate_families(green_spec))
-    return [(bf, gf) for bf in blues for gf in greens]
-
-
-def _side_of(key, original_colours) -> int:
+def _side_of(pattern, original_colours) -> int:
     """0 when every selected point keeps its original colour, 1 when all flipped."""
     if not original_colours:
         return 0
-    blue_starts, blue_ends, green_starts, green_ends = key
+    blue_spec, green_spec = pattern
     flips = set()
     for location, first in original_colours.items():
-        in_blue = location in blue_starts or location in blue_ends
-        in_green = location in green_starts or location in green_ends
+        in_blue = location in blue_spec.starts or location in blue_spec.ends
+        in_green = location in green_spec.starts or location in green_spec.ends
         if in_blue and in_green:
             raise RuntimeError("selected point %r became coincident" % (location,))
         if not in_blue and not in_green:
             raise RuntimeError("selected point %r left the terminal data" % (location,))
         flips.add((BLUE if in_blue else GREEN) != first)
     if len(flips) == 2:
-        raise RuntimeError("selected points flipped inconsistently in %r" % (key,))
+        raise RuntimeError("selected points flipped inconsistently in %r" % (pattern,))
     return 1 if flips.pop() else 0
 
 
@@ -621,25 +569,28 @@ class OrbitResult:
     """Terminal patterns reachable under the recolouring move, with object counts.
 
     Patterns are reported canonically as (blue outer, blue inner, green
-    outer, green inner); S0 collects the patterns whose objects keep
-    every selected point's original colour, S1 those with every
-    selected point flipped.  weight0/weight1 are the summed path
-    weights of the two sides.
+    outer, green inner).  counts0 maps each pattern whose objects keep
+    every selected point's original colour to its number of objects,
+    and counts1 does the same for the patterns with every selected
+    point flipped.  weight0/weight1 are the summed path weights of the
+    two sides.  The pattern sets S0/S1, the side sizes O0_size/O1_size
+    and the degenerate flag (no point selected) are derived from these.
     """
 
     initial: tuple
     selected: tuple
     N: int
-    S0: frozenset
-    S1: frozenset
     counts0: dict
     counts1: dict
-    O0_size: int
-    O1_size: int
     weight0: Polynomial
     weight1: Polynomial
-    degenerate: bool
     parity_uniform: bool
+
+    S0 = property(lambda self: frozenset(self.counts0))
+    S1 = property(lambda self: frozenset(self.counts1))
+    O0_size = property(lambda self: sum(self.counts0.values()))
+    O1_size = property(lambda self: sum(self.counts1.values()))
+    degenerate = property(lambda self: not self.selected)
 
     def to_json(self) -> dict:
         def pattern(q):
@@ -686,13 +637,8 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     N = int(N)
     blue_spec = TerminalSpec.from_shape(blue, N, 0)
     green_spec = TerminalSpec.from_shape(green, N, int(t))
-    initial_key = (
-        frozenset(blue_spec.starts),
-        frozenset(blue_spec.ends),
-        frozenset(green_spec.starts),
-        frozenset(green_spec.ends),
-    )
-    q_points = terminal_points_from_sets(*initial_key)
+    initial = (blue_spec, green_spec)
+    q_points = terminal_points_from_sets(blue_spec.starts, blue_spec.ends, green_spec.starts, green_spec.ends)
     sel_indices = sorted(set(int(i) for i in selected))
     for i in sel_indices:
         if not 1 <= i <= len(q_points):
@@ -705,21 +651,21 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     degenerate = not sel_locations
 
     cap = 2 ** len(q_points) if q_points else 1
-    pending = deque([initial_key])
-    queued = {initial_key}
+    pending = deque([initial])
+    queued = {initial}
     processed = set()
     counts = ({}, {})
     weights = (Counter(), Counter())
     image_of = {}
     while pending:
-        key = pending.popleft()
+        pattern = pending.popleft()
         if len(processed) >= cap:
             raise RuntimeError("closure exceeded %d terminal patterns without settling" % (cap,))
-        processed.add(key)
-        side = _side_of(key, original_colours)
-        objects = _pattern_objects(key, N)
+        processed.add(pattern)
+        side = _side_of(pattern, original_colours)
+        objects = list(itertools.product(*map(enumerate_families, pattern)))
         if objects:
-            canon = _canonical_pattern(key)
+            canon = _canonical_pattern(pattern)
             counts[side][canon] = counts[side].get(canon, 0) + len(objects)
         for blue_family, green_family in objects:
             weights[side][monomial_mul(path_weight(blue_family), path_weight(green_family))] += 1
@@ -728,36 +674,29 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
             graph = build_graph(blue_family, green_family)
             image = _recoloured(graph, sel_locations)
             image_of[_object_id(blue_family, green_family)] = _object_id(image.blue, image.green)
-            key2 = _pattern_key(image.blue, image.green)
-            if key2 not in queued:
-                queued.add(key2)
-                pending.append(key2)
+            reached = (TerminalSpec.from_family(image.blue, N), TerminalSpec.from_family(image.green, N))
+            if reached not in queued:
+                queued.add(reached)
+                pending.append(reached)
 
     for oid, img in image_of.items():
         if image_of.get(img) != oid:
             raise RuntimeError("recolouring from the selected points is not an involution at %r" % (oid,))
-    O0_size = sum(counts[0].values())
-    O1_size = sum(counts[1].values())
-    weight0, weight1 = Polynomial(weights[0]), Polynomial(weights[1])
-    if not degenerate:
-        if O0_size != O1_size:
-            raise RuntimeError("the two sides differ in size: %d vs %d" % (O0_size, O1_size))
-        if weight0 != weight1:
-            raise RuntimeError("the two sides differ in summed weight")
-        if parity_uniform and counts[0] and set(counts[0]) != {_canonical_pattern(initial_key)}:
-            raise RuntimeError("uniform parities should pin the original side to the input pattern")
-    return OrbitResult(
-        initial=_canonical_pattern(initial_key),
+    res = OrbitResult(
+        initial=_canonical_pattern(initial),
         selected=sel_locations,
         N=N,
-        S0=frozenset(counts[0]),
-        S1=frozenset(counts[1]),
-        counts0=dict(counts[0]),
-        counts1=dict(counts[1]),
-        O0_size=O0_size,
-        O1_size=O1_size,
-        weight0=weight0,
-        weight1=weight1,
-        degenerate=degenerate,
+        counts0=counts[0],
+        counts1=counts[1],
+        weight0=Polynomial(weights[0]),
+        weight1=Polynomial(weights[1]),
         parity_uniform=parity_uniform,
     )
+    if not degenerate:
+        if res.O0_size != res.O1_size:
+            raise RuntimeError("the two sides differ in size: %d vs %d" % (res.O0_size, res.O1_size))
+        if res.weight0 != res.weight1:
+            raise RuntimeError("the two sides differ in summed weight")
+        if parity_uniform and res.S0 and res.S0 != {res.initial}:
+            raise RuntimeError("uniform parities should pin the original side to the input pattern")
+    return res

@@ -62,15 +62,6 @@ class Partition:
         """Copy with zero parts dropped."""
         return Partition(p for p in self.parts if p > 0)
 
-    def contains(self, other):
-        """Componentwise containment (other padded with zeros)."""
-        other = tuple(other)
-        if len(other) > len(self.parts):
-            if any(p > 0 for p in other[len(self.parts):]):
-                return False
-            other = other[: len(self.parts)]
-        return all(m <= l for l, m in zip(self.parts, other + (0,) * (len(self.parts) - len(other))))
-
     def to_text(self):
         return ",".join(str(p) for p in self.parts)
 

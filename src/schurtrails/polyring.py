@@ -318,11 +318,11 @@ class FormalMatrix:
         raise TypeError("matrix entries must be Polynomial or int")
 
     @classmethod
-    def generic(cls, n_rows, n_cols, alphabet="a"):
+    def generic(cls, n_rows, n_cols):
         """Matrix of independent variables ('a', i, j)."""
         return cls(
             [
-                [Polynomial.variable((alphabet, i, j)) for j in range(1, n_cols + 1)]
+                [Polynomial.variable(("a", i, j)) for j in range(1, n_cols + 1)]
                 for i in range(1, n_rows + 1)
             ]
         )

@@ -8,9 +8,9 @@ x_k, so the total weight of the family equals the tableau weight and the
 generating function of either side is the (skew) Schur polynomial.
 
 Schur polynomials are computed two independent ways: summing tableau
-weights, and as the determinant det(h_{lambda_i - i + j}) of complete
-homogeneous pieces.  Both are exact polynomials at a fixed variable
-count N.
+weights, and as the determinant det(h_{outer_i - inner_j - i + j}) of
+complete homogeneous pieces.  Both are exact polynomials at a fixed
+variable count N.
 """
 
 from collections import Counter
@@ -166,13 +166,10 @@ def jacobi_trudi_matrix(outer, inner=None, N=None):
 
 
 def schur_poly(shape, N, method="tableaux"):
-    """Exact Schur polynomial in x_1..x_N.
+    """Exact (skew) Schur polynomial in x_1..x_N.
 
-    method="tableaux" sums tableau weights and works for skew shapes;
-    method="jacobi_trudi" expands the h-determinant and is restricted to
-    straight shapes (the determinant form this package treats as
-    canonical is stated for straight shapes; see skew_jacobi_trudi for
-    the skew determinant as a cross-check extension).
+    method="tableaux" sums tableau weights; method="jacobi_trudi"
+    expands the determinant det(h_{outer_i - inner_j - i + j}).
     """
     if isinstance(shape, Partition):
         shape = SkewShape(shape)
@@ -181,17 +178,8 @@ def schur_poly(shape, N, method="tableaux"):
     if method == "tableaux":
         return Polynomial(Counter(tableau_weight(t) for t in enumerate_ssyt(shape, N)))
     if method == "jacobi_trudi":
-        if not shape.is_straight():
-            raise ValueError("jacobi_trudi method is for straight shapes; use skew_jacobi_trudi")
-        return determinant(jacobi_trudi_matrix(shape.outer, N=N))
+        return determinant(jacobi_trudi_matrix(shape.outer, shape.inner.parts, N=N))
     raise ValueError("unknown method %r" % (method,))
-
-
-def skew_jacobi_trudi(shape, N):
-    """det(h_{outer_i - inner_j - i + j}) for skew shapes (cross-check extension)."""
-    if not isinstance(shape, SkewShape):
-        shape = SkewShape(shape)
-    return determinant(jacobi_trudi_matrix(shape.outer, shape.inner.parts, N=N))
 
 
 class LatticePath:
@@ -319,11 +307,19 @@ class PathFamily:
 
 
 class TerminalSpec:
-    """Start points on y=1 and end points on y=N, x strictly decreasing in path index."""
+    """Terminal data of one path family: where its paths start and end.
 
-    __slots__ = ("starts", "ends", "N", "offset")
+    Path i runs from starts[i] on y=1 to ends[i] on y=N, and x strictly
+    decreases with i along both lines.  Two specs are equal when their
+    starts, ends and N are, so a (blue, green) pair of specs is a
+    hashable terminal pattern.  from_shape lays a skew shape out at an
+    offset, from_family reads a family's terminals back, and normal_form
+    recovers the skew shape together with the offset it was laid out at.
+    """
 
-    def __init__(self, starts, ends, N, offset=0):
+    __slots__ = ("starts", "ends", "N")
+
+    def __init__(self, starts, ends, N):
         starts = tuple((int(x), int(y)) for x, y in starts)
         ends = tuple((int(x), int(y)) for x, y in ends)
         N = int(N)
@@ -342,10 +338,17 @@ class TerminalSpec:
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "offset", int(offset))
 
     def __setattr__(self, name, value):
         raise AttributeError("TerminalSpec is immutable")
+
+    def __eq__(self, other):
+        if isinstance(other, TerminalSpec):
+            return self.starts == other.starts and self.ends == other.ends and self.N == other.N
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.starts, self.ends, self.N))
 
     @classmethod
     def from_shape(cls, shape, N, offset=0):
@@ -354,10 +357,28 @@ class TerminalSpec:
             shape = SkewShape(shape)
         starts = [(shape.inner.parts[i] - (i + 1) + offset, 1) for i in range(shape.n_rows)]
         ends = [(shape.outer.parts[i] - (i + 1) + offset, N) for i in range(shape.n_rows)]
-        return cls(starts, ends, N, offset)
+        return cls(starts, ends, N)
+
+    @classmethod
+    def from_family(cls, family, N):
+        """Terminals of the family's paths, rightmost first."""
+        starts = sorted((p.start for p in family), reverse=True)
+        return cls(starts, sorted((p.end for p in family), reverse=True), N)
+
+    def normal_form(self):
+        """(outer, inner, shift) with from_shape(outer/inner, N, shift) equal to this spec.
+
+        Row i has parts x + i - shift read off path i's start and end,
+        and shift is the least start x + i, so the smallest inner part
+        is 0.  outer need not contain inner: then no family fits.
+        """
+        shift = min((x + i for i, (x, _) in enumerate(self.starts, start=1)), default=0)
+        inner = tuple(x + i - shift for i, (x, _) in enumerate(self.starts, start=1))
+        outer = tuple(x + i - shift for i, (x, _) in enumerate(self.ends, start=1))
+        return outer, inner, shift
 
     def __repr__(self):
-        return "TerminalSpec(starts=%r, ends=%r, N=%d, offset=%d)" % (self.starts, self.ends, self.N, self.offset)
+        return "TerminalSpec(starts=%r, ends=%r, N=%d)" % (self.starts, self.ends, self.N)
 
 
 def tableau_to_paths(t, offset=0):
@@ -421,16 +442,11 @@ def enumerate_families(spec):
     """
     if not isinstance(spec, TerminalSpec):
         raise TypeError("enumerate_families takes a TerminalSpec")
-    r = len(spec.starts)
-    if r == 0:
+    if not spec.starts:
         yield PathFamily()
         return
-    # normalise to a skew shape: the true offset may differ from spec.offset
-    # only by a global translation, which the shift below absorbs
-    shift = min(x + i for i, (x, _) in enumerate(spec.starts, start=1))
-    inner = [x + i - shift for i, (x, _) in enumerate(spec.starts, start=1)]
-    outer = [x + i - shift for i, (x, _) in enumerate(spec.ends, start=1)]
-    if any(o < m for o, m in zip(outer, inner)) or any(v < 0 for v in outer):
+    outer, inner, shift = spec.normal_form()
+    if any(o < m for o, m in zip(outer, inner)):
         return
     shape = SkewShape(Partition(outer), Partition(inner))
     for t in enumerate_ssyt(shape, spec.N):

@@ -1,6 +1,6 @@
 """Deterministic SVG pictures of two-coloured graphs and changing trails.
 
-Lattice point (x, y) maps to canvas (x*unit, (n_vars - y)*unit): the
+Lattice point (x, y) maps to canvas (x*UNIT, (n_vars - y)*UNIT): the
 figures read bottom-up, SVG reads top-down.  Green paths are solid,
 blue paths dotted, selected trails sit underneath with a wide
 highlight, and Q-sequence terminals are drawn as filled (black) or
@@ -19,17 +19,17 @@ BLUE_STROKE = "#2155a3"
 TRAIL_STROKE = "#f0941f"
 
 
-def _xy(point, n_vars, unit):
+def _xy(point, n_vars):
     x, y = point
-    return x * unit, (n_vars - y) * unit
+    return x * UNIT, (n_vars - y) * UNIT
 
 
-def _polyline(points, n_vars, unit, style) -> str:
-    coords = " ".join("%d,%d" % _xy(p, n_vars, unit) for p in points)
+def _polyline(points, n_vars, style) -> str:
+    coords = " ".join("%d,%d" % _xy(p, n_vars) for p in points)
     return '<polyline fill="none" points="%s" %s/>' % (coords, style)
 
 
-def render_svg(graph, trails=(), n_vars=None, unit=UNIT) -> str:
+def render_svg(graph, trails=(), n_vars=None) -> str:
     """Render the graph, with the given changing trails overlaid."""
     vertices = sorted(graph.vertices)
     ys = [v[1] for v in vertices]
@@ -44,36 +44,34 @@ def render_svg(graph, trails=(), n_vars=None, unit=UNIT) -> str:
     parts = []
     for x in range(x_lo, x_hi + 1):
         parts.append(
-            _polyline(((x, y_lo), (x, y_hi)), n_vars, unit, 'stroke="%s" stroke-width="1"' % GRID_STROKE)
+            _polyline(((x, y_lo), (x, y_hi)), n_vars, 'stroke="%s" stroke-width="1"' % GRID_STROKE)
         )
     for y in range(y_lo, y_hi + 1):
         parts.append(
-            _polyline(((x_lo, y), (x_hi, y)), n_vars, unit, 'stroke="%s" stroke-width="1"' % GRID_STROKE)
+            _polyline(((x_lo, y), (x_hi, y)), n_vars, 'stroke="%s" stroke-width="1"' % GRID_STROKE)
         )
     for trail in trails:
         parts.append(
             _polyline(
                 trail.visited_vertices(),
                 n_vars,
-                unit,
                 'stroke="%s" stroke-width="9" stroke-opacity="0.5" stroke-linejoin="round"' % TRAIL_STROKE,
             )
         )
     for path in graph.green:
         parts.append(
-            _polyline(path.vertices(), n_vars, unit, 'stroke="%s" stroke-width="3"' % GREEN_STROKE)
+            _polyline(path.vertices(), n_vars, 'stroke="%s" stroke-width="3"' % GREEN_STROKE)
         )
     for path in graph.blue:
         parts.append(
             _polyline(
                 path.vertices(),
                 n_vars,
-                unit,
                 'stroke="%s" stroke-width="3" stroke-dasharray="2 6" stroke-linecap="round"' % BLUE_STROKE,
             )
         )
     for q in terminal_points(graph):
-        cx, cy = _xy(q.location, n_vars, unit)
+        cx, cy = _xy(q.location, n_vars)
         if q.matching_colour == BLACK:
             fill = '<circle cx="%d" cy="%d" r="6" fill="#111111"/>'
             parts.append(fill % (cx, cy))
@@ -82,11 +80,11 @@ def render_svg(graph, trails=(), n_vars=None, unit=UNIT) -> str:
                 '<circle cx="%d" cy="%d" r="6" fill="#ffffff" stroke="#111111" stroke-width="2"/>' % (cx, cy)
             )
 
-    pad = unit // 2
-    min_x, _ = _xy((x_lo, y_lo), n_vars, unit)
-    max_x, _ = _xy((x_hi, y_lo), n_vars, unit)
-    _, min_y = _xy((x_lo, y_hi), n_vars, unit)
-    _, max_y = _xy((x_lo, y_lo), n_vars, unit)
+    pad = UNIT // 2
+    min_x, _ = _xy((x_lo, y_lo), n_vars)
+    max_x, _ = _xy((x_hi, y_lo), n_vars)
+    _, min_y = _xy((x_lo, y_hi), n_vars)
+    _, max_y = _xy((x_lo, y_lo), n_vars)
     view = (min_x - pad, min_y - pad, (max_x - min_x) + 2 * pad, (max_y - min_y) + 2 * pad)
     head = '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%d %d %d %d">' % view
     return "\n".join([head] + parts + ["</svg>"]) + "\n"

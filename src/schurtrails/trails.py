@@ -233,15 +233,6 @@ class ChangingTrail:
         out.extend(_arrival(s) for s in self.steps)
         return tuple(out)
 
-    def to_json(self) -> dict:
-        pts = self.endpoints
-        return {
-            "kind": self.kind,
-            "start": list(pts[0]) if pts else None,
-            "end": list(pts[1]) if pts else None,
-            "steps": [[[list(t), list(h)], colour, orientation] for (t, h), colour, orientation in self.steps],
-        }
-
 
 def _begin(step):
     (tail, head), _, orientation = step
@@ -359,13 +350,16 @@ def trail_at_terminal(graph: TwoColouredGraph, location) -> ChangingTrail:
     The first step is the unique leaving edge instance without a
     predecessor; a terminal point another path passes through can be
     interior to that other trail, which is why the terminal's own final
-    edge is not necessarily the right seed.
+    edge is not necessarily the right seed.  Raises ValueError when no
+    trail has an endpoint at the point, or when two have: with N = 1 a
+    start of one colour can sit on an end of the other.
     """
     location = (int(location[0]), int(location[1]))
     candidates = _start_instances(graph, location)
     if not candidates:
         raise ValueError("no changing trail starts at %r" % (location,))
-    assert len(candidates) == 1, "multiple changing trails start at %r" % (location,)
+    if len(candidates) > 1:
+        raise ValueError("%d changing trails start at %r" % (len(candidates), location))
     trail = _trail_from_step(graph, candidates[0])
     # terminal-started trails stay clear of doubly-coloured edges, which
     # live on their own two-step cycles

@@ -165,6 +165,26 @@ def test_orbit_json(runner):
     assert len(payload["S1"]) == 2
 
 
+def test_orbit_json_is_byte_stable(runner):
+    # golden bytes: how terminal patterns are keyed inside the orbit must not show in its report
+    window = ["--lambda", "2,1", "--sigma", "2,1", "--offset", "1", "--rlist", "2", "--vars", "3"]
+    assert runner.invoke(main, ["orbit"] + window + ["--format", "json"]).output == (
+        '{"N": 3, "O0_size": 64, "O1_size": 64, "S0": [{"objects": 64, "pattern": [[2, 1], [0, 0], '
+        '[2, 1], [0, 0]]}], "S1": [{"objects": 1, "pattern": [[0], [0], [2, 2, 2], [0, 0, 0]]}, '
+        '{"objects": 18, "pattern": [[1, 1], [0, 0], [2, 2], [0, 0]]}, {"objects": 45, "pattern": '
+        '[[3, 1], [0, 0], [1, 1], [0, 0]]}], "degenerate": false, "initial": [[2, 1], [0, 0], '
+        '[2, 1], [0, 0]], "parity_uniform": true, "selected": [[1, 3]]}\n'
+    )
+    skew = ["--lambda", "3,2", "--inner", "1,1", "--sigma", "3,1", "--tau", "2", "--offset", "1",
+            "--rlist", "2", "--vars", "2"]
+    assert runner.invoke(main, ["orbit"] + skew + ["--format", "json"]).output == (
+        '{"N": 2, "O0_size": 8, "O1_size": 8, "S0": [{"objects": 8, "pattern": [[2, 1], [0, 0], '
+        '[3, 1], [2, 0]]}], "S1": [{"objects": 2, "pattern": [[1], [0], [2, 2, 1], [1, 0, 0]]}, '
+        '{"objects": 6, "pattern": [[3, 1], [0, 0], [2, 1], [2, 0]]}], "degenerate": false, '
+        '"initial": [[2, 1], [0, 0], [3, 1], [2, 0]], "parity_uniform": true, "selected": [[2, 2]]}\n'
+    )
+
+
 def test_orbit_selection_out_of_range(runner):
     result = runner.invoke(
         main, ["orbit", "--lambda", "2", "--sigma", "1", "--offset", "-1", "--rlist", "9"]
@@ -190,6 +210,14 @@ def test_render_overlays_requested_trail(runner, tmp_path):
     # green end (1,2) is white/open, green start (-1,1) black/filled
     assert '<circle cx="40" cy="0" r="6" fill="#ffffff" stroke="#111111" stroke-width="2"/>' in svg
     assert '<circle cx="-40" cy="40" r="6" fill="#111111"/>' in svg
+
+
+def test_render_two_trails_at_one_point_is_usage_error(runner):
+    # with one variable the blue end (0,1) is also the green start
+    graph = '{"blue": ["(-1,1):E"], "green": ["(0,1):E"]}'
+    result = runner.invoke(main, ["render", "--trail", "0,1", "--vars", "1"], input=graph)
+    assert result.exit_code == 2
+    assert "2 changing trails start at (0, 1)" in result.output
 
 
 def test_render_is_deterministic(runner, tmp_path):

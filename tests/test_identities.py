@@ -52,9 +52,8 @@ def test_report_round_trip():
     assert rep.witness is None
     assert rep.params == {"lambda": [2, 1], "N": 2}
     payload = rep.to_json()
-    assert set(payload) == {"identity", "params", "equal", "lhs_terms", "rhs_terms", "elapsed_ms"}
+    assert set(payload) == {"identity", "params", "equal", "lhs_terms", "rhs_terms"}
     assert payload["lhs_terms"] == rep.lhs.n_terms()
-    assert payload["elapsed_ms"] >= 0
 
 
 def test_witness_names_first_differing_monomial():
@@ -63,7 +62,9 @@ def test_witness_names_first_differing_monomial():
     assert _witness(lhs, rhs) == "x1^2: 3 versus 1"
     assert _witness(lhs, lhs) is None
     # a failed report keeps the witness
-    assert "witness" in IdentityReport("t", {}, lhs, rhs, False, _witness(lhs, rhs), 0.0).to_json()
+    failed = IdentityReport("t", {}, lhs, rhs)
+    assert not failed.equal
+    assert failed.to_json()["witness"] == failed.witness == _witness(lhs, rhs)
     # mixed alphabets: the first difference in graded-lex order is named
     x1, x2, h2, a12 = x_var(1), x_var(2), h_var(2), a_var(1, 2)
     terms = {(a12, x1, x1): 1, (x2, x2, x2): 1, (a12, a12): -1, (h2, x1): 2, (h2,): -4, (): 5}

@@ -16,7 +16,6 @@ from schurtrails.schur import (
     path_weight,
     paths_to_tableau,
     schur_poly,
-    skew_jacobi_trudi,
     tableau_to_paths,
     tableau_weight,
 )
@@ -29,6 +28,15 @@ def mono(*pairs):
 partitions_st = st.lists(st.integers(min_value=1, max_value=4), max_size=3).map(
     lambda ps: Partition(sorted(ps, reverse=True))
 )
+
+
+@st.composite
+def skew_shapes_st(draw):
+    outer = draw(partitions_st)
+    inner = []
+    for part in outer:
+        inner.append(draw(st.integers(min_value=0, max_value=min([part] + inner[-1:]))))
+    return SkewShape(outer, Partition(inner))
 
 
 # ---------------------------------------------------------------- tableaux
@@ -106,8 +114,6 @@ def test_jacobi_trudi_matches_tableaux():
 
 def test_jacobi_trudi_rejects_skew():
     with pytest.raises(ValueError):
-        schur_poly(SkewShape(Partition((2, 1)), Partition((1,))), 2, method="jacobi_trudi")
-    with pytest.raises(ValueError):
         schur_poly(Partition((2, 1)), 2, method="no-such-method")
 
 
@@ -121,7 +127,7 @@ def test_skew_jacobi_trudi_matches_tableaux():
     for outer, inner in cases:
         shape = SkewShape(outer, inner)
         for n in (2, 3):
-            assert skew_jacobi_trudi(shape, n) == schur_poly(shape, n), (outer, inner)
+            assert schur_poly(shape, n, method="jacobi_trudi") == schur_poly(shape, n), (outer, inner)
 
 
 def test_schur_vanishes_below_length():
@@ -247,6 +253,41 @@ def test_enumerate_families_empty_and_impossible():
     # too many rows for the alphabet: column strictness kills everything
     spec = TerminalSpec.from_shape(Partition((1, 1, 1)), 2)
     assert list(enumerate_families(spec)) == []
+
+
+def test_terminal_spec_equality():
+    spec = TerminalSpec.from_shape(SkewShape(Partition((3, 1)), Partition((1,))), 2, -1)
+    assert spec == TerminalSpec([(-1, 1), (-3, 1)], [(1, 2), (-2, 2)], 2)
+    assert hash(spec) == hash(TerminalSpec(spec.starts, spec.ends, 2))
+    assert spec != TerminalSpec([(-1, 1), (-3, 1)], [(1, 3), (-2, 3)], 3)
+    assert spec != TerminalSpec([(-1, 1)], [(1, 2)], 2)
+    assert TerminalSpec([], [], 2) != TerminalSpec([], [], 3)
+
+
+def test_normal_form_subtracts_the_smallest_inner_part():
+    shape = SkewShape(Partition((4, 3, 2)), Partition((3, 2, 1)))
+    assert TerminalSpec.from_shape(shape, 3, -2).normal_form() == ((3, 2, 1), (2, 1, 0), -1)
+    # the normal form lays the same terminals out again
+    outer, inner, shift = TerminalSpec.from_shape(shape, 3, -2).normal_form()
+    assert TerminalSpec.from_shape(SkewShape(outer, inner), 3, shift) == TerminalSpec.from_shape(shape, 3, -2)
+    assert TerminalSpec([], [], 2).normal_form() == ((), (), 0)
+
+
+@given(skew_shapes_st(), st.integers(min_value=1, max_value=3), st.integers(min_value=-2, max_value=2))
+@settings(max_examples=60, deadline=None)
+def test_families_read_back_to_their_spec(shape, n, offset):
+    spec = TerminalSpec.from_shape(shape, n, offset)
+    low = min(shape.inner.parts, default=0)
+    assert spec.normal_form() == (
+        tuple(p - low for p in shape.outer.parts),
+        tuple(p - low for p in shape.inner.parts),
+        offset + low if shape.n_rows else 0,  # no path, no offset to recover
+    )
+    for fam in enumerate_families(spec):
+        back = TerminalSpec.from_family(fam, n)
+        assert back == spec
+        assert hash(back) == hash(spec)
+        assert TerminalSpec.from_family(PathFamily(reversed(fam.paths)), n) == spec
 
 
 @given(partitions_st, st.integers(min_value=2, max_value=3))

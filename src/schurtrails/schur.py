@@ -9,14 +9,28 @@ generating function of either side is the (skew) Schur polynomial.
 
 Schur polynomials are computed two independent ways: summing tableau
 weights, and as the determinant det(h_{outer_i - inner_j - i + j}) of
-complete homogeneous pieces.  Both are exact polynomials at a fixed
-variable count N.
+complete homogeneous pieces.  The tableau sum does not list the tableaux
+one by one: it sums them grouped by the horizontal strip that holds the
+largest entry, which is the branching rule of Schur polynomials.  It
+shares no code with the determinant, so each route checks the other.
+Both are exact polynomials at a fixed variable count N.  enumerate_ssyt
+still lists single tableaux, for the path families and for tests.
 """
 
+import itertools
 from collections import Counter
 
 from .partitions import Partition, SkewShape
-from .polyring import FormalMatrix, Polynomial, complete_homogeneous, determinant, formal_h, x_monomial
+from .polyring import (
+    ONE,
+    FormalMatrix,
+    Polynomial,
+    complete_homogeneous,
+    determinant,
+    formal_h,
+    x_monomial,
+    x_var,
+)
 
 EAST = "E"
 NORTH = "N"
@@ -165,18 +179,112 @@ def jacobi_trudi_matrix(outer, inner=None, N=None):
     )
 
 
+def _strip_sum(outer, inner, N):
+    """Sum of the tableau weights of outer/inner in x_1..x_N, as a coefficient dict.
+
+    The cells of a tableau holding its largest entry n form a horizontal
+    strip shape/mu with inner <= mu, and the rest is a tableau of mu/inner
+    in x_1..x_(n-1).  So the tableaux are summed grouped by that strip
+    (the branching rule, Macdonald I.(5.11)):
+
+        s_(shape/inner)(x_1..x_n) = sum_mu s_(mu/inner)(x_1..x_(n-1)) * x_n^|shape/mu|
+
+    with max(inner_i, shape_(i+1)) <= mu_i <= shape_i.  A board with a
+    column of more than n cells has no filling in x_1..x_n, so it is
+    pruned: mu_i is also at most inner_(i-n+1), which keeps every column
+    of mu/inner within n - 1 cells.  With n = 1 the board is a horizontal
+    strip, filled with 1s only.  Keys over x_1..x_(n-1) stay canonical
+    when (x_n, k) is appended.  The memo of results by board and n lives
+    for this call only.
+
+    The recursion is N deep and keeps a result for every n.  So with more
+    letters than cells the sum is taken in as many letters as there are
+    cells and spread to x_1..x_N (see _spread), which keeps the depth and
+    the memo bounded by the number of cells.
+    """
+    rows = len(outer)
+    inner_size = sum(inner)
+    cells = sum(outer) - inner_size
+    if N > max(cells, 1):
+        return _spread(_strip_sum(outer, inner, max(cells, 1)), N)
+    if any(outer[i + N] > inner[i] for i in range(rows - N)):
+        return {}  # column inner_i + 1 has a cell in each of the rows i..i+N
+    memo = [{} for _ in range(N + 1)]
+
+    def expand(shape, n):
+        seen = memo[n]
+        if shape in seen:
+            return seen[shape]
+        size = sum(shape)
+        if size == inner_size:
+            acc = {ONE: 1}
+        elif n == 1:
+            acc = {((x_var(1), size - inner_size),): 1}
+        else:
+            ranges = []
+            for i in range(rows):
+                top = shape[i]
+                if i >= n - 1 and inner[i - n + 1] < top:
+                    top = inner[i - n + 1]
+                ranges.append(range(max(inner[i], shape[i + 1] if i + 1 < rows else 0), top + 1))
+            xn = x_var(n)
+            acc = {}
+            get = acc.get
+            for mu in itertools.product(*ranges):
+                sub = expand(mu, n - 1)
+                k = size - sum(mu)
+                if k:
+                    suffix = ((xn, k),)
+                    for key, c in sub.items():
+                        key += suffix
+                        acc[key] = get(key, 0) + c
+                else:
+                    for key, c in sub.items():
+                        acc[key] = get(key, 0) + c
+        seen[shape] = acc
+        return acc
+
+    return expand(outer, N)
+
+
+def _spread(coeffs, N):
+    """A symmetric polynomial in x_1..x_c, c <= N, extended to x_1..x_N.
+
+    Skew Schur polynomials are symmetric, and a monomial of degree c has
+    at most c variables.  So the coefficient of every monomial in
+    x_1..x_N is that of its dominant rearrangement x_1^a_1..x_l^a_l,
+    a_1 >= .. >= a_l, which the expansion in c letters already holds.
+    Each dominant key is placed on every l of the N variables in each
+    distinct order of its exponents.
+    """
+    out = {}
+    for key, c in coeffs.items():
+        exps = tuple(e for _, e in key)
+        leading = all(v == x_var(i) for i, (v, _) in enumerate(key, 1))
+        if leading and all(a >= b for a, b in zip(exps, exps[1:])):
+            for arrangement in set(itertools.permutations(exps)):
+                for places in itertools.combinations(range(1, N + 1), len(exps)):
+                    out[tuple(zip(map(x_var, places), arrangement))] = c
+    return out
+
+
 def schur_poly(shape, N, method="tableaux"):
     """Exact (skew) Schur polynomial in x_1..x_N.
 
-    method="tableaux" sums tableau weights; method="jacobi_trudi"
-    expands the determinant det(h_{outer_i - inner_j - i + j}).
+    method="tableaux" sums the weights of the semistandard tableaux,
+    grouped by the horizontal strip that holds the largest entry (see
+    _strip_sum); it shares no code with the determinant, so each route
+    is an oracle for the other.  method="jacobi_trudi" expands the
+    determinant det(h_{outer_i - inner_j - i + j}).
     """
     if isinstance(shape, Partition):
         shape = SkewShape(shape)
     elif not isinstance(shape, SkewShape):
         shape = SkewShape(Partition(shape))
     if method == "tableaux":
-        return Polynomial(Counter(tableau_weight(t) for t in enumerate_ssyt(shape, N)))
+        if N < 1:
+            raise ValueError("alphabet bound must be >= 1")
+        return Polynomial(_strip_sum(shape.outer.parts, shape.inner.parts, N))
     if method == "jacobi_trudi":
         return determinant(jacobi_trudi_matrix(shape.outer, shape.inner.parts, N=N))
     raise ValueError("unknown method %r" % (method,))

@@ -48,6 +48,23 @@ def test_non_integer_parts_are_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("n_vars", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "general", "--lambda", "2,1"],
+        ["verify", "kleber", "--lambda", "2,1", "--k", "1"],
+        ["verify", "ciucu", "--set", "1,2,3,4", "--k", "2"],
+        ["verify", "pluecker", "--mode", "schur", "--lambda", "4,2", "--sigma", "3,1",
+         "--rlist", "1", "--k", "2"],
+    ],
+)
+def test_empty_alphabet_is_usage_error(runner, argv, n_vars):
+    result = runner.invoke(main, argv + ["--vars", n_vars])
+    assert result.exit_code == 2
+    assert "alphabet bound must be >= 1" in result.output
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_general_json_report(runner):

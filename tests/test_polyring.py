@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from schurtrails.polyring import (
     ONE,
+    PACKED_MAX_VARS,
+    PACKED_MIN_TERMS,
     FormalMatrix,
     Polynomial,
     a_var,
@@ -19,6 +22,7 @@ from schurtrails.polyring import (
     monomial_mul,
     monomial_str,
     x_var,
+    _packed_product,
 )
 from schurtrails.partitions import Partition
 from schurtrails.schur import enumerate_ssyt, path_weight, tableau_to_paths, tableau_weight
@@ -35,7 +39,32 @@ x1, x2, x3 = x_var(1), x_var(2), x_var(3)
 monomials_st = st.dictionaries(
     st.sampled_from([x1, x2, x3]), st.integers(1, 3), max_size=3
 ).map(monomial)
-polys_st = st.dictionaries(monomials_st, st.integers(-5, 5), max_size=4).map(Polynomial)
+sparse_polys_st = st.dictionaries(monomials_st, st.integers(-5, 5), max_size=4).map(Polynomial)
+
+# Dense operands reach the packed product of Polynomial.__mul__ (at least
+# PACKED_MIN_TERMS terms each); over more than PACKED_MAX_VARS variables in
+# all the product falls back to the merge.
+FEW_VARS = [x1, x2, x3, x_var(4), h_var(1), h_var(4), a_var(1, 2)]
+MANY_VARS = [x_var(i) for i in range(1, 7)] + [h_var(1), h_var(2), a_var(1, 2), a_var(2, 1)]
+assert len(FEW_VARS) <= PACKED_MAX_VARS < len(MANY_VARS)
+
+
+def dense_polys_st(variables):
+    keys = st.dictionaries(st.sampled_from(variables), st.integers(1, 12), max_size=4).map(monomial)
+    coefficients = st.integers(-5, 5).filter(bool)
+    return st.dictionaries(keys, coefficients, min_size=PACKED_MIN_TERMS, max_size=12).map(Polynomial)
+
+
+polys_st = st.one_of(sparse_polys_st, dense_polys_st(FEW_VARS), dense_polys_st(MANY_VARS))
+
+
+def merged_product(p, q):
+    """Test-local reference: every pair of keys merged by monomial_mul."""
+    acc = Counter()
+    for m1, c1 in p.coeffs.items():
+        for m2, c2 in q.coeffs.items():
+            acc[monomial_mul(m1, m2)] += c1 * c2
+    return Polynomial(dict(acc))
 
 
 def test_monomial_basics():
@@ -87,12 +116,33 @@ def test_poly_text():
 
 
 @given(polys_st, polys_st, polys_st)
+@settings(deadline=None)
 def test_ring_axioms(p, q, r):
     assert p + q == q + p
-    assert p * q == q * p
+    assert p * q == q * p == merged_product(p, q)
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+    # the cross terms p*q and q*p cancel inside one product
+    assert (p + q) * (p - q) == merged_product(p, p) - merged_product(q, q)
+    assert (p * q + p * (-q)).is_zero()
+
+
+@given(dense_polys_st(FEW_VARS), dense_polys_st(FEW_VARS))
+@settings(max_examples=50, deadline=None)
+def test_packed_product_matches_the_merge(p, q):
+    packed = _packed_product(p.coeffs, q.coeffs)
+    assert packed is not None
+    assert Polynomial(packed) == merged_product(p, q) == p * q
+    assert all(c for c in packed.values())
+
+
+def test_packed_product_refuses_many_variables():
+    p = Polynomial({((v, 1),): 1 for v in MANY_VARS[:8]})
+    q = Polynomial({((v, 2),): 1 for v in MANY_VARS[1:9]})
+    assert _packed_product(p.coeffs, q.coeffs) is None
+    assert p * q == merged_product(p, q)
+    assert _packed_product(p.coeffs, p.coeffs) is not None
 
 
 def test_complete_homogeneous_examples():
@@ -225,13 +275,16 @@ def canonical_keys(poly):
 
 
 mixed_polys_st = st.dictionaries(mixed_monomials_st, st.integers(-3, 3), max_size=3).map(Polynomial)
+factors_st = st.one_of(mixed_polys_st, dense_polys_st(FEW_VARS), dense_polys_st(MANY_VARS))
 
 
-@given(mixed_polys_st, mixed_polys_st, square_st(mixed_polys_st, 3), st.integers(-1, 4), st.integers(1, 4))
+@given(factors_st, factors_st, square_st(mixed_polys_st, 3), st.integers(-1, 4), st.integers(1, 4))
+@settings(deadline=None)
 def test_every_produced_key_is_canonical(p, q, m, degree, n_vars):
     """Sums, products, determinants and h_m(x_1..x_N) keep their keys canonical."""
     for result in (p + q, p - q, p * q, q * p, p * 3, determinant(m), complete_homogeneous(degree, n_vars)):
         assert canonical_keys(result)
+    assert p * q == merged_product(p, q)
 
 
 @given(st.lists(st.integers(1, 3), max_size=3), st.integers(1, 3))

@@ -1,4 +1,7 @@
-from hypothesis import given, settings
+import sys
+from collections import Counter
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -133,6 +136,45 @@ def test_skew_jacobi_trudi_matches_tableaux():
 def test_schur_vanishes_below_length():
     # more rows than variables: no column-strict filling exists
     assert schur_poly(Partition((1, 1, 1)), 2) == Polynomial.zero()
+
+
+@st.composite
+def wide_skew_shapes_st(draw):
+    """Skew shapes of up to 4 rows with parts <= 5; zero parts and empty rows allowed."""
+    outer = sorted(draw(st.lists(st.integers(0, 5), max_size=4)), reverse=True)
+    inner = []
+    for part in outer:
+        inner.append(draw(st.integers(0, min([part] + inner[-1:]))))
+    return SkewShape(Partition(outer), Partition(inner))
+
+
+@given(wide_skew_shapes_st(), st.integers(min_value=1, max_value=5))
+@example(SkewShape(Partition(())), 1)
+@example(SkewShape(Partition((3, 2, 2, 0)), Partition((3, 1, 0, 0))), 2)
+@example(SkewShape(Partition((2, 2, 1, 1)), Partition((1,))), 2)
+@example(SkewShape(Partition((5, 5, 5, 5)), Partition((5, 5, 5, 5))), 1)
+@example(SkewShape(Partition((4, 3, 1, 1)), Partition((2, 1, 1))), 3)
+@settings(max_examples=80, deadline=None)
+def test_strip_sum_matches_the_tableau_sum(shape, n):
+    by_tableau = Polynomial(Counter(tableau_weight(t) for t in enumerate_ssyt(shape, n)))
+    assert schur_poly(shape, n) == by_tableau
+
+
+def test_tableau_route_takes_more_letters_than_cells():
+    # one letter more than the interpreter's recursion limit
+    n = sys.getrecursionlimit() + 1
+    assert schur_poly(Partition((1,)), n) == complete_homogeneous(1, n)
+    h1 = complete_homogeneous(1, 40)
+    assert schur_poly(SkewShape(Partition((2, 1)), Partition((1,))), 40) == h1 * h1
+    assert schur_poly(Partition((2, 1)), 40) == schur_poly(Partition((2, 1)), 40, method="jacobi_trudi")
+
+
+def test_tableau_route_rejects_an_empty_alphabet():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="alphabet bound must be >= 1"):
+            schur_poly(Partition((2, 1)), n)
+        with pytest.raises(ValueError, match="alphabet bound must be >= 1"):
+            schur_poly(Partition(()), n)
 
 
 # ---------------------------------------------------------------- lattice paths

@@ -251,20 +251,18 @@ def _spread(coeffs, N):
     """A symmetric polynomial in x_1..x_c, c <= N, extended to x_1..x_N.
 
     Skew Schur polynomials are symmetric, and a monomial of degree c has
-    at most c variables.  So the coefficient of every monomial in
-    x_1..x_N is that of its dominant rearrangement x_1^a_1..x_l^a_l,
-    a_1 >= .. >= a_l, which the expansion in c letters already holds.
-    Each dominant key is placed on every l of the N variables in each
-    distinct order of its exponents.
+    at most c variables.  So the coefficient of a monomial on the
+    variables x_p1..x_pl, p1 < .. < pl, is that of the same exponents on
+    x_1..x_l, which the expansion in c letters already holds, in every
+    order of the exponents.  Each key on exactly x_1..x_l is placed on
+    every l of the N variables, in order, so the work is linear in the
+    output.
     """
     out = {}
     for key, c in coeffs.items():
-        exps = tuple(e for _, e in key)
-        leading = all(v == x_var(i) for i, (v, _) in enumerate(key, 1))
-        if leading and all(a >= b for a, b in zip(exps, exps[1:])):
-            for arrangement in set(itertools.permutations(exps)):
-                for places in itertools.combinations(range(1, N + 1), len(exps)):
-                    out[tuple(zip(map(x_var, places), arrangement))] = c
+        if all(v == x_var(i) for i, (v, _) in enumerate(key, 1)):
+            for places in itertools.combinations(range(1, N + 1), len(key)):
+                out[tuple((x_var(p), e) for p, (_, e) in zip(places, key))] = c
     return out
 
 

@@ -1,4 +1,6 @@
+import itertools
 import sys
+import time
 from collections import Counter
 
 from hypothesis import example, given, settings
@@ -167,6 +169,20 @@ def test_tableau_route_takes_more_letters_than_cells():
     h1 = complete_homogeneous(1, 40)
     assert schur_poly(SkewShape(Partition((2, 1)), Partition((1,))), 40) == h1 * h1
     assert schur_poly(Partition((2, 1)), 40) == schur_poly(Partition((2, 1)), 40, method="jacobi_trudi")
+
+
+def test_spreading_to_more_letters_is_linear_in_the_output():
+    # s_(1^11) in 12 letters is e_11: 12 terms.  Its 11-letter expansion
+    # is one key, so spreading it must not walk the 11! orders of its
+    # exponents.
+    n = 12
+    e11 = Polynomial(
+        (monomial({x_var(k): 1 for k in places}), 1)
+        for places in itertools.combinations(range(1, n + 1), n - 1)
+    )
+    start = time.perf_counter()
+    assert schur_poly(Partition((1,) * (n - 1)), n) == e11
+    assert time.perf_counter() - start < 1.0
 
 
 def test_tableau_route_rejects_an_empty_alphabet():

@@ -13,7 +13,12 @@ over path families with fixed terminals and tallies both sides of the
 resulting object bijection, and bijection_audit replays the
 window-exchange bijection object by object, checking injectivity,
 surjectivity and weight preservation directly.  A terminal pattern of
-the orbit is a (blue, green) pair of TerminalSpecs.
+the orbit is a (blue, green) pair of TerminalSpecs.  Both replays
+compare objects as per-colour edge sets, a (blue edges, green edges)
+pair: each family's edge set and weight are taken once, when the
+families are enumerated, and an image is read off the recoloured
+graph's edge map without rebuilding its families.  Zero-length paths
+carry no edges, so they are not part of an object's identity.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .trails import (
     GREEN,
     WHITE,
     build_graph,
+    family_from_edges,
     recolour,
     terminal_points_from_sets,
     trail_at_terminal,
@@ -388,20 +394,42 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
     return IdentityReport("kleber", params, lhs, rhs)
 
 
-def _object_id(blue_family, green_family) -> tuple:
-    """Hashable identity of a two-family picture.
+class _EdgeSets:
+    """Per-colour edge sets, each distinct set and each edge tuple stored once.
 
-    Zero-length paths carry no edges, no weight and no enumeration
-    freedom (they exist exactly when a start terminal equals an end
-    terminal), so they are bookkeeping and excluded from the identity.
-    Graph equality ignores them for the same reason, and a recoloured
-    graph, whose families are read off its edges, has none.
+    A colour's edges identify its family.  Zero-length paths carry no
+    edges, no weight and no enumeration freedom (a start terminal equals
+    an end terminal), so they drop out, as in graph equality.
     """
 
-    def texts(family):
-        return tuple(p.to_text() for p in family if p.steps)
+    def __init__(self):
+        self._sets = {}
+        self._edges = {}
 
-    return (texts(blue_family), texts(green_family))
+    def store(self, edges) -> frozenset:
+        found = self._sets.get(edges)
+        if found is None:
+            found = frozenset(self._edges.setdefault(edge, edge) for edge in edges)
+            self._sets[found] = found
+        return found
+
+    def of_family(self, family) -> frozenset:
+        return self.store(frozenset(edge for path in family for edge in path.edges()))
+
+
+def _edge_spec(edges, N) -> TerminalSpec:
+    """Terminals of the family with these edges.
+
+    A start has an out-edge and no in-edge, an end the reverse.
+    """
+    tails = {tail for tail, _ in edges}
+    heads = {head for _, head in edges}
+    return TerminalSpec(sorted(tails - heads, reverse=True), sorted(heads - tails, reverse=True), N)
+
+
+def _path_texts(key) -> tuple:
+    """A (blue edges, green edges) object as path texts, rightmost path first, for messages."""
+    return tuple(tuple(family_from_edges(edges).to_text()) for edges in key)
 
 
 def _layout_families(parts, N, offset) -> list:
@@ -450,6 +478,10 @@ def bijection_audit(lam, N=None) -> AuditReport:
     protected bottom point (-r-1, 1) or any non-terminal, a repeated
     image, an image outside the two layouts, a changed weight, or a
     right-side object never reached.  Returns the tallies on success.
+
+    Objects compare as per-colour edge sets.  Each layout family is keyed
+    by its edge set and weighed once; every image is looked up by its
+    two edge sets and marked reached by its index pair.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     parts = lam.parts
@@ -467,7 +499,6 @@ def bijection_audit(lam, N=None) -> AuditReport:
     exchange_end = (parts[-1] - r - 1, N)
     protected = (-r - 1, 1)
 
-    expected = {}
     layouts = {
         "A": (_layout_families(parts[1:r], N, -1), _layout_families(parts, N, 0)),
         "B": (
@@ -475,18 +506,25 @@ def bijection_audit(lam, N=None) -> AuditReport:
             _layout_families(tuple(p + 1 for p in parts[:r]), N, -1),
         ),
     }
-    for kind, (layout_greens, layout_blues) in layouts.items():
-        for gf, bf in itertools.product(layout_greens, layout_blues):
-            expected[_object_id(bf, gf)] = kind
-    n_layout_objects = sum(len(g) * len(b) for g, b in layouts.values())
-    assert len(expected) == n_layout_objects, "the two layouts share an object"
+    edge_sets = _EdgeSets()
+    index = {}
+    for kind, families in layouts.items():
+        green_index, blue_index = (
+            {edge_sets.of_family(f): (i, path_weight(f)) for i, f in enumerate(fs)} for fs in families
+        )
+        assert (len(green_index), len(blue_index)) == tuple(map(len, families)), "a layout repeats an object"
+        index[kind] = (green_index, blue_index, bytearray(len(green_index) * len(blue_index)))
+    (greens_a, blues_a, _), (greens_b, blues_b, _) = index.values()
+    shared = greens_a.keys() & greens_b.keys() and blues_a.keys() & blues_b.keys()
+    assert not shared, "the two layouts share an object"
 
     tally = {"A": 0, "B": 0}
-    images = set()
+    blue_weights = [(bf, path_weight(bf)) for bf in blues]
     for gf in greens:
-        for bf in blues:
+        green_weight = path_weight(gf)
+        for bf, blue_weight in blue_weights:
             graph = build_graph(bf, gf)
-            weight_before = monomial_mul(path_weight(bf), path_weight(gf))
+            weight_before = monomial_mul(blue_weight, green_weight)
             trail = trail_at_terminal(graph, probe)
             assert trail.start == probe
             far = trail.end
@@ -495,26 +533,32 @@ def bijection_audit(lam, N=None) -> AuditReport:
             if far not in (keep_end, exchange_end):
                 raise RuntimeError("gap trail: far endpoint %r is not an exchange target" % (far,))
             image = recolour(graph, [trail])
-            oid = _object_id(image.blue, image.green)
-            if oid in images:
-                raise RuntimeError("two objects recoloured to the same image %r" % (oid,))
-            images.add(oid)
-            kind = expected.pop(oid, None)
-            if kind is None:
-                raise RuntimeError("image %r is not an object of either layout" % (oid,))
+            key = (image.colour_edges(BLUE), image.colour_edges(GREEN))
+            for kind, (green_index, blue_index, reached) in index.items():
+                green_hit = green_index.get(key[1])
+                blue_hit = blue_index.get(key[0])
+                if green_hit is not None and blue_hit is not None:
+                    break
+            else:
+                raise RuntimeError("image %r is not an object of either layout" % (_path_texts(key),))
+            slot = green_hit[0] * len(blue_index) + blue_hit[0]
+            if reached[slot]:
+                raise RuntimeError("two objects recoloured to the same image %r" % (_path_texts(key),))
+            reached[slot] = 1
             # with N = 1 the two targets can be the same lattice point,
             # and only the image itself tells the cases apart
             if keep_end != exchange_end and kind != ("A" if far == keep_end else "B"):
                 raise RuntimeError("far endpoint %r disagrees with the image layout %s" % (far, kind))
-            weight_after = monomial_mul(path_weight(image.blue), path_weight(image.green))
+            weight_after = monomial_mul(blue_hit[1], green_hit[1])
             if weight_before != weight_after:
                 raise RuntimeError(
                     "recolouring changed the weight: %s -> %s"
                     % (monomial_str(weight_before), monomial_str(weight_after))
                 )
             tally[kind] += 1
-    if expected:
-        raise RuntimeError("%d layout objects were never reached" % (len(expected),))
+    unreached = sum(len(reached) for _, _, reached in index.values()) - sum(tally.values())
+    if unreached:
+        raise RuntimeError("%d layout objects were never reached" % (unreached,))
     return AuditReport(lam=parts, N=N, case_a=tally["A"], case_b=tally["B"])
 
 
@@ -629,6 +673,10 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     the original side must consist of the input pattern alone.  With no
     selected points the move is the identity and the result is flagged
     degenerate.
+
+    Objects compare as per-colour edge sets, each distinct set stored
+    once.  The reached pattern is read off the image's edges: a start
+    has an out-edge of its colour and no in-edge, an end the reverse.
     """
     blue = blue if isinstance(blue, SkewShape) else SkewShape(blue)
     green = green if isinstance(green, SkewShape) else SkewShape(green)
@@ -657,31 +705,41 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     counts = ({}, {})
     weights = (Counter(), Counter())
     image_of = {}
+    edge_sets = _EdgeSets()
+    spec_of = lru_cache(maxsize=None)(lambda edges: _edge_spec(edges, N))
+
     while pending:
         pattern = pending.popleft()
         if len(processed) >= cap:
             raise RuntimeError("closure exceeded %d terminal patterns without settling" % (cap,))
         processed.add(pattern)
         side = _side_of(pattern, original_colours)
-        objects = list(itertools.product(*map(enumerate_families, pattern)))
-        if objects:
+        # each family's edge set and weight once, not once per object
+        blue_families, green_families = (
+            [(f, edge_sets.of_family(f), path_weight(f)) for f in enumerate_families(spec)]
+            for spec in pattern
+        )
+        if blue_families and green_families:
             canon = _canonical_pattern(pattern)
-            counts[side][canon] = counts[side].get(canon, 0) + len(objects)
-        for blue_family, green_family in objects:
-            weights[side][monomial_mul(path_weight(blue_family), path_weight(green_family))] += 1
-            if degenerate:
-                continue
-            graph = build_graph(blue_family, green_family)
-            image = _recoloured(graph, sel_locations)
-            image_of[_object_id(blue_family, green_family)] = _object_id(image.blue, image.green)
-            reached = (TerminalSpec.from_family(image.blue, N), TerminalSpec.from_family(image.green, N))
-            if reached not in queued:
-                queued.add(reached)
-                pending.append(reached)
+            counts[side][canon] = counts[side].get(canon, 0) + len(blue_families) * len(green_families)
+        for blue_family, blue_edges, blue_weight in blue_families:
+            for green_family, green_edges, green_weight in green_families:
+                weights[side][monomial_mul(blue_weight, green_weight)] += 1
+                if degenerate:
+                    continue
+                image = _recoloured(build_graph(blue_family, green_family), sel_locations)
+                image_key = tuple(edge_sets.store(image.colour_edges(c)) for c in (BLUE, GREEN))
+                image_of[blue_edges, green_edges] = image_key
+                reached = tuple(map(spec_of, image_key))
+                if reached not in queued:
+                    queued.add(reached)
+                    pending.append(reached)
 
-    for oid, img in image_of.items():
-        if image_of.get(img) != oid:
-            raise RuntimeError("recolouring from the selected points is not an involution at %r" % (oid,))
+    for key, image_key in image_of.items():
+        if image_of.get(image_key) != key:
+            raise RuntimeError(
+                "recolouring from the selected points is not an involution at %r" % (_path_texts(key),)
+            )
     res = OrbitResult(
         initial=_canonical_pattern(initial),
         selected=sel_locations,

@@ -1,14 +1,16 @@
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from schurtrails import identities
 from schurtrails.identities import (
     AuditReport,
     IdentityReport,
     OrbitResult,
+    _edge_spec,
     _witness,
     bijection_audit,
     explore_orbit,
@@ -20,7 +22,7 @@ from schurtrails.identities import (
     verify_kleber,
     verify_pluecker,
 )
-from schurtrails.partitions import Partition
+from schurtrails.partitions import Partition, SkewShape
 from schurtrails.polyring import (
     FormalMatrix,
     Polynomial,
@@ -32,7 +34,8 @@ from schurtrails.polyring import (
     monomial,
     x_var,
 )
-from schurtrails.schur import jacobi_trudi_matrix
+from schurtrails.schur import TerminalSpec, enumerate_families, jacobi_trudi_matrix
+from schurtrails.trails import BLUE, GREEN, build_graph, recolour, terminal_points, trail_at_terminal
 
 
 def coeff_sum(poly):
@@ -388,7 +391,6 @@ def test_orbit_square_expansion_three_vars():
     assert res.weight1 == verify_kleber((2, 1), 1, N=3).rhs
 
 
-@pytest.mark.slow
 def test_orbit_three_part_windows_four_vars():
     res = explore_orbit((5, 4, 3), (4, 3, 2), t=-1, selected=(1,), N=4)
     exchanged = ((3, 2, 1), (0, 0, 0), (6, 5, 4), (0, 0, 0))
@@ -419,6 +421,58 @@ def test_orbit_selection_out_of_range():
         explore_orbit((2, 1), (2, 1), t=0, selected=(1,), N=2)
 
 
+def test_orbit_names_a_broken_involution_by_its_paths():
+    # on one line a start of one colour can sit on an end of the other
+    with pytest.raises(RuntimeError) as caught:
+        explore_orbit((2,), (1,), t=-1, selected=(1,), N=1)
+    assert str(caught.value) == (
+        "recolouring from the selected points is not an involution at (('(-1,1):EE',), ('(-2,1):E',))"
+    )
+    blue = SkewShape(Partition((1, 0)), Partition((0, 0)))
+    green = SkewShape(Partition((3, 1, 0)), Partition((1, 0, 0)))
+    with pytest.raises(RuntimeError) as caught:
+        explore_orbit(blue, green, t=2, selected=(2, 8), N=1)
+    # rightmost path first; the zero-length paths carry no edges and are not named
+    assert str(caught.value).endswith("at (('(-1,1):E',), ('(2,1):EE', '(0,1):E'))")
+
+
+@st.composite
+def skew_shapes(draw):
+    outer = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)), reverse=True)
+    inner = [draw(st.integers(0, part)) for part in outer]
+    inner = [min(i, o) for i, o in zip(sorted(inner, reverse=True), outer)]
+    return SkewShape(Partition(outer), Partition(inner))
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_orbit_reads_the_reached_pattern_off_the_edges(data):
+    # N = 1 is where zero-length paths occur, and a recoloured graph has none
+    N = data.draw(st.integers(1, 3), label="N")
+    offset = data.draw(st.integers(-2, 2), label="offset")
+    blue_shape, green_shape = data.draw(skew_shapes(), label="blue"), data.draw(skew_shapes(), label="green")
+    blues = list(enumerate_families(TerminalSpec.from_shape(blue_shape, N)))
+    greens = list(enumerate_families(TerminalSpec.from_shape(green_shape, N, offset)))
+    assume(blues and greens)
+    graph = build_graph(data.draw(st.sampled_from(blues)), data.draw(st.sampled_from(greens)))
+    locations = [q.location for q in terminal_points(graph)]
+    assume(locations)
+    try:
+        image = recolour(graph, [trail_at_terminal(graph, data.draw(st.sampled_from(locations)))])
+    except ValueError:
+        assume(False)  # on one line two trails can start at a point, or none
+    for colour, family in ((BLUE, image.blue), (GREEN, image.green)):
+        edge_read = _outcome(_edge_spec, image.colour_edges(colour), N)
+        assert edge_read == _outcome(TerminalSpec.from_family, family, N)
+
+
 # ---------------------------------------------------------------- audit
 
 def test_audit_splits_objects():
@@ -442,6 +496,26 @@ def test_audit_four_part_window():
     assert rep.objects == 64
     assert rep.case_a == 0
     assert rep.case_b == 64
+
+
+def test_audit_refuses_an_image_outside_the_layouts(monkeypatch):
+    monkeypatch.setattr(identities, "recolour", lambda graph, trails: graph)
+    with pytest.raises(RuntimeError, match=r"image \(\('\(.*is not an object of either layout"):
+        bijection_audit((2, 1), N=2)
+
+
+def test_audit_refuses_a_repeated_image(monkeypatch):
+    move = identities.recolour
+    first = []
+
+    def to_the_first_image(graph, trails):
+        if not first:
+            first.append(move(graph, trails))
+        return first[0]
+
+    monkeypatch.setattr(identities, "recolour", to_the_first_image)
+    with pytest.raises(RuntimeError, match=r"two objects recoloured to the same image \(\('\("):
+        bijection_audit((2, 1), N=2)
 
 
 def test_audit_needs_two_parts():

@@ -57,54 +57,3 @@ from .identities import (
     bijection_audit,
     explore_orbit,
 )
-
-__all__ = [
-    "Partition",
-    "SkewShape",
-    "CornerEncoding",
-    "BorderStripSpec",
-    "corner_encoding",
-    "partition_from_corners",
-    "apply_pi",
-    "apply_mu",
-    "apply_nested",
-    "apply_omega",
-    "partition_from_set",
-    "Polynomial",
-    "FormalMatrix",
-    "determinant",
-    "minor",
-    "Tableau",
-    "LatticePath",
-    "PathFamily",
-    "TerminalSpec",
-    "enumerate_ssyt",
-    "schur_poly",
-    "tableau_to_paths",
-    "paths_to_tableau",
-    "path_weight",
-    "enumerate_families",
-    "TwoColouredGraph",
-    "TerminalPoint",
-    "ChangingTrail",
-    "NoncrossingMatching",
-    "build_graph",
-    "terminal_points",
-    "trace_trail",
-    "trail_at_terminal",
-    "all_trails",
-    "recolour",
-    "terminal_matching",
-    "count_noncrossing_matchings",
-    "IdentityReport",
-    "AuditReport",
-    "OrbitResult",
-    "verify_general",
-    "verify_kirillov",
-    "verify_dodgson",
-    "verify_pluecker",
-    "verify_ciucu",
-    "verify_kleber",
-    "bijection_audit",
-    "explore_orbit",
-]

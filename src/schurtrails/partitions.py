@@ -62,21 +62,6 @@ class Partition:
         """Copy with zero parts dropped."""
         return Partition(p for p in self.parts if p > 0)
 
-    def to_text(self):
-        return ",".join(str(p) for p in self.parts)
-
-    @classmethod
-    def from_text(cls, text):
-        """Parse "8,6,5,3,3,1,1"; the empty string is the empty partition."""
-        text = text.strip()
-        if not text:
-            return cls()
-        try:
-            parts = [int(tok) for tok in text.split(",")]
-        except ValueError:
-            raise ValueError("bad partition text %r" % (text,))
-        return cls(parts)
-
 
 class SkewShape:
     """Pair of partitions outer/inner with inner[i] <= outer[i]."""
@@ -124,20 +109,6 @@ class SkewShape:
     def row_bounds(self):
         """Per row i (0-based): half-open column span (inner_i, outer_i), 1-based columns."""
         return tuple((self.inner.parts[i], self.outer.parts[i]) for i in range(len(self.outer)))
-
-    def is_straight(self):
-        return self.inner.size() == 0
-
-    def to_text(self):
-        return "%s/%s" % (self.outer.to_text(), self.inner.to_text())
-
-    @classmethod
-    def from_text(cls, text):
-        """Parse "4,3,2/1,0,0" or "4,3,2" (empty inner)."""
-        if "/" in text:
-            outer, inner = text.split("/", 1)
-            return cls(Partition.from_text(outer), Partition.from_text(inner))
-        return cls(Partition.from_text(text))
 
 
 class CornerEncoding:
@@ -329,19 +300,6 @@ def apply_omega(p, k, sign):
     if sign < 0:
         _check_removable(out, k, k)
     return partition_from_corners(out)
-
-
-def border_strip_size(e, i, j):
-    """Cell count of the strip moved by apply_pi/apply_mu at (i, j).
-
-    Equals x_i - x_{j+1} + y_j - y_i with the convention x_{n+1} = 0;
-    derived by Abel summation of the coordinate surgery, and asserted
-    against brute-force cell counting in the tests.
-    """
-    if not (1 <= i <= j <= e.n):
-        raise ValueError("corner indices (%d, %d) out of range for n=%d" % (i, j, e.n))
-    x_after = e.x[j] if j < e.n else 0
-    return e.x[i - 1] - x_after + e.y[j - 1] - e.y[i - 1]
 
 
 def partition_from_set(t):

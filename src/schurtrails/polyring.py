@@ -316,9 +316,6 @@ class Polynomial:
     def n_terms(self):
         return len(self.coeffs)
 
-    def degree(self):
-        return max(map(monomial_degree, self.coeffs), default=0)
-
     def leading_monomial(self):
         if not self.coeffs:
             return None

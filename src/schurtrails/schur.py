@@ -87,36 +87,6 @@ class Tableau:
     def reading_word(self):
         return tuple(v for row in self.rows for v in row)
 
-    def to_text(self):
-        """Rows separated by ';', entries by ',', skew holes as '·'."""
-        inner = self.shape.inner.parts
-        bits = []
-        for i, row in enumerate(self.rows):
-            cells = ["·"] * inner[i] + [str(v) for v in row]
-            bits.append(",".join(cells))
-        return ";".join(bits)
-
-    @classmethod
-    def from_text(cls, text, N):
-        rows_txt = text.split(";") if text else []
-        outer = []
-        inner = []
-        rows = []
-        for row_txt in rows_txt:
-            cells = row_txt.split(",") if row_txt else []
-            holes = 0
-            while holes < len(cells) and cells[holes] in ("·", "."):
-                holes += 1
-            entries = []
-            for tok in cells[holes:]:
-                if tok in ("·", "."):
-                    raise ValueError("skew holes must be a prefix of the row: %r" % (row_txt,))
-                entries.append(int(tok))
-            outer.append(len(cells))
-            inner.append(holes)
-            rows.append(entries)
-        return cls(SkewShape(Partition(outer), Partition(inner)), rows, N)
-
 
 def enumerate_ssyt(shape, N):
     """All semistandard fillings, in lexicographic order of the reading word."""
@@ -354,6 +324,8 @@ class LatticePath:
     @classmethod
     def from_text(cls, text):
         """Parse "(-1,1):EEEENNENN"."""
+        if not isinstance(text, str):
+            raise ValueError("bad path text %r" % (text,))
         text = text.strip()
         if not (text.startswith("(") and ":" in text):
             raise ValueError("bad path text %r" % (text,))

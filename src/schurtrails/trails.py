@@ -332,15 +332,12 @@ def _seed_step(graph, start):
 
 
 def trace_trail(graph: TwoColouredGraph, start) -> ChangingTrail:
-    """The unique maximal changing trail determined by the given start.
+    """The unique maximal changing trail through an (edge, colour, orientation) start.
 
-    A TerminalPoint start yields the trail with an endpoint at that
-    point, walked away from it.  Otherwise start is an (edge, colour,
-    orientation) triple: tracing from any instance of a trail recovers
-    the same trail edge set, with the step direction following the seed.
+    Tracing from any instance of a trail recovers the same trail edge
+    set, with the step direction following the seed.  The trail with an
+    endpoint at a given lattice point comes from trail_at_terminal.
     """
-    if isinstance(start, TerminalPoint):
-        return trail_at_terminal(graph, start.location)
     return _trail_from_step(graph, _seed_step(graph, start))
 
 
@@ -481,9 +478,6 @@ class NoncrossingMatching:
                 if a < c < b < d:
                     raise ValueError("chords %r and %r cross" % ((a, b), (c, d)))
 
-    def to_json(self):
-        return [list(p) for p in sorted(self.pairs)]
-
 
 def terminal_matching(graph: TwoColouredGraph) -> NoncrossingMatching:
     """Matching on the Q-sequence induced by the path_like changing trails.
@@ -495,7 +489,7 @@ def terminal_matching(graph: TwoColouredGraph) -> NoncrossingMatching:
     by_location = {q.location: q for q in points}
     pairs = set()
     for q in points:
-        trail = trace_trail(graph, q)
+        trail = trail_at_terminal(graph, q.location)
         if trail.kind != PATH_LIKE:
             continue
         a, b = trail.endpoints

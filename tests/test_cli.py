@@ -258,6 +258,13 @@ def test_render_rejects_malformed_config(runner):
     assert "malformed graph config" in result.output
 
 
+def test_render_rejects_non_string_paths(runner):
+    for document in ('{"blue": [5], "green": []}', '{"blue": [null], "green": []}'):
+        result = runner.invoke(main, ["render"], input=document)
+        assert result.exit_code == 2
+        assert "bad path text" in result.output
+
+
 # ---------------------------------------------------------------- catalan
 
 def test_catalan_counts(runner):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from hypothesis import assume, given, settings
@@ -403,6 +404,33 @@ def test_orbit_three_part_windows_four_vars():
         schur_of((3, 2, 1), 4) * schur_of((6, 5, 4), 4)
         + schur_of((4, 3), 4) * schur_of((5, 4, 3, 2), 4)
     )
+
+
+def test_audit_is_the_orbits_first_step():
+    # N = 1 stays out: there bijection_audit((1, 1), 1) and ((2, 1), 1) pass,
+    # while the orbit of the same windows raises "not an involution"
+    windows = [
+        parts
+        for length in (2, 3, 4)
+        for parts in itertools.combinations_with_replacement(range(3, -1, -1), length)
+        if parts[0] > 0
+    ]
+    assert len(windows) == 62
+    for N in (2, 3):
+        for parts in windows:
+            r = len(parts) - 1
+            audit = bijection_audit(parts, N)
+            res = explore_orbit(parts[1:], parts[:r], t=1, selected=(1,), N=N)
+            assert res.O0_size == audit.objects
+            # an S1 pattern is (blue outer, blue inner, green outer, green inner)
+            by_blue_outer = {pattern[0]: count for pattern, count in res.counts1.items()}
+            raised = tuple(p + 1 for p in parts[:r])
+            assert len(by_blue_outer) == len(res.counts1) <= 2
+            assert by_blue_outer.keys() <= {parts, raised}
+            assert by_blue_outer.get(parts, 0) == audit.case_a
+            assert by_blue_outer.get(raised, 0) == audit.case_b
+            rep = verify_general(parts, N)
+            assert res.weight0 == rep.lhs and res.weight1 == rep.rhs
 
 
 def test_orbit_no_selection_is_degenerate():

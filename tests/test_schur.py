@@ -74,16 +74,8 @@ def test_ssyt_lex_order_and_distinct():
     assert len(set(words)) == len(words)
 
 
-def test_tableau_text_roundtrip():
-    t = Tableau(
-        SkewShape(Partition((4, 3, 2)), Partition((1,))),
-        [(3, 5, 6), (3, 4, 6), (4, 5)],
-        6,
-    )
-    assert t.to_text() == "·,3,5,6;3,4,6;4,5"
-    assert Tableau.from_text(t.to_text(), 6) == t
-    with pytest.raises(ValueError):
-        Tableau.from_text("1,·,2", 3)  # hole after an entry
+def fig_skew_tableau():
+    return Tableau(SkewShape(Partition((4, 3, 2)), Partition((1,))), [(3, 5, 6), (3, 4, 6), (4, 5)], 6)
 
 
 def test_weight_fig_straight():
@@ -92,7 +84,7 @@ def test_weight_fig_straight():
 
 
 def test_weight_fig_skew():
-    t = Tableau.from_text("·,3,5,6;3,4,6;4,5", 6)
+    t = fig_skew_tableau()
     assert tableau_weight(t) == mono((3, 2), (4, 2), (5, 2), (6, 2))
 
 
@@ -241,7 +233,7 @@ def test_fig_paths_straight_shape():
 
 
 def test_fig_paths_skew_shape():
-    t = Tableau.from_text("·,3,5,6;3,4,6;4,5", 6)
+    t = fig_skew_tableau()
     fam = tableau_to_paths(t)
     assert fam.paths[0].start == (0, 1)
     assert path_weight(fam) == tableau_weight(t)

@@ -96,7 +96,7 @@ def test_terminal_points_identical_families():
 def test_trace_fig3_case_a():
     g = fig3()
     q1 = terminal_points(g)[0]
-    trail = trace_trail(g, q1)
+    trail = trail_at_terminal(g, q1.location)
     assert trail.kind == PATH_LIKE
     assert trail.endpoints == ((4, 5), (-1, 1))
     # the trail visits (-2,2) twice on its way down
@@ -382,7 +382,7 @@ def test_family_pair_trail_laws(data):
     # every terminal's trail is path-like and joins opposite colours/parities
     matched = set()
     for q in points:
-        trail = trace_trail(g, q)
+        trail = trail_at_terminal(g, q.location)
         assert trail.kind == PATH_LIKE
         a, b = trail.endpoints
         assert a == q.location
@@ -396,7 +396,7 @@ def test_family_pair_trail_laws(data):
 
     # recolouring a terminal trail conserves weight and is an involution
     if points:
-        trail = trace_trail(g, points[0])
+        trail = trail_at_terminal(g, points[0].location)
         g2 = recolour(g, [trail])
         assert total_weight(g2) == total_weight(g)
         assert recolour(g2, [trail_at_terminal(g2, points[0].location)]) == g

@@ -16,9 +16,11 @@ surjectivity and weight preservation directly.  A terminal pattern of
 the orbit is a (blue, green) pair of TerminalSpecs.  Both replays
 compare objects as per-colour edge sets, a (blue edges, green edges)
 pair: each family's edge set and weight are taken once, when the
-families are enumerated, and an image is read off the recoloured
-graph's edge map without rebuilding its families.  Zero-length paths
-carry no edges, so they are not part of an object's identity.
+families are enumerated.  build_graph pairs the two families' colour
+layers, which each family builds once and keeps, and an image's edge
+sets are read off the recoloured graph's layers without rebuilding its
+families.  Zero-length paths carry no edges, so they are not part of
+an object's identity.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .partitions import (
     partition_from_set,
 )
 from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_mul, monomial_str
-from .schur import TerminalSpec, enumerate_families, path_weight, schur_poly
+from .schur import TerminalSpec, enumerate_families, path_weight, schur_poly, ssyt_count
 from .trails import (
     BLACK,
     BLUE,
@@ -441,6 +443,12 @@ def _layout_families(parts, N, offset) -> list:
     return list(enumerate_families(spec))
 
 
+#: Most objects bijection_audit replays: s_lead(1^N) * s_trail(1^N) above
+#: this is refused before any family is enumerated.  An audit takes about
+#: 75 us per object (2-vCPU VM, CPython 3.11), so the limit is about 8 s.
+MAX_AUDIT_OBJECTS = 100_000
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Tallies from replaying the window-exchange bijection object by object."""
@@ -478,6 +486,8 @@ def bijection_audit(lam, N=None) -> AuditReport:
     protected bottom point (-r-1, 1) or any non-terminal, a repeated
     image, an image outside the two layouts, a changed weight, or a
     right-side object never reached.  Returns the tallies on success.
+    Raises ValueError, before enumerating, when the left side has more
+    than MAX_AUDIT_OBJECTS objects.
 
     Objects compare as per-colour edge sets.  Each layout family is keyed
     by its edge set and weighed once; every image is looked up by its
@@ -491,6 +501,11 @@ def bijection_audit(lam, N=None) -> AuditReport:
     if N is None:
         N = len(parts)
     N = int(N)
+    objects = ssyt_count(parts[:r], N) * ssyt_count(parts[1:], N)
+    if objects > MAX_AUDIT_OBJECTS:
+        raise ValueError(
+            "the audit has %d objects, more than MAX_AUDIT_OBJECTS = %d" % (objects, MAX_AUDIT_OBJECTS)
+        )
 
     greens = _layout_families(parts[:r], N, 0)
     blues = _layout_families(parts[1:], N, -1)

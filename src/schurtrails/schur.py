@@ -236,6 +236,24 @@ def _spread(coeffs, N):
     return out
 
 
+def ssyt_count(parts, N) -> int:
+    """s_parts(1^N), the number of tableaux of the straight shape in 1..N.
+
+    By the hook-content formula, the product over the cells (i, j) of
+    (N + j - i) / hook(i, j).  Zero parts are ignored, and a shape with
+    more nonzero parts than N has no tableau.
+    """
+    parts = [int(p) for p in parts if p > 0]
+    if len(parts) > N:
+        return 0
+    num = den = 1
+    for i, p in enumerate(parts):
+        for j in range(p):
+            num *= N + j - i
+            den *= p - j + sum(1 for q in parts[i + 1 :] if q > j)
+    return num // den
+
+
 def schur_poly(shape, N, method="tableaux"):
     """Exact (skew) Schur polynomial in x_1..x_N.
 
@@ -337,9 +355,13 @@ class LatticePath:
 
 
 class PathFamily:
-    """Ordered tuple of pairwise vertex-disjoint paths."""
+    """Ordered tuple of pairwise vertex-disjoint paths.
 
-    __slots__ = ("paths",)
+    _layer keeps the family's colour layer once a two-coloured graph has
+    been built from it (see trails); it plays no part in equality.
+    """
+
+    __slots__ = ("paths", "_layer")
 
     def __init__(self, paths=()):
         paths = tuple(paths)
@@ -355,6 +377,7 @@ class PathFamily:
                     )
                 seen[v] = idx
         object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "_layer", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PathFamily is immutable")

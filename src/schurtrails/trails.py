@@ -9,10 +9,13 @@ single-colour vertex it runs straight while it can.  Tracing the trail
 through a terminal point and flipping the colours along it is the local
 move behind the exchange identities in this package.
 
-A graph is its edge-colour map; recolouring flips the trail's edge
-instances in a copy.  A zero-length path marks its point but has no
-edge, so graph equality ignores it, and a recoloured graph, whose
-families are read off its edges, has none.
+A graph holds one layer per colour: its edge set, the points its
+zero-length paths mark, and tail-to-head and head-to-tail maps built on
+the first trace.  A family's layer is built once and kept on the family.
+A trail step is one map lookup; recolouring moves the flipped edges
+between the two edge sets and checks degrees only at their ends.  A
+zero-length path has no edge, so graph equality ignores it, and a
+recoloured graph, whose families are read off its edges, has none.
 
 Orientation vocabulary: ``forward`` means right-upwards (the paths' own
 direction), ``backward`` means left-downwards.
@@ -38,50 +41,69 @@ CYCLE_LIKE = "cycle_like"
 START = "start"
 END = "end"
 
-_NONE = frozenset()
 _ONLY = {BLUE: frozenset((BLUE,)), GREEN: frozenset((GREEN,))}
 _BOTH = frozenset((BLUE, GREEN))
+_OTHER = {BLUE: GREEN, GREEN: BLUE, FORWARD: BACKWARD, BACKWARD: FORWARD}
 
 
-def other_colour(colour: str) -> str:
-    return GREEN if colour == BLUE else BLUE
+class _Layer:
+    """One colour of a graph: its edges, the points its zero-length paths mark, and lazy maps.
+
+    A family is vertex-disjoint, so each point has at most one in- and
+    one out-edge of a colour: the maps are well defined, and trails are
+    deterministic.
+    """
+
+    __slots__ = ("edges", "marks", "_maps")
+
+    def __init__(self, edges, marks):
+        self.edges, self.marks, self._maps = edges, marks, None
+
+    def maps(self):
+        """(tail -> head, head -> tail, points), built once; the points are edge ends and marks."""
+        if self._maps is None:
+            succ = dict(self.edges)
+            pred = {head: tail for tail, head in self.edges}
+            self._maps = (succ, pred, succ.keys() | pred.keys() | self.marks)
+        return self._maps
 
 
-def other_orientation(orientation: str) -> str:
-    return BACKWARD if orientation == FORWARD else FORWARD
+def _family_layer(family):
+    """The family's layer, built on first use and kept on the immutable family."""
+    if family._layer is None:
+        edges = frozenset(edge for path in family for edge in path.edges())
+        marks = frozenset(path.start for path in family if not path.steps)
+        object.__setattr__(family, "_layer", _Layer(edges, marks))
+    return family._layer
+
+
+def _by_colour(blue, green):
+    """Each member of either set mapped to the frozenset of the colours holding it."""
+    out = dict.fromkeys(blue, _ONLY[BLUE])
+    out.update(dict.fromkeys(green, _ONLY[GREEN]))
+    out.update(dict.fromkeys(blue & green, _BOTH))
+    return out
 
 
 class TwoColouredGraph:
-    """Superposition of a blue and a green path family, held as edge colours.
+    """Superposition of a blue and a green path family, held as one layer per colour.
 
-    edge_colours maps each unit edge (tail, head) to the frozenset of its
-    colours, and vertices maps each point to the colours incident to it.
-    Within one colour each vertex has at most one in- and one out-edge
-    (the family is vertex-disjoint), which is what makes changing trails
-    deterministic.  blue and green are the families the graph was built
-    from, or, after a recolour, read off the edges on first use.
-    Equality and hashing use edge_colours only.  Graphs are not changed
-    after construction: recolour returns a new one.
+    blue and green are the families the graph was built from, or, after a
+    recolour, read off the edges on first use.  Equality and hashing use
+    the two edge sets only.  edge_colours (each unit edge to its colours)
+    and vertices (each point to the colours at it) are derived views.
+    Graphs are not changed after construction: recolour returns a new one.
     """
 
-    __slots__ = ("edge_colours", "vertices", "_families")
+    __slots__ = ("layers", "_families")
 
     def __init__(self, blue, green):
-        self._families = {}
-        self.edge_colours = edge_colours = {}
-        self.vertices = vertices = {}
-        for colour, family in ((BLUE, blue), (GREEN, green)):
-            if not isinstance(family, PathFamily):
-                family = PathFamily(family)
-            self._families[colour] = family
-            # a family is vertex-disjoint, so a point or edge met twice has both colours
-            only = _ONLY[colour]
-            for path in family:
-                points = path.vertices()
-                for v in points:
-                    vertices[v] = _BOTH if v in vertices else only
-                for edge in zip(points, points[1:]):
-                    edge_colours[edge] = _BOTH if edge in edge_colours else only
+        if not isinstance(blue, PathFamily):
+            blue = PathFamily(blue)
+        if not isinstance(green, PathFamily):
+            green = PathFamily(green)
+        self._families = {BLUE: blue, GREEN: green}
+        self.layers = {BLUE: _family_layer(blue), GREEN: _family_layer(green)}
 
     def family(self, colour: str) -> PathFamily:
         """The colour's path family: as built, or read off the edges once."""
@@ -94,27 +116,29 @@ class TwoColouredGraph:
 
     def __eq__(self, other):
         if isinstance(other, TwoColouredGraph):
-            return self.edge_colours == other.edge_colours
+            return all(self.colour_edges(c) == other.colour_edges(c) for c in (BLUE, GREEN))
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.edge_colours.items()))
+        return hash((self.colour_edges(BLUE), self.colour_edges(GREEN)))
 
     def __repr__(self):
         return "TwoColouredGraph(%r, %r)" % (self.blue, self.green)
 
-    def is_intersection(self, v) -> bool:
-        """True when both colours are incident to v (a mere touch counts)."""
-        return len(self.vertices.get(v, ())) == 2
-
     def colour_edges(self, colour: str) -> frozenset:
-        return frozenset(e for e, cs in self.edge_colours.items() if colour in cs)
+        return self.layers[colour].edges
+
+    @property
+    def edge_colours(self) -> dict:
+        return _by_colour(self.colour_edges(BLUE), self.colour_edges(GREEN))
+
+    @property
+    def vertices(self) -> dict:
+        return _by_colour(self.layers[BLUE].maps()[2], self.layers[GREEN].maps()[2])
 
     def instances(self):
         """All (edge, colour) pairs, doubly-coloured edges contributing two."""
-        for edge, colours in self.edge_colours.items():
-            for colour in colours:
-                yield edge, colour
+        return ((edge, colour) for colour, layer in self.layers.items() for edge in layer.edges)
 
     def to_json(self) -> dict:
         return {"blue": self.blue.to_text(), "green": self.green.to_text()}
@@ -229,9 +253,7 @@ class ChangingTrail:
 
     def visited_vertices(self):
         """Vertices in walk order: begin of first step, then each arrival."""
-        out = [_begin(self.steps[0])]
-        out.extend(_arrival(s) for s in self.steps)
-        return tuple(out)
+        return (_begin(self.steps[0]),) + tuple(map(_arrival, self.steps))
 
 
 def _begin(step):
@@ -246,75 +268,68 @@ def _arrival(step):
 
 def _reverse(step):
     edge, colour, orientation = step
-    return (edge, colour, other_orientation(orientation))
+    return (edge, colour, _OTHER[orientation])
 
 
-def _edges_at(v, orientation):
-    """The two unit edges leaving v forward (right, up) or backward (left, down)."""
-    x, y = v
-    if orientation == FORWARD:
-        return ((v, (x + 1, y)), (v, (x, y + 1)))
-    return (((x - 1, y), v), ((x, y - 1), v))
+def _maps(graph):
+    return {BLUE: graph.layers[BLUE].maps(), GREEN: graph.layers[GREEN].maps()}
 
 
-def _leaving(graph, v, colour, orientation):
-    for edge in _edges_at(v, orientation):
-        if colour in graph.edge_colours.get(edge, _NONE):
-            return edge
-    return None
+def _after(maps, step):
+    """The steps that follow step on its trail, in walk order; one map lookup each."""
+    blue_points, green_points = maps[BLUE][2], maps[GREEN][2]
+    (tail, head), colour, orientation = step
+    while True:
+        v = head if orientation == FORWARD else tail
+        if v in blue_points and v in green_points:
+            colour, orientation = _OTHER[colour], _OTHER[orientation]
+        succ, pred, _ = maps[colour]
+        tail, head = (v, succ.get(v)) if orientation == FORWARD else (pred.get(v), v)
+        if tail is None or head is None:
+            return
+        yield (tail, head), colour, orientation
 
 
-def _successor(graph, step):
-    _, colour, orientation = step
-    v = _arrival(step)
-    if graph.is_intersection(v):
-        colour, orientation = other_colour(colour), other_orientation(orientation)
-    edge = _leaving(graph, v, colour, orientation)
-    return (edge, colour, orientation) if edge is not None else None
-
-
-def _walk(graph, seed, seen):
+def _walk(maps, seed, seen):
     """Steps after seed in walk order, and whether the walk came back to seed."""
     steps = []
-    cur = seed
-    while True:
-        cur = _successor(graph, cur)
-        if cur is None:
-            return steps, False
-        if cur == seed:
+    for step in _after(maps, seed):
+        if step == seed:
             return steps, True
-        key = (cur[0], cur[1])
+        key = (step[0], step[1])
         assert key not in seen, "trail revisited an edge instance"
         seen.add(key)
-        steps.append(cur)
+        steps.append(step)
+    return steps, False
 
 
-def _trail_from_step(graph, step0):
+def _trail_from_step(maps, step0):
     """Walk back from step0 by walking on from its reversal, then on from step0."""
     seen = {(step0[0], step0[1])}
-    back, closed = _walk(graph, _reverse(step0), seen)
+    back, closed = _walk(maps, _reverse(step0), seen)
     steps = [_reverse(step) for step in reversed(back)]
     steps.append(step0)
     if closed:
         return ChangingTrail(kind=CYCLE_LIKE, steps=tuple(steps))
-    ahead, _ = _walk(graph, step0, seen)
+    ahead, _ = _walk(maps, step0, seen)
     return ChangingTrail(kind=PATH_LIKE, steps=tuple(steps + ahead))
 
 
-def _start_instances(graph, location):
+def _start_instances(maps, location):
     """Edge instances leaving the point that no arrival feeds into.
 
-    A step has no predecessor when its reversal has no successor.  A
-    trail ends at v exactly when its reversal starts at v with such an
-    instance, so these are the first steps of the trails with an
-    endpoint at the location.
+    A step has no predecessor when its reversal has no successor; these
+    are the first steps of the trails with an endpoint at the location.
     """
     found = []
     for colour in (BLUE, GREEN):
-        for orientation in (FORWARD, BACKWARD):
-            edge = _leaving(graph, location, colour, orientation)
-            if edge is not None and _successor(graph, (edge, colour, other_orientation(orientation))) is None:
-                found.append((edge, colour, orientation))
+        succ, pred, _ = maps[colour]
+        for step in (
+            ((location, succ.get(location)), colour, FORWARD),
+            ((pred.get(location), location), colour, BACKWARD),
+        ):
+            if None not in step[0] and next(_after(maps, _reverse(step)), None) is None:
+                found.append(step)
     return found
 
 
@@ -326,7 +341,7 @@ def _seed_step(graph, start):
     if orientation not in (FORWARD, BACKWARD):
         raise ValueError("unknown orientation %r" % (orientation,))
     edge = (tuple(tail), tuple(head))
-    if colour not in graph.edge_colours.get(edge, _NONE):
+    if colour not in graph.layers or edge not in graph.layers[colour].edges:
         raise ValueError("edge %r does not carry colour %s" % (edge, colour))
     return (edge, colour, orientation)
 
@@ -338,7 +353,7 @@ def trace_trail(graph: TwoColouredGraph, start) -> ChangingTrail:
     set, with the step direction following the seed.  The trail with an
     endpoint at a given lattice point comes from trail_at_terminal.
     """
-    return _trail_from_step(graph, _seed_step(graph, start))
+    return _trail_from_step(_maps(graph), _seed_step(graph, start))
 
 
 def trail_at_terminal(graph: TwoColouredGraph, location) -> ChangingTrail:
@@ -352,16 +367,18 @@ def trail_at_terminal(graph: TwoColouredGraph, location) -> ChangingTrail:
     start of one colour can sit on an end of the other.
     """
     location = (int(location[0]), int(location[1]))
-    candidates = _start_instances(graph, location)
+    maps = _maps(graph)
+    candidates = _start_instances(maps, location)
     if not candidates:
         raise ValueError("no changing trail starts at %r" % (location,))
     if len(candidates) > 1:
         raise ValueError("%d changing trails start at %r" % (len(candidates), location))
-    trail = _trail_from_step(graph, candidates[0])
+    trail = _trail_from_step(maps, candidates[0])
     # terminal-started trails stay clear of doubly-coloured edges, which
     # live on their own two-step cycles
-    assert all(
-        len(graph.edge_colours[edge]) == 1 for edge, _, _ in trail.steps
+    doubly = graph.colour_edges(BLUE) & graph.colour_edges(GREEN)
+    assert doubly.isdisjoint(
+        [edge for edge, _, _ in trail.steps]
     ), "terminal-started trail entered a doubly-coloured edge"
     return trail
 
@@ -370,15 +387,14 @@ def all_trails(graph: TwoColouredGraph) -> tuple:
     """Every maximal changing trail once; their instance sets partition the graph."""
     seen = set()
     trails = []
-    for edge in sorted(graph.edge_colours):
-        for colour in sorted(graph.edge_colours[edge]):
-            if (edge, colour) in seen:
-                continue
-            trail = trace_trail(graph, (edge, colour, FORWARD))
-            trails.append(trail)
-            overlap = trail.edge_instances() & seen
-            assert not overlap, "trails are not instance-disjoint: %r" % (overlap,)
-            seen |= trail.edge_instances()
+    for edge, colour in sorted(graph.instances()):
+        if (edge, colour) in seen:
+            continue
+        trail = trace_trail(graph, (edge, colour, FORWARD))
+        trails.append(trail)
+        overlap = trail.edge_instances() & seen
+        assert not overlap, "trails are not instance-disjoint: %r" % (overlap,)
+        seen |= trail.edge_instances()
     return tuple(trails)
 
 
@@ -415,48 +431,51 @@ def family_from_edges(edges) -> PathFamily:
     return PathFamily(paths)
 
 
-def _point_colours(edge_colours, v):
-    """Colours of the edges at v; within one colour at most one enters and one leaves."""
-    colours = _NONE
-    for orientation, degree in ((FORWARD, "out"), (BACKWARD, "in")):
-        first, second = map(edge_colours.get, _edges_at(v, orientation), (_NONE, _NONE))
-        if first & second:
-            raise ValueError("vertex %r has %s-degree 2 within one colour" % (v, degree))
-        colours = colours | first | second
-    return colours
-
-
 def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
     """Flip the colour of every edge instance on the given trails.
 
     The trails must be pairwise instance-disjoint and flip both instances
     of a doubly-coloured edge, so the edge multiset and the total path
-    weight are conserved.  Only the flipped edges and the points they
-    touch are updated, and each colour must still enter and leave every
-    touched point at most once.
+    weight are conserved.  The flipped edges move between the two edge
+    sets.  Each colour must still enter and leave every end of a flipped
+    edge at most once; the source obeys this, so only the unit step beside
+    each newly coloured edge is looked up.
     """
-    flips = {}
-    for trail in trails:
-        for edge, colour, _ in trail.steps:
-            if colour in flips.setdefault(edge, set()):
-                raise ValueError("overlapping trails share the edge instance %r" % ((edge, colour),))
-            flips[edge].add(colour)
-    edge_colours = dict(graph.edge_colours)
-    touched = set()
-    for edge, colours in flips.items():
-        carried = edge_colours.get(edge, _NONE)
-        if not colours <= carried:
+    steps = [step for trail in trails for step in trail.steps]
+    flips = {BLUE: set(), GREEN: set()}
+    for edge, colour, _ in steps:
+        flipped = flips.setdefault(colour, set())
+        if edge in flipped:
+            raise ValueError("overlapping trails share the edge instance %r" % ((edge, colour),))
+        flipped.add(edge)
+    blue, green = graph.layers[BLUE], graph.layers[GREEN]
+    from_blue, from_green = flips.pop(BLUE), flips.pop(GREEN)
+    to_blue, to_green = from_green - from_blue, from_blue - from_green
+    stray = (from_blue - blue.edges).union(from_green - green.edges, *flips.values())
+    half = (to_blue & blue.edges) | (to_green & green.edges)
+    if stray or half:
+        edge = next(edge for edge, _, _ in steps if edge in stray or edge in half)
+        if edge in stray:
             raise ValueError("trail edges do not all belong to the graph")
-        if colours != carried:
-            raise ValueError("the doubly-coloured edge %r must flip both colours or neither" % (edge,))
-        if len(carried) == 1:
-            edge_colours[edge] = _ONLY[other_colour(*carried)]
-            touched.update(edge)
-    vertices = dict(graph.vertices)
-    for v in touched:
-        vertices[v] = _point_colours(edge_colours, v)
+        raise ValueError("the doubly-coloured edge %r must flip both colours or neither" % (edge,))
+    # a doubly-coloured edge flipped both ways keeps its colours
+    blue_edges, green_edges = (blue.edges - to_green) | to_blue, (green.edges - to_blue) | to_green
+    for edges, flipped in ((blue_edges, to_blue), (green_edges, to_green)):
+        for tail, head in flipped:
+            (x, y), (u, w) = tail, head
+            dx, dy = u - x, w - y  # the other unit step is (dy, dx)
+            if (tail, (x + dy, y + dx)) in edges:
+                raise ValueError("vertex %r has out-degree 2 within one colour" % (tail,))
+            if ((u - dy, w - dx), head) in edges:
+                raise ValueError("vertex %r has in-degree 2 within one colour" % (head,))
+    # a marked point that a flipped edge reaches is held by its edges alone
+    touched = {v for edge in to_blue | to_green for v in edge} if blue.marks or green.marks else ()
     image = object.__new__(TwoColouredGraph)
-    image.edge_colours, image.vertices, image._families = edge_colours, vertices, {}
+    image._families = {}
+    image.layers = {
+        BLUE: _Layer(blue_edges, blue.marks.difference(touched)),
+        GREEN: _Layer(green_edges, green.marks.difference(touched)),
+    }
     return image
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -166,6 +167,15 @@ def test_audit_json(runner):
         "case_a": 2,
         "case_b": 4,
     }
+
+
+def test_audit_refuses_an_oversized_window_at_once(runner):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["audit", "--lambda", "9,8,7,6,5", "--vars", "6"])
+    assert time.perf_counter() - start < 5
+    assert result.exit_code == 2
+    # s_(9,8,7,6)(1^6) * s_(8,7,6,5)(1^6) objects, against the limit
+    assert "the audit has 3102772248576 objects, more than MAX_AUDIT_OBJECTS = 100000" in result.output
 
 
 def test_orbit_json(runner):

@@ -8,6 +8,7 @@ import pytest
 
 from schurtrails import identities
 from schurtrails.identities import (
+    MAX_AUDIT_OBJECTS,
     AuditReport,
     IdentityReport,
     OrbitResult,
@@ -544,6 +545,14 @@ def test_audit_refuses_a_repeated_image(monkeypatch):
     monkeypatch.setattr(identities, "recolour", to_the_first_image)
     with pytest.raises(RuntimeError, match=r"two objects recoloured to the same image \(\('\("):
         bijection_audit((2, 1), N=2)
+
+
+def test_audit_refuses_more_objects_than_the_limit():
+    # s_(7,4)(1^4) * s_(4,2)(1^4) = 113400 objects, just over the limit
+    objects = count_of((7, 4), 4) * count_of((4, 2), 4)
+    assert MAX_AUDIT_OBJECTS < objects < 2 * MAX_AUDIT_OBJECTS
+    with pytest.raises(ValueError, match="the audit has %d objects, more than MAX_AUDIT_OBJECTS" % objects):
+        bijection_audit((7, 4, 2), N=4)
 
 
 def test_audit_needs_two_parts():

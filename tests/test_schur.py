@@ -21,6 +21,7 @@ from schurtrails.schur import (
     path_weight,
     paths_to_tableau,
     schur_poly,
+    ssyt_count,
     tableau_to_paths,
     tableau_weight,
 )
@@ -54,6 +55,14 @@ def test_ssyt_counts_known():
     assert len(list(enumerate_ssyt(Partition((2, 2)), 3))) == 6
     # empty shape: exactly the empty filling
     assert len(list(enumerate_ssyt(Partition(()), 3))) == 1
+
+
+@pytest.mark.parametrize("parts", [(3, 2, 1), (2, 2), (4, 1, 0), (5, 4, 3, 2), (2, 1, 1, 1, 1)])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_ssyt_count_is_the_coefficient_sum(parts, N):
+    from schurtrails.identities import schur_of
+
+    assert ssyt_count(parts, N) == sum(schur_of(parts, N).coeffs.values())
 
 
 def test_ssyt_rejects_bad_fillings():

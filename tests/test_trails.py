@@ -1,9 +1,9 @@
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from schurtrails.partitions import Partition
+from schurtrails.partitions import Partition, SkewShape
 from schurtrails.polyring import monomial_mul
 from schurtrails.schur import PathFamily, TerminalSpec, enumerate_families, path_weight
 from schurtrails.trails import (
@@ -239,6 +239,29 @@ def test_recolour_rejects_half_of_a_doubly_coloured_edge():
     assert recolour(g, [cycle]) == g
 
 
+def one_step(edge, colour):
+    return ChangingTrail(PATH_LIKE, ((edge, colour, FORWARD),))
+
+
+def test_recolour_refuses_a_colour_leaving_a_point_twice():
+    g = build_graph(PathFamily.from_text(["(0,1):E"]), PathFamily.from_text(["(0,1):N"]))
+    with pytest.raises(ValueError, match=r"^vertex \(0, 1\) has out-degree 2 within one colour$"):
+        recolour(g, [one_step(((0, 1), (0, 2)), GREEN)])  # blue would leave (0,1) right and up
+
+
+def test_recolour_refuses_a_colour_entering_a_point_twice():
+    g = build_graph(PathFamily.from_text(["(1,1):N"]), PathFamily.from_text(["(0,2):E"]))
+    with pytest.raises(ValueError, match=r"^vertex \(1, 2\) has in-degree 2 within one colour$"):
+        recolour(g, [one_step(((0, 2), (1, 2)), GREEN)])  # blue would enter (1,2) from left and below
+
+
+def test_recolour_refuses_an_edge_outside_the_graph():
+    g = fig3()
+    for step in ((((9, 9), (10, 9)), BLUE), (((-1, 1), (0, 1)), BLUE)):  # absent; green only
+        with pytest.raises(ValueError, match="^trail edges do not all belong to the graph$"):
+            recolour(g, [one_step(*step)])
+
+
 def rebuilt_families(graph, trails):
     """Recolouring by rebuilding: flip the two edge sets, then reassemble each family."""
     flips = {BLUE: set(), GREEN: set()}
@@ -287,8 +310,82 @@ def test_recolour_matches_family_rebuild(data):
     rebuilt = build_graph(*rebuilt_families(g, trails))
     assert (image.blue, image.green) == (rebuilt.blue, rebuilt.green)
     assert image.vertices == rebuilt.vertices  # no zero-length paths here
+    # the layers cached on fb and fg give what fresh copies of them give
+    fresh = build_graph(PathFamily(list(fb)), PathFamily(list(fg)))
+    assert _picture(image) == _picture(recolour(fresh, trails))
     assert total_weight(image) == total_weight(g)
     assert recolour(image, distinct_trails(image, chosen)) == g
+
+
+def test_recolour_keeps_a_point_only_a_zero_length_path_marks():
+    # N = 1: the green zero-length path at (4,1) lies off the trail
+    g = build_graph(PathFamily.from_text(["(0,1):EE"]), PathFamily.from_text(["(4,1):", "(-2,1):E"]))
+    image = recolour(g, [trail_at_terminal(g, (0, 1))])
+    assert image.vertices[(4, 1)] == frozenset((GREEN,))
+    assert image.vertices == {**g.vertices, **dict.fromkeys([(0, 1), (1, 1), (2, 1)], frozenset((GREEN,)))}
+    # on the trail, a point keeps only the colours of the edges that now reach it
+    g = build_graph(PathFamily.from_text(["(0,1):EE"]), PathFamily.from_text(["(2,1):"]))
+    assert g.vertices[(2, 1)] == frozenset((BLUE, GREEN))
+    image = recolour(g, [trail_at_terminal(g, (0, 1))])
+    assert image.vertices == dict.fromkeys([(0, 1), (1, 1), (2, 1)], frozenset((GREEN,)))
+    # a blue mark reached by the move is not restored when the move is undone
+    g = build_graph(PathFamily.from_text(["(2,1):"]), PathFamily.from_text(["(0,1):EE"]))
+    image = recolour(g, [trail_at_terminal(g, (0, 1))])
+    back = recolour(image, [trail_at_terminal(image, (0, 1))])
+    assert back == g and back.vertices[(2, 1)] == frozenset((GREEN,)) != g.vertices[(2, 1)]
+
+
+@st.composite
+def skew_shapes_st(draw):
+    # rows with equal outer and inner parts give zero-length paths at N = 1
+    outer = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)), reverse=True)
+    inner = sorted((draw(st.integers(0, part)) for part in outer), reverse=True)
+    return SkewShape(Partition(outer), Partition([min(i, o) for i, o in zip(inner, outer)]))
+
+
+def _outcome(move, *args):
+    try:
+        return move(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _picture(graph):
+    return graph.edge_colours, graph.vertices
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_cached_layers_match_fresh_families(data):
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    t = data.draw(st.integers(min_value=-2, max_value=2))
+    blues = list(enumerate_families(TerminalSpec.from_shape(data.draw(skew_shapes_st()), n)))
+    greens = list(enumerate_families(TerminalSpec.from_shape(data.draw(skew_shapes_st()), n, offset=t)))
+    assume(blues and greens)
+    fb, fg = data.draw(st.sampled_from(blues)), data.draw(st.sampled_from(greens))
+    # trace other pairings first, so that both families' layers and maps are cached
+    all_trails(build_graph(fb, data.draw(st.sampled_from(greens))))
+    all_trails(build_graph(data.draw(st.sampled_from(blues)), fg))
+    cached = build_graph(fb, fg)
+    fresh = build_graph(PathFamily(list(fb)), PathFamily(list(fg)))
+    assert cached.layers[BLUE] is fb._layer and fresh.layers[BLUE] is not fb._layer
+    assert _picture(cached) == _picture(fresh)
+    marks = {path.start: colour for colour, f in ((BLUE, fb), (GREEN, fg)) for path in f if not path.steps}
+    for location in sorted({p.start for f in (fb, fg) for p in f} | {p.end for f in (fb, fg) for p in f}):
+        trail = _outcome(trail_at_terminal, cached, location)
+        assert trail == _outcome(trail_at_terminal, fresh, location)
+        if isinstance(trail, str):
+            continue
+        image = _outcome(recolour, cached, [trail])
+        again = _outcome(recolour, fresh, [trail])
+        assert image == again
+        if isinstance(image, str):
+            continue
+        assert _picture(image) == _picture(again)
+        ends = {v for edge, _, _ in trail.steps for v in edge}
+        for point, colour in marks.items():
+            if point not in ends:
+                assert colour in image.vertices[point]
 
 
 # ---------------------------------------------------------------- decomposition

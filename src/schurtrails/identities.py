@@ -8,19 +8,17 @@ first monomial whose coefficients disagree instead of returning a bare
 boolean.
 
 The module also hosts the two combinatorial replays behind the
-polynomial identities: explore_orbit closes the trail-recolouring move
-over path families with fixed terminals and tallies both sides of the
-resulting object bijection, and bijection_audit replays the
-window-exchange bijection object by object, checking injectivity,
-surjectivity and weight preservation directly.  A terminal pattern of
-the orbit is a (blue, green) pair of TerminalSpecs.  Both replays
-compare objects as per-colour edge sets, a (blue edges, green edges)
-pair: each family's edge set and weight are taken once, when the
-families are enumerated.  build_graph pairs the two families' colour
-layers, which each family builds once and keeps, and an image's edge
-sets are read off the recoloured graph's layers without rebuilding its
-families.  Zero-length paths carry no edges, so they are not part of
-an object's identity.
+polynomial identities.  Both run one step, _moved_objects: for every
+object of a terminal pattern -- a (blue, green) pair of TerminalSpecs --
+it pairs the two families' colour layers, traces the changing trails at
+the selected points and recolours them.  explore_orbit runs that step on
+every pattern it reaches and closes the move, tallying both sides of
+the resulting object bijection; bijection_audit runs it once, on the
+left side of the window exchange with one selected point, and checks
+injectivity, surjectivity and weight preservation object by object.
+Objects compare as per-colour edge sets, a (blue edges, green edges)
+pair read off the layers, so no family is reassembled.  Zero-length
+paths carry no edges, so they are not part of an object's identity.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ from .trails import (
     GREEN,
     WHITE,
     build_graph,
+    family_edges,
     family_from_edges,
     recolour,
     terminal_points_from_sets,
@@ -396,29 +395,6 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
     return IdentityReport("kleber", params, lhs, rhs)
 
 
-class _EdgeSets:
-    """Per-colour edge sets, each distinct set and each edge tuple stored once.
-
-    A colour's edges identify its family.  Zero-length paths carry no
-    edges, no weight and no enumeration freedom (a start terminal equals
-    an end terminal), so they drop out, as in graph equality.
-    """
-
-    def __init__(self):
-        self._sets = {}
-        self._edges = {}
-
-    def store(self, edges) -> frozenset:
-        found = self._sets.get(edges)
-        if found is None:
-            found = frozenset(self._edges.setdefault(edge, edge) for edge in edges)
-            self._sets[found] = found
-        return found
-
-    def of_family(self, family) -> frozenset:
-        return self.store(frozenset(edge for path in family for edge in path.edges()))
-
-
 def _edge_spec(edges, N) -> TerminalSpec:
     """Terminals of the family with these edges.
 
@@ -434,13 +410,36 @@ def _path_texts(key) -> tuple:
     return tuple(tuple(family_from_edges(edges).to_text()) for edges in key)
 
 
-def _layout_families(parts, N, offset) -> list:
-    """All nonintersecting families of the straight shape at the offset; none if a part is negative."""
-    parts = tuple(int(p) for p in parts)
-    if any(p < 0 for p in parts):
-        return []
-    spec = TerminalSpec.from_shape(SkewShape(Partition(parts)), N, offset)
-    return list(enumerate_families(spec))
+def _moved_objects(pattern, locations):
+    """Every object of the pattern with its image under the move at the selected locations.
+
+    Yields (blue edges, green edges, weight, trails, image blue edges,
+    image green edges) per object, blue families outer and green inner.
+    Every location is traced, so a location no trail or two trails start
+    at raises; its trail is taken unless the location is the far end of
+    one already taken, and the taken trails are recoloured together.
+    """
+    blues, greens = (
+        [(family, family_edges(family), path_weight(family)) for family in enumerate_families(spec)]
+        for spec in pattern
+    )
+    for blue_family, blue_edges, blue_weight in blues:
+        for green_family, green_edges, green_weight in greens:
+            graph = build_graph(blue_family, green_family)
+            taken = []
+            for location in locations:
+                trail = trail_at_terminal(graph, location)
+                if not any(other.end == location for other in taken):
+                    taken.append(trail)
+            image = recolour(graph, taken)
+            yield (
+                blue_edges,
+                green_edges,
+                monomial_mul(blue_weight, green_weight),
+                taken,
+                image.colour_edges(BLUE),
+                image.colour_edges(GREEN),
+            )
 
 
 #: Most objects bijection_audit replays: s_lead(1^N) * s_trail(1^N) above
@@ -489,9 +488,11 @@ def bijection_audit(lam, N=None) -> AuditReport:
     Raises ValueError, before enumerating, when the left side has more
     than MAX_AUDIT_OBJECTS objects.
 
-    Objects compare as per-colour edge sets.  Each layout family is keyed
-    by its edge set and weighed once; every image is looked up by its
-    two edge sets and marked reached by its index pair.
+    The left side is one terminal pattern, moved by the step explore_orbit
+    runs on every pattern, with the rightmost endpoint as the only
+    selected point.  Each layout family is keyed by its edge set and
+    weighed once; every image is looked up by its two edge sets and
+    marked reached by its index pair.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     parts = lam.parts
@@ -507,70 +508,66 @@ def bijection_audit(lam, N=None) -> AuditReport:
             "the audit has %d objects, more than MAX_AUDIT_OBJECTS = %d" % (objects, MAX_AUDIT_OBJECTS)
         )
 
-    greens = _layout_families(parts[:r], N, 0)
-    blues = _layout_families(parts[1:], N, -1)
     probe = (parts[0] - 1, N)
     keep_end = (-1, 1)
     exchange_end = (parts[-1] - r - 1, N)
     protected = (-r - 1, 1)
 
-    layouts = {
-        "A": (_layout_families(parts[1:r], N, -1), _layout_families(parts, N, 0)),
-        "B": (
-            _layout_families(tuple(p - 1 for p in parts[1:]), N, 0),
-            _layout_families(tuple(p + 1 for p in parts[:r]), N, -1),
-        ),
-    }
-    edge_sets = _EdgeSets()
-    index = {}
-    for kind, families in layouts.items():
-        green_index, blue_index = (
-            {edge_sets.of_family(f): (i, path_weight(f)) for i, f in enumerate(fs)} for fs in families
+    def layout(window, offset):
+        """The window's families at the offset by edge set, as (index, weight); none if a part is < 0."""
+        if min(window, default=0) < 0:
+            return {}
+        families = list(enumerate_families(TerminalSpec.from_shape(window, N, offset)))
+        found = {family_edges(f): (i, path_weight(f)) for i, f in enumerate(families)}
+        assert len(found) == len(families), "a layout repeats an object"
+        return found
+
+    index = {
+        kind: (green_index, blue_index, bytearray(len(green_index) * len(blue_index)))
+        for kind, green_index, blue_index in (
+            ("A", layout(parts[1:r], -1), layout(parts, 0)),
+            ("B", layout(tuple(p - 1 for p in parts[1:]), 0), layout(tuple(p + 1 for p in parts[:r]), -1)),
         )
-        assert (len(green_index), len(blue_index)) == tuple(map(len, families)), "a layout repeats an object"
-        index[kind] = (green_index, blue_index, bytearray(len(green_index) * len(blue_index)))
+    }
     (greens_a, blues_a, _), (greens_b, blues_b, _) = index.values()
     shared = greens_a.keys() & greens_b.keys() and blues_a.keys() & blues_b.keys()
     assert not shared, "the two layouts share an object"
 
     tally = {"A": 0, "B": 0}
-    blue_weights = [(bf, path_weight(bf)) for bf in blues]
-    for gf in greens:
-        green_weight = path_weight(gf)
-        for bf, blue_weight in blue_weights:
-            graph = build_graph(bf, gf)
-            weight_before = monomial_mul(blue_weight, green_weight)
-            trail = trail_at_terminal(graph, probe)
-            assert trail.start == probe
-            far = trail.end
-            if far == protected:
-                raise RuntimeError("trail from %r reached the protected point %r" % (probe, protected))
-            if far not in (keep_end, exchange_end):
-                raise RuntimeError("gap trail: far endpoint %r is not an exchange target" % (far,))
-            image = recolour(graph, [trail])
-            key = (image.colour_edges(BLUE), image.colour_edges(GREEN))
-            for kind, (green_index, blue_index, reached) in index.items():
-                green_hit = green_index.get(key[1])
-                blue_hit = blue_index.get(key[0])
-                if green_hit is not None and blue_hit is not None:
-                    break
-            else:
-                raise RuntimeError("image %r is not an object of either layout" % (_path_texts(key),))
-            slot = green_hit[0] * len(blue_index) + blue_hit[0]
-            if reached[slot]:
-                raise RuntimeError("two objects recoloured to the same image %r" % (_path_texts(key),))
-            reached[slot] = 1
-            # with N = 1 the two targets can be the same lattice point,
-            # and only the image itself tells the cases apart
-            if keep_end != exchange_end and kind != ("A" if far == keep_end else "B"):
-                raise RuntimeError("far endpoint %r disagrees with the image layout %s" % (far, kind))
-            weight_after = monomial_mul(blue_hit[1], green_hit[1])
-            if weight_before != weight_after:
-                raise RuntimeError(
-                    "recolouring changed the weight: %s -> %s"
-                    % (monomial_str(weight_before), monomial_str(weight_after))
-                )
-            tally[kind] += 1
+    left = (TerminalSpec.from_shape(parts[1:], N, -1), TerminalSpec.from_shape(parts[:r], N, 0))
+    for _, _, weight_before, (trail,), image_blue, image_green in _moved_objects(left, (probe,)):
+        assert trail.start == probe
+        far = trail.end
+        if far == protected:
+            raise RuntimeError("trail from %r reached the protected point %r" % (probe, protected))
+        if far not in (keep_end, exchange_end):
+            raise RuntimeError("gap trail: far endpoint %r is not an exchange target" % (far,))
+        for kind, (green_index, blue_index, reached) in index.items():
+            green_hit = green_index.get(image_green)
+            blue_hit = blue_index.get(image_blue)
+            if green_hit is not None and blue_hit is not None:
+                break
+        else:
+            raise RuntimeError(
+                "image %r is not an object of either layout" % (_path_texts((image_blue, image_green)),)
+            )
+        slot = green_hit[0] * len(blue_index) + blue_hit[0]
+        if reached[slot]:
+            raise RuntimeError(
+                "two objects recoloured to the same image %r" % (_path_texts((image_blue, image_green)),)
+            )
+        reached[slot] = 1
+        # with N = 1 the two targets can be the same lattice point,
+        # and only the image itself tells the cases apart
+        if keep_end != exchange_end and kind != ("A" if far == keep_end else "B"):
+            raise RuntimeError("far endpoint %r disagrees with the image layout %s" % (far, kind))
+        weight_after = monomial_mul(blue_hit[1], green_hit[1])
+        if weight_before != weight_after:
+            raise RuntimeError(
+                "recolouring changed the weight: %s -> %s"
+                % (monomial_str(weight_before), monomial_str(weight_after))
+            )
+        tally[kind] += 1
     unreached = sum(len(reached) for _, _, reached in index.values()) - sum(tally.values())
     if unreached:
         raise RuntimeError("%d layout objects were never reached" % (unreached,))
@@ -600,20 +597,6 @@ def _side_of(pattern, original_colours) -> int:
     if len(flips) == 2:
         raise RuntimeError("selected points flipped inconsistently in %r" % (pattern,))
     return 1 if flips.pop() else 0
-
-
-def _recoloured(graph, locations):
-    """Recolour the distinct trails with an endpoint at the selected points."""
-    trails = []
-    seen = set()
-    for location in locations:
-        trail = trail_at_terminal(graph, location)
-        instances = trail.edge_instances()
-        if instances in seen:
-            continue
-        seen.add(instances)
-        trails.append(trail)
-    return recolour(graph, trails)
 
 
 def _parity_uniform(points) -> bool:
@@ -689,9 +672,11 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     selected points the move is the identity and the result is flagged
     degenerate.
 
-    Objects compare as per-colour edge sets, each distinct set stored
-    once.  The reached pattern is read off the image's edges: a start
-    has an out-edge of its colour and no in-edge, an end the reverse.
+    Every pattern reached is moved by one shared step, the one
+    bijection_audit runs on its left side.  Objects compare as per-colour
+    edge sets, and equal image sets are stored once.  The reached pattern
+    is read off the image's edges: a start has an out-edge of its colour
+    and no in-edge, an end the reverse.
     """
     blue = blue if isinstance(blue, SkewShape) else SkewShape(blue)
     green = green if isinstance(green, SkewShape) else SkewShape(green)
@@ -716,39 +701,34 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     cap = 2 ** len(q_points) if q_points else 1
     pending = deque([initial])
     queued = {initial}
-    processed = set()
+    processed = 0
     counts = ({}, {})
     weights = (Counter(), Counter())
     image_of = {}
-    edge_sets = _EdgeSets()
+    stored = {}.setdefault  # one copy of each distinct image edge set
     spec_of = lru_cache(maxsize=None)(lambda edges: _edge_spec(edges, N))
 
     while pending:
         pattern = pending.popleft()
-        if len(processed) >= cap:
+        if processed >= cap:
             raise RuntimeError("closure exceeded %d terminal patterns without settling" % (cap,))
-        processed.add(pattern)
+        processed += 1
         side = _side_of(pattern, original_colours)
-        # each family's edge set and weight once, not once per object
-        blue_families, green_families = (
-            [(f, edge_sets.of_family(f), path_weight(f)) for f in enumerate_families(spec)]
-            for spec in pattern
-        )
-        if blue_families and green_families:
+        objects = 0
+        for blue_edges, green_edges, weight, _, image_blue, image_green in _moved_objects(pattern, sel_locations):
+            objects += 1
+            weights[side][weight] += 1
+            if degenerate:
+                continue
+            image_key = (stored(image_blue, image_blue), stored(image_green, image_green))
+            image_of[blue_edges, green_edges] = image_key
+            reached = tuple(map(spec_of, image_key))
+            if reached not in queued:
+                queued.add(reached)
+                pending.append(reached)
+        if objects:
             canon = _canonical_pattern(pattern)
-            counts[side][canon] = counts[side].get(canon, 0) + len(blue_families) * len(green_families)
-        for blue_family, blue_edges, blue_weight in blue_families:
-            for green_family, green_edges, green_weight in green_families:
-                weights[side][monomial_mul(blue_weight, green_weight)] += 1
-                if degenerate:
-                    continue
-                image = _recoloured(build_graph(blue_family, green_family), sel_locations)
-                image_key = tuple(edge_sets.store(image.colour_edges(c)) for c in (BLUE, GREEN))
-                image_of[blue_edges, green_edges] = image_key
-                reached = tuple(map(spec_of, image_key))
-                if reached not in queued:
-                    queued.add(reached)
-                    pending.append(reached)
+            counts[side][canon] = counts[side].get(canon, 0) + objects
 
     for key, image_key in image_of.items():
         if image_of.get(image_key) != key:

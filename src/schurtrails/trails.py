@@ -23,6 +23,7 @@ direction), ``backward`` means left-downwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .schur import EAST, NORTH, LatticePath, PathFamily
@@ -75,6 +76,11 @@ def _family_layer(family):
         marks = frozenset(path.start for path in family if not path.steps)
         object.__setattr__(family, "_layer", _Layer(edges, marks))
     return family._layer
+
+
+def family_edges(family) -> frozenset:
+    """The family's edge set, held by its layer; zero-length paths add no edge."""
+    return _family_layer(family).edges
 
 
 def _by_colour(blue, green):
@@ -523,41 +529,26 @@ def terminal_matching(graph: TwoColouredGraph) -> NoncrossingMatching:
     return NoncrossingMatching(frozenset(pairs))
 
 
-#: Most points count_noncrossing_matchings enumerates: Catalan(12) = 208012
-#: matchings, and every two more points cost about four times as much.
-MAX_MATCHING_POINTS = 24
+#: Most points count_noncrossing_matchings counts.  The count is a closed
+#: form, so the cap only refuses outputs too long to print: Catalan(5000) has
+#: about 3000 digits, under CPython's default limit of 4300 digits on
+#: int-to-text conversion, and prints in well under a second.
+MAX_MATCHING_POINTS = 10000
 
 
 def count_noncrossing_matchings(points: int) -> int:
     """Perfect noncrossing matchings on the given even number of points.
 
-    Generates only the noncrossing matchings: the first point pairs with
-    a partner an odd number of places on, and the chord between them
-    splits the remaining points into an inside arc and an outside arc
-    that are matched independently, so the count is Catalan(points / 2).
-    Every matching counted is checked to join odd to even indices, which
-    is forced for noncrossing chords.  More than MAX_MATCHING_POINTS
-    points are refused with ValueError.
+    The first point pairs with a partner an odd number of places on, and
+    the chord between them splits the remaining points into an inside
+    and an outside arc matched independently, so the count is the
+    Catalan number C(2k, k) / (k + 1) for k = points / 2.  More than
+    MAX_MATCHING_POINTS points are refused with ValueError.
     """
     points = int(points)
     if points < 0 or points % 2:
         raise ValueError("need an even, nonnegative number of points")
     if points > MAX_MATCHING_POINTS:
-        raise ValueError("at most %d points are enumerated, got %d" % (MAX_MATCHING_POINTS, points))
-
-    def matchings(avail):
-        if not avail:
-            yield ()
-            return
-        first = avail[0]
-        for i in range(1, len(avail), 2):
-            chord = ((first, avail[i]),)
-            for inside in matchings(avail[1:i]):
-                for outside in matchings(avail[i + 1 :]):
-                    yield chord + inside + outside
-
-    count = 0
-    for m in matchings(tuple(range(1, points + 1))):
-        assert all(a % 2 != b % 2 for a, b in m)
-        count += 1
-    return count
+        raise ValueError("at most %d points are counted, got %d" % (MAX_MATCHING_POINTS, points))
+    k = points // 2
+    return math.comb(2 * k, k) // (k + 1)

@@ -218,10 +218,11 @@ def test_criterion_08_square_expansion():
 
 @criterion(9, 1)
 def test_criterion_09_matching_counts():
-    # the counter asserts the odd-even pairing on every matching it enumerates
+    # the count is the Catalan closed form; tests/test_trails.py checks it against
+    # an enumeration whose every chord joins an odd to an even index
     got = [count_noncrossing_matchings(points) for points in (2, 4, 6, 8)]
     assert got == [1, 2, 5, 14]
-    return "noncrossing matchings count 1, 2, 5, 14 with odd-even pairs throughout"
+    return "noncrossing matchings count 1, 2, 5, 14, the Catalan numbers"
 
 
 def _trail_laws(graph):

@@ -290,9 +290,9 @@ def test_catalan_odd_input(runner):
 
 
 def test_catalan_refuses_too_many_points(runner):
-    result = runner.invoke(main, ["catalan", "--points", "26"])
+    result = runner.invoke(main, ["catalan", "--points", "10002"])
     assert result.exit_code == 2
-    assert "at most 24 points" in result.output
+    assert "at most 10000 points" in result.output
 
 
 def test_catalan_json(runner):

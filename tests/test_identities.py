@@ -465,6 +465,24 @@ def test_orbit_names_a_broken_involution_by_its_paths():
     assert str(caught.value).endswith("at (('(-1,1):E',), ('(2,1):EE', '(0,1):E'))")
 
 
+def test_orbit_flips_a_trail_joining_two_selected_points_once():
+    # in every object one trail runs from the selected end (-3, 3) to the
+    # selected start (-3, 1); flipping it twice would reuse its edges
+    res = explore_orbit(SkewShape((3,), (3,)), SkewShape((3, 0), (2, 0)), t=-1, selected=(3, 4), N=3)
+    assert res.selected == ((-3, 3), (-3, 1))
+    assert res.counts0 == {((0,), (0,), (3, 0), (2, 0)): 3}
+    assert res.counts1 == {((4, 0), (4, 0), (1,), (0,)): 3}
+    assert res.O0_size == res.O1_size == 3
+
+
+def test_orbit_traces_every_selected_point():
+    # on one line (-2, 1) is the far end of the trail from the first selected
+    # point and also starts a second trail, so tracing it must raise
+    with pytest.raises(ValueError) as caught:
+        explore_orbit(SkewShape((3, 0)), SkewShape((3, 3, 0), (3, 0, 0)), t=-1, selected=(1, 7, 8), N=1)
+    assert str(caught.value) == "2 changing trails start at (-2, 1)"
+
+
 @st.composite
 def skew_shapes(draw):
     outer = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)), reverse=True)

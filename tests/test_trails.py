@@ -447,6 +447,33 @@ def test_count_noncrossing_matchings():
         count_noncrossing_matchings(5)
     with pytest.raises(ValueError):
         count_noncrossing_matchings(MAX_MATCHING_POINTS + 2)
+    # the largest count still converts to text under CPython's 4300-digit limit
+    assert 2900 < len(str(count_noncrossing_matchings(MAX_MATCHING_POINTS))) < 4300
+
+
+def _noncrossing_matchings(avail):
+    """Every perfect noncrossing matching of the points, as tuples of chords.
+
+    The first point pairs with a partner an odd number of places on, and
+    the chord splits the rest into an inside and an outside arc.
+    """
+    if not avail:
+        yield ()
+        return
+    first = avail[0]
+    for i in range(1, len(avail), 2):
+        chord = ((first, avail[i]),)
+        for inside in _noncrossing_matchings(avail[1:i]):
+            for outside in _noncrossing_matchings(avail[i + 1 :]):
+                yield chord + inside + outside
+
+
+def test_catalan_count_matches_the_enumeration():
+    for points in range(0, 21, 2):
+        matchings = list(_noncrossing_matchings(tuple(range(1, points + 1))))
+        # noncrossing chords always join an odd to an even index
+        assert all(a % 2 != b % 2 for m in matchings for a, b in m)
+        assert len(set(matchings)) == len(matchings) == count_noncrossing_matchings(points)
 
 
 # ---------------------------------------------------------------- family-pair laws

@@ -15,10 +15,10 @@ the selected points and recolours them.  explore_orbit runs that step on
 every pattern it reaches and closes the move, tallying both sides of
 the resulting object bijection; bijection_audit runs it once, on the
 left side of the window exchange with one selected point, and checks
-injectivity, surjectivity and weight preservation object by object.
-Objects compare as per-colour edge sets, a (blue edges, green edges)
-pair read off the layers, so no family is reassembled.  Zero-length
-paths carry no edges, so they are not part of an object's identity.
+the images by counting them into the right-side layouts, which it never
+enumerates.  Objects compare as per-colour edge sets, and an image's
+pattern is read off its edges.  Zero-length paths carry no edges, so
+they are part of neither.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .partitions import (
     partition_from_corners,
     partition_from_set,
 )
-from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_mul, monomial_str
+from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_mul, monomial_str, x_monomial
 from .schur import TerminalSpec, enumerate_families, path_weight, schur_poly, ssyt_count
 from .trails import (
     BLACK,
@@ -395,14 +395,21 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
     return IdentityReport("kleber", params, lhs, rhs)
 
 
-def _edge_spec(edges, N) -> TerminalSpec:
-    """Terminals of the family with these edges.
+def _pattern_reader(N):
+    """A cached reader of one colour's edge set: (its TerminalSpec, its weight).
 
-    A start has an out-edge and no in-edge, an end the reverse.
+    A start has an out-edge and no in-edge, an end the reverse; a zero-length
+    path has no edge and is not read.  The weight is x_y per east edge at height y.
     """
-    tails = {tail for tail, _ in edges}
-    heads = {head for _, head in edges}
-    return TerminalSpec(sorted(tails - heads, reverse=True), sorted(heads - tails, reverse=True), N)
+
+    @lru_cache(maxsize=None)
+    def read(edges):
+        tails = {tail for tail, _ in edges}
+        heads = {head for _, head in edges}
+        spec = TerminalSpec(sorted(tails - heads, reverse=True), sorted(heads - tails, reverse=True), N)
+        return spec, x_monomial(tail[1] for tail, head in edges if tail[1] == head[1])
+
+    return read
 
 
 def _path_texts(key) -> tuple:
@@ -444,7 +451,8 @@ def _moved_objects(pattern, locations):
 
 #: Most objects bijection_audit replays: s_lead(1^N) * s_trail(1^N) above
 #: this is refused before any family is enumerated.  An audit takes about
-#: 75 us per object (2-vCPU VM, CPython 3.11), so the limit is about 8 s.
+#: 77 us per object ((7,4,1) at N = 4, 75600 objects in 5.8 s, best of
+#: three; 2-vCPU VM, CPython 3.11.7), so the limit is about 8 s.
 MAX_AUDIT_OBJECTS = 100_000
 
 
@@ -490,9 +498,10 @@ def bijection_audit(lam, N=None) -> AuditReport:
 
     The left side is one terminal pattern, moved by the step explore_orbit
     runs on every pattern, with the rightmost endpoint as the only
-    selected point.  Each layout family is keyed by its edge set and
-    weighed once; every image is looked up by its two edge sets and
-    marked reached by its index pair.
+    selected point.  The right side is counted, not enumerated: an image's
+    pattern and weight are read off its edges, and the distinct images in
+    a layout must number its hook-content count.  Zero-length paths have
+    no edges, so a layout's pattern is compared without them.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     parts = lam.parts
@@ -513,64 +522,54 @@ def bijection_audit(lam, N=None) -> AuditReport:
     exchange_end = (parts[-1] - r - 1, N)
     protected = (-r - 1, 1)
 
-    def layout(window, offset):
-        """The window's families at the offset by edge set, as (index, weight); none if a part is < 0."""
-        if min(window, default=0) < 0:
-            return {}
-        families = list(enumerate_families(TerminalSpec.from_shape(window, N, offset)))
-        found = {family_edges(f): (i, path_weight(f)) for i, f in enumerate(families)}
-        assert len(found) == len(families), "a layout repeats an object"
-        return found
+    read = _pattern_reader(N)
+    kind_of, size = {}, {}
+    for kind, blue, blue_offset, green, green_offset in (
+        ("A", parts, 0, parts[1:r], -1),
+        ("B", tuple(p + 1 for p in parts[:r]), -1, tuple(p - 1 for p in parts[1:]), 0),
+    ):
+        # an empty layout matches no image: at N = 1, less its zero-length paths, it can look like the other
+        size[kind] = 0 if min(green, default=0) < 0 else ssyt_count(blue, N) * ssyt_count(green, N)
+        if size[kind]:
+            # read like an image, each path as a chord from start to end: a zero-length path is a loop, not read
+            specs = TerminalSpec.from_shape(blue, N, blue_offset), TerminalSpec.from_shape(green, N, green_offset)
+            kind_of[tuple(read(frozenset(zip(spec.starts, spec.ends)))[0] for spec in specs)] = kind
 
-    index = {
-        kind: (green_index, blue_index, bytearray(len(green_index) * len(blue_index)))
-        for kind, green_index, blue_index in (
-            ("A", layout(parts[1:r], -1), layout(parts, 0)),
-            ("B", layout(tuple(p - 1 for p in parts[1:]), 0), layout(tuple(p + 1 for p in parts[:r]), -1)),
-        )
-    }
-    (greens_a, blues_a, _), (greens_b, blues_b, _) = index.values()
-    shared = greens_a.keys() & greens_b.keys() and blues_a.keys() & blues_b.keys()
-    assert not shared, "the two layouts share an object"
-
-    tally = {"A": 0, "B": 0}
+    images = {}  # each image to its layout
+    stored = {}.setdefault  # one copy of each distinct image edge set
     left = (TerminalSpec.from_shape(parts[1:], N, -1), TerminalSpec.from_shape(parts[:r], N, 0))
-    for _, _, weight_before, (trail,), image_blue, image_green in _moved_objects(left, (probe,)):
-        assert trail.start == probe
-        far = trail.end
+    # with N = 1 and every part 0 the probe's path has no edge: the object is its own image
+    selected = (probe,) if probe != keep_end else ()
+    for _, _, weight_before, taken, image_blue, image_green in _moved_objects(left, selected):
+        far = taken[0].end if taken else probe
         if far == protected:
             raise RuntimeError("trail from %r reached the protected point %r" % (probe, protected))
         if far not in (keep_end, exchange_end):
             raise RuntimeError("gap trail: far endpoint %r is not an exchange target" % (far,))
-        for kind, (green_index, blue_index, reached) in index.items():
-            green_hit = green_index.get(image_green)
-            blue_hit = blue_index.get(image_blue)
-            if green_hit is not None and blue_hit is not None:
-                break
-        else:
-            raise RuntimeError(
-                "image %r is not an object of either layout" % (_path_texts((image_blue, image_green)),)
-            )
-        slot = green_hit[0] * len(blue_index) + blue_hit[0]
-        if reached[slot]:
-            raise RuntimeError(
-                "two objects recoloured to the same image %r" % (_path_texts((image_blue, image_green)),)
-            )
-        reached[slot] = 1
+        image = (stored(image_blue, image_blue), stored(image_green, image_green))
+        (blue_spec, blue_weight), (green_spec, green_weight) = map(read, image)
+        kind = kind_of.get((blue_spec, green_spec))
+        if kind is None:
+            raise RuntimeError("image %r is not an object of either layout" % (_path_texts(image),))
+        if image in images:
+            raise RuntimeError("two objects recoloured to the same image %r" % (_path_texts(image),))
+        images[image] = kind
         # with N = 1 the two targets can be the same lattice point,
         # and only the image itself tells the cases apart
         if keep_end != exchange_end and kind != ("A" if far == keep_end else "B"):
             raise RuntimeError("far endpoint %r disagrees with the image layout %s" % (far, kind))
-        weight_after = monomial_mul(blue_hit[1], green_hit[1])
+        weight_after = monomial_mul(blue_weight, green_weight)
         if weight_before != weight_after:
             raise RuntimeError(
                 "recolouring changed the weight: %s -> %s"
                 % (monomial_str(weight_before), monomial_str(weight_after))
             )
-        tally[kind] += 1
-    unreached = sum(len(reached) for _, _, reached in index.values()) - sum(tally.values())
-    if unreached:
-        raise RuntimeError("%d layout objects were never reached" % (unreached,))
+    tally = Counter(images.values())
+    for kind, count in size.items():
+        if tally[kind] < count:
+            raise RuntimeError("%d layout objects were never reached" % (count - tally[kind],))
+        if tally[kind] > count:
+            raise RuntimeError("%d images land in layout %s, more than the %d it has" % (tally[kind], kind, count))
     return AuditReport(lam=parts, N=N, case_a=tally["A"], case_b=tally["B"])
 
 
@@ -673,10 +672,9 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     degenerate.
 
     Every pattern reached is moved by one shared step, the one
-    bijection_audit runs on its left side.  Objects compare as per-colour
-    edge sets, and equal image sets are stored once.  The reached pattern
-    is read off the image's edges: a start has an out-edge of its colour
-    and no in-edge, an end the reverse.
+    bijection_audit runs on its left side, and the reached pattern is read
+    off the image's edges as the audit reads it.  Objects compare as
+    per-colour edge sets, and equal image sets are stored once.
     """
     blue = blue if isinstance(blue, SkewShape) else SkewShape(blue)
     green = green if isinstance(green, SkewShape) else SkewShape(green)
@@ -706,7 +704,7 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     weights = (Counter(), Counter())
     image_of = {}
     stored = {}.setdefault  # one copy of each distinct image edge set
-    spec_of = lru_cache(maxsize=None)(lambda edges: _edge_spec(edges, N))
+    read = _pattern_reader(N)
 
     while pending:
         pattern = pending.popleft()
@@ -722,7 +720,7 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
                 continue
             image_key = (stored(image_blue, image_blue), stored(image_green, image_green))
             image_of[blue_edges, green_edges] = image_key
-            reached = tuple(map(spec_of, image_key))
+            reached = (read(image_key[0])[0], read(image_key[1])[0])
             if reached not in queued:
                 queued.add(reached)
                 pending.append(reached)

@@ -169,6 +169,15 @@ def test_audit_json(runner):
     }
 
 
+@pytest.mark.parametrize("parts", ["0,0", "0,0,0", "0,0,0,0"])
+def test_audit_all_zero_window_at_one_variable(runner, parts):
+    # the probe sits on a zero-length path: the object is its own image, 1 = 1 + 0
+    result = runner.invoke(main, ["audit", "--lambda", parts, "--vars", "1", "--format", "json"])
+    assert result.exit_code == 0
+    zeros = [0] * len(parts.split(","))
+    assert json.loads(result.output) == {"lambda": zeros, "N": 1, "objects": 1, "case_a": 1, "case_b": 0}
+
+
 def test_audit_refuses_an_oversized_window_at_once(runner):
     start = time.perf_counter()
     result = runner.invoke(main, ["audit", "--lambda", "9,8,7,6,5", "--vars", "6"])

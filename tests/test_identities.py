@@ -12,7 +12,7 @@ from schurtrails.identities import (
     AuditReport,
     IdentityReport,
     OrbitResult,
-    _edge_spec,
+    _pattern_reader,
     _witness,
     bijection_audit,
     explore_orbit,
@@ -36,7 +36,7 @@ from schurtrails.polyring import (
     monomial,
     x_var,
 )
-from schurtrails.schur import TerminalSpec, enumerate_families, jacobi_trudi_matrix
+from schurtrails.schur import TerminalSpec, enumerate_families, jacobi_trudi_matrix, path_weight
 from schurtrails.trails import BLUE, GREEN, build_graph, recolour, terminal_points, trail_at_terminal
 
 
@@ -515,9 +515,10 @@ def test_orbit_reads_the_reached_pattern_off_the_edges(data):
         image = recolour(graph, [trail_at_terminal(graph, data.draw(st.sampled_from(locations)))])
     except ValueError:
         assume(False)  # on one line two trails can start at a point, or none
+    read = _pattern_reader(N)
     for colour, family in ((BLUE, image.blue), (GREEN, image.green)):
-        edge_read = _outcome(_edge_spec, image.colour_edges(colour), N)
-        assert edge_read == _outcome(TerminalSpec.from_family, family, N)
+        edge_read = _outcome(read, image.colour_edges(colour))
+        assert edge_read == _outcome(lambda f: (TerminalSpec.from_family(f, N), path_weight(f)), family)
 
 
 # ---------------------------------------------------------------- audit
@@ -565,6 +566,29 @@ def test_audit_refuses_a_repeated_image(monkeypatch):
         bijection_audit((2, 1), N=2)
 
 
+def test_audit_refuses_a_layout_never_reached(monkeypatch):
+    # one more tableau per factor: layout A of (2,1) at N = 2 counts 2 * 3 objects, and 2 images land in it
+    count = identities.ssyt_count
+    monkeypatch.setattr(identities, "ssyt_count", lambda parts, N: count(parts, N) + 1)
+    with pytest.raises(RuntimeError, match="^4 layout objects were never reached$"):
+        bijection_audit((2, 1), N=2)
+
+
+def test_audit_refuses_more_images_than_a_layout_has(monkeypatch):
+    # one tableau fewer for each factor with more than one: layout A counts 1 * 1 objects
+    count = identities.ssyt_count
+    monkeypatch.setattr(identities, "ssyt_count", lambda parts, N: count(parts, N) - (count(parts, N) > 1))
+    with pytest.raises(RuntimeError, match="^2 images land in layout A, more than the 1 it has$"):
+        bijection_audit((2, 1), N=2)
+
+
+def test_audit_refuses_a_changed_weight(monkeypatch):
+    # the left weight comes from path_weight, the image's from its east edges
+    monkeypatch.setattr(identities, "path_weight", lambda family: ())
+    with pytest.raises(RuntimeError, match=r"^recolouring changed the weight: 1 -> x"):
+        bijection_audit((2, 1), N=2)
+
+
 def test_audit_refuses_more_objects_than_the_limit():
     # s_(7,4)(1^4) * s_(4,2)(1^4) = 113400 objects, just over the limit
     objects = count_of((7, 4), 4) * count_of((4, 2), 4)
@@ -584,7 +608,7 @@ audit_partitions_st = st.lists(
 
 
 @settings(max_examples=25, deadline=None)
-@given(parts=audit_partitions_st, N=st.sampled_from([2, 3]))
+@given(parts=audit_partitions_st, N=st.sampled_from([1, 2, 3]))
 def test_audit_counts_match_products(parts, N):
     rep = bijection_audit(parts, N)
     r = len(parts) - 1

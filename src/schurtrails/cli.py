@@ -139,6 +139,8 @@ def verify():
 def general(lam, n_vars, sweep, fmt, out):
     """Exchange the first and last parts between consecutive windows."""
     if sweep is not None:
+        if lam is not None:
+            raise click.UsageError("--lambda and --sweep cannot be combined")
         shapes = [_ints(bit) for bit in sweep.split(";") if bit.strip()]
         if not shapes:
             raise click.UsageError("--sweep names no part lists")

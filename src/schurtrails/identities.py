@@ -221,7 +221,8 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
     top-block and bottom-block maximal minors equals the sum, over all
     ways to exchange the listed top rows against equally many bottom
     rows (each replacement made in place, order kept), of the two
-    resulting bracket products.
+    resulting bracket products.  lam, sigma and N are Schur-mode inputs,
+    and formal mode refuses them.
 
     Schur mode replays the same exchange on endpoint coordinates: top
     row p carries lam_p - p, bottom row q carries sigma_q - q, and an
@@ -246,6 +247,8 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
             n = max(len(lam.parts), len(sigma.parts), max(r_list, default=1))
     elif n is None:
         raise ValueError("formal mode needs n")
+    elif lam is not None or sigma is not None or N is not None:
+        raise ValueError("formal mode takes no lam, sigma or N")
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive, got %d" % n)
@@ -529,7 +532,7 @@ def bijection_audit(lam, N=None) -> AuditReport:
         ("B", tuple(p + 1 for p in parts[:r]), -1, tuple(p - 1 for p in parts[1:]), 0),
     ):
         # an empty layout matches no image: at N = 1, less its zero-length paths, it can look like the other
-        size[kind] = 0 if min(green, default=0) < 0 else ssyt_count(blue, N) * ssyt_count(green, N)
+        size[kind] = ssyt_count(blue, N) * ssyt_count(green, N)
         if size[kind]:
             # read like an image, each path as a chord from start to end: a zero-length path is a loop, not read
             specs = TerminalSpec.from_shape(blue, N, blue_offset), TerminalSpec.from_shape(green, N, green_offset)

@@ -1,4 +1,4 @@
-"""Integer partitions, skew shapes, and corner-coordinate surgery.
+"""Integer partitions, skew shapes, corner-coordinate surgery, and the Value base.
 
 A partition is stored as a weakly decreasing tuple of nonnegative parts.
 Trailing zero parts are significant: (3, 1, 0) and (3, 1) are different
@@ -16,7 +16,28 @@ BORDER_ADD = "add"
 BORDER_REMOVE = "remove"
 
 
-class Partition:
+class Value:
+    """Immutable value, equal to another of its own type with an equal _key() and hashed by it.
+
+    A subclass declares its __slots__, sets them in __init__ through
+    object.__setattr__, and returns the fields it compares from _key().
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Partition(Value):
     """Weakly decreasing tuple of nonnegative integers."""
 
     __slots__ = ("parts",)
@@ -31,8 +52,8 @@ class Partition:
                 raise ValueError("parts must be weakly decreasing, got %r" % (parts,))
         object.__setattr__(self, "parts", parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    def _key(self):
+        return self.parts
 
     def __iter__(self):
         return iter(self.parts)
@@ -42,14 +63,6 @@ class Partition:
 
     def __getitem__(self, i):
         return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("Partition", self.parts))
 
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)
@@ -63,7 +76,7 @@ class Partition:
         return Partition(p for p in self.parts if p > 0)
 
 
-class SkewShape:
+class SkewShape(Value):
     """Pair of partitions outer/inner with inner[i] <= outer[i]."""
 
     __slots__ = ("outer", "inner")
@@ -85,16 +98,8 @@ class SkewShape:
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewShape is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, SkewShape):
-            return self.outer == other.outer and self.inner == other.inner
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("SkewShape", self.outer.parts, self.inner.parts))
+    def _key(self):
+        return self.outer, self.inner
 
     def __repr__(self):
         return "SkewShape(%r, %r)" % (self.outer.parts, self.inner.parts)
@@ -111,7 +116,7 @@ class SkewShape:
         return tuple((self.inner.parts[i], self.outer.parts[i]) for i in range(len(self.outer)))
 
 
-class CornerEncoding:
+class CornerEncoding(Value):
     """Corner coordinates (x_i, y_i) of a partition.
 
     For genuine partitions x is strictly decreasing and y strictly
@@ -129,26 +134,18 @@ class CornerEncoding:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CornerEncoding is immutable")
+    def _key(self):
+        return self.x, self.y
 
     @property
     def n(self):
         return len(self.x)
 
-    def __eq__(self, other):
-        if isinstance(other, CornerEncoding):
-            return self.x == other.x and self.y == other.y
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("CornerEncoding", self.x, self.y))
-
     def __repr__(self):
         return "CornerEncoding(x=%r, y=%r)" % (self.x, self.y)
 
 
-class BorderStripSpec:
+class BorderStripSpec(Value):
     """Nested families ((i_1,j_1),...,(i_m,j_m)) of strip operations.
 
     Validates i_1 < i_2 < ... < i_m <= j_m <= ... <= j_1 (the j's may
@@ -176,8 +173,8 @@ class BorderStripSpec:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "direction", direction)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BorderStripSpec is immutable")
+    def _key(self):
+        return self.pairs, self.direction
 
     def __repr__(self):
         return "BorderStripSpec(%r, %r)" % (self.pairs, self.direction)

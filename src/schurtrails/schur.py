@@ -20,7 +20,7 @@ still lists single tableaux, for the path families and for tests.
 import itertools
 from collections import Counter
 
-from .partitions import Partition, SkewShape
+from .partitions import Partition, SkewShape, Value
 from .polyring import (
     ONE,
     FormalMatrix,
@@ -36,7 +36,7 @@ EAST = "E"
 NORTH = "N"
 
 
-class Tableau:
+class Tableau(Value):
     """Filling of a skew board, weakly increasing in rows, strictly in columns."""
 
     __slots__ = ("shape", "rows", "N")
@@ -70,16 +70,8 @@ class Tableau:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "N", int(N))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tableau is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, Tableau):
-            return self.shape == other.shape and self.rows == other.rows and self.N == other.N
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("Tableau", self.shape, self.rows, self.N))
+    def _key(self):
+        return self.shape, self.rows, self.N
 
     def __repr__(self):
         return "Tableau(%r, %r, N=%d)" % (self.shape, self.rows, self.N)
@@ -240,11 +232,12 @@ def ssyt_count(parts, N) -> int:
     """s_parts(1^N), the number of tableaux of the straight shape in 1..N.
 
     By the hook-content formula, the product over the cells (i, j) of
-    (N + j - i) / hook(i, j).  Zero parts are ignored, and a shape with
-    more nonzero parts than N has no tableau.
+    (N + j - i) / hook(i, j).  Zero parts are ignored.  A negative part
+    gives 0, as in identities.schur_of (a window lowered to -1 vanishes),
+    and so does a shape with more nonzero parts than N.
     """
-    parts = [int(p) for p in parts if p > 0]
-    if len(parts) > N:
+    parts = [int(p) for p in parts if p]
+    if len(parts) > N or min(parts, default=0) < 0:
         return 0
     num = den = 1
     for i, p in enumerate(parts):
@@ -276,7 +269,7 @@ def schur_poly(shape, N, method="tableaux"):
     raise ValueError("unknown method %r" % (method,))
 
 
-class LatticePath:
+class LatticePath(Value):
     """Monotone path: integer start plus a string of E (east) and N (north) steps."""
 
     __slots__ = ("start", "steps")
@@ -290,8 +283,8 @@ class LatticePath:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticePath is immutable")
+    def _key(self):
+        return self.start, self.steps
 
     @property
     def end(self):
@@ -325,14 +318,6 @@ class LatticePath:
                 y += 1
         return tuple(out)
 
-    def __eq__(self, other):
-        if isinstance(other, LatticePath):
-            return self.start == other.start and self.steps == other.steps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("LatticePath", self.start, self.steps))
-
     def __repr__(self):
         return "LatticePath(%r, %r)" % (self.start, self.steps)
 
@@ -354,7 +339,7 @@ class LatticePath:
         return cls((int(xy[0]), int(xy[1])), steps.strip())
 
 
-class PathFamily:
+class PathFamily(Value):
     """Ordered tuple of pairwise vertex-disjoint paths.
 
     _layer keeps the family's colour layer once a two-coloured graph has
@@ -379,22 +364,14 @@ class PathFamily:
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "_layer", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PathFamily is immutable")
+    def _key(self):
+        return self.paths
 
     def __iter__(self):
         return iter(self.paths)
 
     def __len__(self):
         return len(self.paths)
-
-    def __eq__(self, other):
-        if isinstance(other, PathFamily):
-            return self.paths == other.paths
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("PathFamily", self.paths))
 
     def __repr__(self):
         return "PathFamily(%r)" % (self.paths,)
@@ -407,7 +384,7 @@ class PathFamily:
         return cls(LatticePath.from_text(t) for t in texts)
 
 
-class TerminalSpec:
+class TerminalSpec(Value):
     """Terminal data of one path family: where its paths start and end.
 
     Path i runs from starts[i] on y=1 to ends[i] on y=N, and x strictly
@@ -440,16 +417,8 @@ class TerminalSpec:
         object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "N", N)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TerminalSpec is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, TerminalSpec):
-            return self.starts == other.starts and self.ends == other.ends and self.N == other.N
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.starts, self.ends, self.N))
+    def _key(self):
+        return self.starts, self.ends, self.N
 
     @classmethod
     def from_shape(cls, shape, N, offset=0):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .partitions import Value
 from .schur import EAST, NORTH, LatticePath, PathFamily
 
 BLUE = "blue"
@@ -91,14 +92,14 @@ def _by_colour(blue, green):
     return out
 
 
-class TwoColouredGraph:
+class TwoColouredGraph(Value):
     """Superposition of a blue and a green path family, held as one layer per colour.
 
     blue and green are the families the graph was built from, or, after a
     recolour, read off the edges on first use.  Equality and hashing use
     the two edge sets only.  edge_colours (each unit edge to its colours)
     and vertices (each point to the colours at it) are derived views.
-    Graphs are not changed after construction: recolour returns a new one.
+    Graphs are immutable: recolour returns a new one.
     """
 
     __slots__ = ("layers", "_families")
@@ -108,8 +109,8 @@ class TwoColouredGraph:
             blue = PathFamily(blue)
         if not isinstance(green, PathFamily):
             green = PathFamily(green)
-        self._families = {BLUE: blue, GREEN: green}
-        self.layers = {BLUE: _family_layer(blue), GREEN: _family_layer(green)}
+        object.__setattr__(self, "_families", {BLUE: blue, GREEN: green})
+        object.__setattr__(self, "layers", {BLUE: _family_layer(blue), GREEN: _family_layer(green)})
 
     def family(self, colour: str) -> PathFamily:
         """The colour's path family: as built, or read off the edges once."""
@@ -120,13 +121,8 @@ class TwoColouredGraph:
     blue = property(lambda self: self.family(BLUE))
     green = property(lambda self: self.family(GREEN))
 
-    def __eq__(self, other):
-        if isinstance(other, TwoColouredGraph):
-            return all(self.colour_edges(c) == other.colour_edges(c) for c in (BLUE, GREEN))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.colour_edges(BLUE), self.colour_edges(GREEN)))
+    def _key(self):
+        return self.layers[BLUE].edges, self.layers[GREEN].edges
 
     def __repr__(self):
         return "TwoColouredGraph(%r, %r)" % (self.blue, self.green)
@@ -476,12 +472,13 @@ def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
                 raise ValueError("vertex %r has in-degree 2 within one colour" % (head,))
     # a marked point that a flipped edge reaches is held by its edges alone
     touched = {v for edge in to_blue | to_green for v in edge} if blue.marks or green.marks else ()
-    image = object.__new__(TwoColouredGraph)
-    image._families = {}
-    image.layers = {
+    layers = {
         BLUE: _Layer(blue_edges, blue.marks.difference(touched)),
         GREEN: _Layer(green_edges, green.marks.difference(touched)),
     }
+    image = object.__new__(TwoColouredGraph)
+    object.__setattr__(image, "_families", {})
+    object.__setattr__(image, "layers", layers)
     return image
 
 

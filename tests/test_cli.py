@@ -88,6 +88,14 @@ def test_verify_text_verdict(runner):
     assert "VERIFIED" in result.output
 
 
+def test_formal_pluecker_refuses_schur_options(runner):
+    argv = ["verify", "pluecker", "--k", "2", "--rlist", "1", "--lambda", "3,1", "--sigma", "9", "--vars", "7"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert "formal mode takes no lam, sigma or N" in result.output
+    assert "VERIFIED" not in result.output
+
+
 def test_kirillov_window_must_be_constant(runner):
     result = runner.invoke(main, ["verify", "kirillov", "--lambda", "2,1", "--vars", "2"])
     assert result.exit_code == 2
@@ -147,6 +155,13 @@ def test_sweep_streams_reports_in_input_order(runner):
 def test_sweep_needs_entries(runner):
     result = runner.invoke(main, ["verify", "general", "--sweep", " ; "])
     assert result.exit_code == 2
+
+
+def test_sweep_refuses_lambda(runner):
+    result = runner.invoke(main, ["verify", "general", "--lambda", "9,9", "--sweep", "2,1"])
+    assert result.exit_code == 2
+    assert "--lambda and --sweep cannot be combined" in result.output
+    assert '"params"' not in result.output
 
 
 # ---------------------------------------------------------------- audit / orbit

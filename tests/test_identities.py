@@ -207,6 +207,12 @@ def test_pluecker_formal_needs_n():
         verify_pluecker(2, (1,), mode="sideways")
 
 
+@pytest.mark.parametrize("schur_input", [{"lam": (3, 1)}, {"sigma": (9,)}, {"N": 7}])
+def test_pluecker_formal_refuses_schur_inputs(schur_input):
+    with pytest.raises(ValueError, match="formal mode takes no lam, sigma or N"):
+        verify_pluecker(2, (1,), **schur_input)
+
+
 def test_pluecker_schur_exchange():
     rep = verify_pluecker(2, (1,), mode="schur", lam=(4, 2), sigma=(3, 1), N=3)
     assert rep.equal

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schurtrails.partitions import (
+    BORDER_ADD,
+    BORDER_REMOVE,
     BorderStripSpec,
     CornerEncoding,
     Partition,
@@ -14,6 +16,8 @@ from schurtrails.partitions import (
     partition_from_corners,
     partition_from_set,
 )
+from schurtrails.schur import LatticePath, PathFamily, Tableau, TerminalSpec
+from schurtrails.trails import TwoColouredGraph, family_edges
 
 
 def cells(p):
@@ -212,3 +216,81 @@ def test_partition_from_set_examples():
 def test_partition_from_set_always_partition(t):
     p = partition_from_set(t)
     assert len(p) == len(t)  # weak decrease is checked by the constructor
+
+
+# ---------------------------------------------------------------- values
+
+def _family(*paths):
+    return PathFamily(LatticePath(start, steps) for start, steps in paths)
+
+
+# each value type: a construction of one value, and that value with one field changed at a time
+VALUES = {
+    Partition: (lambda: Partition((3, 1)), [Partition((3, 2))]),
+    SkewShape: (lambda: SkewShape((3, 1), (1,)), [SkewShape((3, 2), (1,)), SkewShape((3, 1), (2,))]),
+    CornerEncoding: (
+        lambda: CornerEncoding((3, 1), (1, 2)),
+        [CornerEncoding((3, 2), (1, 2)), CornerEncoding((3, 1), (1, 3))],
+    ),
+    BorderStripSpec: (
+        lambda: BorderStripSpec([(1, 2)], BORDER_ADD),
+        [BorderStripSpec([(1, 3)], BORDER_ADD), BorderStripSpec([(1, 2)], BORDER_REMOVE)],
+    ),
+    Tableau: (
+        lambda: Tableau(SkewShape((2, 1)), [(1, 1), (2,)], 2),
+        [
+            Tableau(SkewShape((3, 1), (1,)), [(1, 1), (2,)], 2),
+            Tableau(SkewShape((2, 1)), [(1, 2), (2,)], 2),
+            Tableau(SkewShape((2, 1)), [(1, 1), (2,)], 3),
+        ],
+    ),
+    LatticePath: (lambda: LatticePath((0, 1), "EN"), [LatticePath((1, 1), "EN"), LatticePath((0, 1), "NE")]),
+    PathFamily: (
+        lambda: _family(((1, 1), "EN"), ((-1, 1), "NE")),
+        [_family(((1, 1), "EN"), ((-1, 1), "EN")), _family(((1, 1), "EN"))],
+    ),
+    TerminalSpec: (
+        lambda: TerminalSpec.from_shape((2, 1), 2),
+        [
+            TerminalSpec.from_shape(SkewShape((2, 1), (1,)), 2),
+            TerminalSpec.from_shape((3, 1), 2),
+            TerminalSpec.from_shape((2, 1), 3),
+        ],
+    ),
+    TwoColouredGraph: (
+        lambda: TwoColouredGraph(_family(((1, 1), "EN")), _family(((0, 1), "NE"))),
+        [
+            TwoColouredGraph(_family(((1, 1), "NE")), _family(((0, 1), "NE"))),
+            TwoColouredGraph(_family(((1, 1), "EN")), _family(((0, 1), "EN"))),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(VALUES), ids=lambda kind: kind.__name__)
+def test_value_types_compare_by_value_and_are_immutable(kind):
+    make, changed = VALUES[kind]
+    value, copy = make(), make()
+    assert value is not copy
+    assert value == copy and hash(value) == hash(copy) and not value != copy
+    assert len({value, copy}) == 1
+    for other in changed:
+        assert value != other and not value == other
+    assert value != value._key()
+    for other_kind, (other_make, _) in VALUES.items():
+        if other_kind is not kind:
+            assert value != other_make()
+    for name in kind.__slots__ + ("colour",):
+        with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
+            setattr(value, name, None)
+    assert value == copy
+    if kind is PathFamily:
+        family_edges(value)  # builds the layer and keeps it on the family
+        assert value._layer is not None
+        fresh = make()
+        assert value == fresh and hash(value) == hash(fresh)
+
+
+def test_values_of_two_types_with_one_key_differ():
+    assert Partition()._key() == PathFamily()._key()
+    assert Partition() != PathFamily()

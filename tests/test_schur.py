@@ -57,7 +57,7 @@ def test_ssyt_counts_known():
     assert len(list(enumerate_ssyt(Partition(()), 3))) == 1
 
 
-@pytest.mark.parametrize("parts", [(3, 2, 1), (2, 2), (4, 1, 0), (5, 4, 3, 2), (2, 1, 1, 1, 1)])
+@pytest.mark.parametrize("parts", [(3, 2, 1), (2, 2), (4, 1, 0), (5, 4, 3, 2), (2, 1, 1, 1, 1), (2, -1), (1, 0, -1)])
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_ssyt_count_is_the_coefficient_sum(parts, N):
     from schurtrails.identities import schur_of

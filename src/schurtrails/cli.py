@@ -202,6 +202,10 @@ def dodgson(k, fmt, out):
 @_usage_guard
 def pluecker(k, rlist, mode, lam, sigma, n_vars, fmt, out):
     """Minor exchange on a generic tall matrix, formal or through Schur factors."""
+    if mode == "schur" and (lam is None or sigma is None):
+        raise click.UsageError("--mode schur needs --lambda and --sigma")
+    if mode == "formal" and (lam is not None or sigma is not None or n_vars is not None):
+        raise click.UsageError("formal mode takes no --lambda, --sigma or --vars")
     rep = verify_pluecker(
         k, _ints(rlist) or (), mode=mode, lam=_ints(lam), sigma=_ints(sigma), N=n_vars
     )

@@ -25,8 +25,10 @@ class Value:
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if type(other) is type(self):

@@ -5,15 +5,16 @@ formal symbol h_2, ('a', 1, 2) is the generic matrix entry a_{1,2}.
 A monomial is a canonical tuple key ((var, exp), ...): variables strictly
 increasing, exponents positive, ONE = ().  Plain tuples give immutability,
 equality and hashing; monomial() is the one constructor that canonicalises
-and monomial_mul() keeps keys canonical; a dense product over few variables
-adds packed integer exponents instead and decodes each result back to its
-canonical key.  A polynomial maps canonical keys to (arbitrary precision)
-integer coefficients and never stores zeros.
+and monomial_mul() keeps keys canonical.  Dense products over few variables
+and determinants pack each key into one integer: one digit per variable, of
+base 1 + the sum of the factors' top exponents, so no digit carries and a
+product of keys is one addition.  A determinant sums its products in place
+and decodes only its full minor.  A polynomial maps canonical keys to
+(arbitrary precision) integer coefficients and never stores zeros.
 Term order everywhere is graded lexicographic, largest first, so text
 output and term listings are canonical.
 """
 
-import itertools
 from collections import Counter
 from math import comb
 
@@ -126,44 +127,40 @@ class _PackedDigits(dict):
         return key
 
 
-def _packed_product(a, b):
-    """Coefficient dict of a * b via packed exponents, or None if too many variables.
+def _places(groups):
+    """(base, variable -> place value) for products of one term from each group of dicts.
 
-    Each variable gets one digit of base maxexp(a) + maxexp(b) + 1, where
-    maxexp is the largest exponent in an operand, so a key packs into
-    one integer and a product of keys is an exact integer addition: no
-    digit can carry.  Each distinct result is decoded once, back to a
-    canonical tuple key.  The digits are assigned in variable order, so
-    the low half of the digits decodes to the first half of the key; each
+    The base is 1 + the sum of the groups' top exponents, so no digit of
+    such a product carries; the digits go in variable order.
+    """
+    variables = set()
+    base = 1
+    for group in groups:
+        top = 0
+        for coeffs in group:
+            for m in coeffs:
+                for v, e in m:
+                    variables.add(v)
+                    if e > top:
+                        top = e
+        base += top
+    return base, {v: base**i for i, v in enumerate(sorted(variables))}
+
+
+def _pack(coeffs, place):
+    """(packed key, coefficient) pairs of a coefficient dict."""
+    return [(sum(place[v] * e for v, e in m), c) for m, c in coeffs.items()]
+
+
+def _unpack(acc, base, place):
+    """Canonical coefficient dict of a packed one, zero coefficients dropped.
+
+    The low half of the digits decodes to the first half of the key; each
     half is decoded once per distinct value and the halves are joined.
     On the window_sweep benchmark this was 6% faster end to end than
     decoding every result digit by digit (CPython 3.11, 2-vCPU VM).
     """
-    variables = set()
-    tops = []
-    for coeffs in (a, b):
-        top = 0
-        for m in coeffs:
-            for v, e in m:
-                variables.add(v)
-                if e > top:
-                    top = e
-        if len(variables) > PACKED_MAX_VARS:
-            return None
-        tops.append(top)
-    order = sorted(variables)
-    base = tops[0] + tops[1] + 1
-    place = {v: base**i for i, v in enumerate(order)}
-    if len(a) > len(b):
-        a, b = b, a
-    packed_a = [(sum(place[v] * e for v, e in m), c) for m, c in a.items()]
-    packed_b = [(sum(place[v] * e for v, e in m), c) for m, c in b.items()]
-    acc = {}
-    get = acc.get
-    for p1, c1 in packed_a:
-        for p2, c2 in packed_b:
-            p = p1 + p2
-            acc[p] = get(p, 0) + c1 * c2
+    order = list(place)
     split = (len(order) + 1) // 2
     low = _PackedDigits(order[:split], base)
     high = _PackedDigits(order[split:], base)
@@ -174,6 +171,26 @@ def _packed_product(a, b):
             hi, lo = divmod(p, half)
             out[low[lo] + high[hi]] = c
     return out
+
+
+def _packed_product(a, b):
+    """Coefficient dict of a * b via packed exponents, or None if too many variables.
+
+    A product of packed keys is an exact integer addition (see _places).
+    """
+    base, place = _places(((a,), (b,)))
+    if len(place) > PACKED_MAX_VARS:
+        return None
+    if len(a) > len(b):
+        a, b = b, a
+    packed_b = _pack(b, place)
+    acc = {}
+    get = acc.get
+    for p1, c1 in _pack(a, place):
+        for p2, c2 in packed_b:
+            p = p1 + p2
+            acc[p] = get(p, 0) + c1 * c2
+    return _unpack(acc, base, place)
 
 
 class Polynomial:
@@ -198,8 +215,10 @@ class Polynomial:
                     del acc[m]
         object.__setattr__(self, "coeffs", acc)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def zero(cls):
@@ -364,19 +383,21 @@ class Polynomial:
 def complete_homogeneous(m, n_vars):
     """Sum of all monomials of degree m in x_1..x_n; 1 for m=0, 0 for m<0.
 
-    Has C(m + n - 1, n - 1) terms.
+    Has C(m + n - 1, n - 1) terms.  A monomial of degree d in x_1..x_i is
+    one of degree d - e in x_1..x_(i-1) times x_i^e, for e = 0..d.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
     if m < 0:
         return Polynomial.zero()
-    if m == 0:
-        return Polynomial.const(1)
-    coeffs = {}
-    for combo in itertools.combinations_with_replacement(range(1, n_vars + 1), m):
-        coeffs[x_monomial(combo)] = 1
+    keys = [[((x_var(1), d),) if d else ONE] for d in range(m + 1)]
+    for v in map(x_var, range(2, n_vars + 1)):
+        keys = [keys[d] + [k + ((v, e),) for e in range(1, d + 1) for k in keys[d - e]] for d in range(m + 1)]
+    coeffs = dict.fromkeys(keys[m], 1)
     assert len(coeffs) == comb(m + n_vars - 1, n_vars - 1)
-    return Polynomial(coeffs)
+    out = Polynomial.__new__(Polynomial)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
 
 def formal_h(m):
@@ -401,8 +422,10 @@ class FormalMatrix:
                 raise ValueError("ragged matrix")
         object.__setattr__(self, "entries", entries)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("FormalMatrix is immutable")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def _as_poly(e):
@@ -444,13 +467,16 @@ MAX_EXPANSION_DIM = 6
 
 
 def determinant(matrix):
-    """Laplace expansion along the rows, memoized over column subsets.
+    """Laplace expansion along the rows, memoized over column subsets, on packed keys.
 
-    Working up from the last row, the minor of the last k rows on each
-    k-column subset (a bitmask) is built from the minors on its
-    (k-1)-subsets, so a d x d determinant costs 2^d subproblems and at
-    most d * 2^(d-1) entry-times-minor products.  Zero entries and zero
-    sub-minors are skipped.
+    Each entry is packed once, in base 1 + the sum of the rows' top
+    exponents: a term of a minor is a product of one entry term per row,
+    so no digit carries (see _places).  Working up from the last row, the
+    minor of the last k rows on each k-column subset (a bitmask) is built
+    from the minors on its (k-1)-subsets: 2^d subproblems and at most
+    d * 2^(d-1) entry-times-minor products, each added in place into its
+    grown minor's packed coefficients.  Zero entries and zero sub-minors
+    are skipped; only the full minor is decoded back to canonical keys.
     Division-based routes (Bareiss elimination, Dodgson condensation)
     would need exact polynomial division, which the ring does not have.
     Guarded to dimension MAX_EXPANSION_DIM.
@@ -460,21 +486,29 @@ def determinant(matrix):
     d = matrix.n_rows
     if d > MAX_EXPANSION_DIM:
         raise ValueError("dimension %d exceeds the expansion guard (%d)" % (d, MAX_EXPANSION_DIM))
-    minors = {0: Polynomial.const(1)}
+    base, place = _places([e.coeffs for e in row] for row in matrix.entries)
+    minors = {0: {0: 1}}
     for row in reversed(matrix.entries):
-        entries = [(1 << j, e, -e) for j, e in enumerate(row) if e]
+        entries = [(1 << j, _pack(e.coeffs, place)) for j, e in enumerate(row) if e]
+        entries = [(bit, terms, [(p, -c) for p, c in terms]) for bit, terms in entries]
         grown = {}
         for mask, sub in minors.items():
-            for bit, e, neg in entries:
+            for bit, terms, negated in entries:
                 if mask & bit:
                     continue
-                # the sign of column j in the expansion along this row
-                # counts the columns of mask to its left
-                term = (neg if (mask & (bit - 1)).bit_count() & 1 else e) * sub
-                key = mask | bit
-                grown[key] = grown[key] + term if key in grown else term
-        minors = {mask: p for mask, p in grown.items() if p}
-    return minors.get((1 << d) - 1, Polynomial.zero())
+                # the sign of column j along this row counts the columns of mask to its left
+                if (mask & (bit - 1)).bit_count() & 1:
+                    terms = negated
+                acc = grown.setdefault(mask | bit, {})
+                get = acc.get
+                for p1, c1 in terms:
+                    for p2, c2 in sub.items():
+                        p = p1 + p2
+                        acc[p] = get(p, 0) + c1 * c2
+        minors = {mask: kept for mask, acc in grown.items() if (kept := {p: c for p, c in acc.items() if c})}
+    out = Polynomial.__new__(Polynomial)
+    object.__setattr__(out, "coeffs", _unpack(minors.get((1 << d) - 1, {}), base, place))
+    return out
 
 
 def minor(matrix, rows, cols):

@@ -135,10 +135,10 @@ def jacobi_trudi_matrix(outer, inner=None, N=None):
         outer = Partition(outer)
     d = len(outer)
     inner_parts = (0,) * d if inner is None else tuple(inner) + (0,) * (d - len(tuple(inner)))
-    h = (lambda m: complete_homogeneous(m, N)) if N is not None else formal_h
-    return FormalMatrix(
-        [[h(outer.parts[i] - inner_parts[j] - (i + 1) + (j + 1)) for j in range(d)] for i in range(d)]
-    )
+    index = [[outer.parts[i] - inner_parts[j] - i + j for j in range(d)] for i in range(d)]
+    # each distinct h_m is built once and shared by the entries that carry it
+    h = {m: formal_h(m) if N is None else complete_homogeneous(m, N) for m in set().union(*index)}
+    return FormalMatrix([[h[m] for m in row] for row in index])
 
 
 def _strip_sum(outer, inner, N):

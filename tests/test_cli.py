@@ -92,8 +92,16 @@ def test_formal_pluecker_refuses_schur_options(runner):
     argv = ["verify", "pluecker", "--k", "2", "--rlist", "1", "--lambda", "3,1", "--sigma", "9", "--vars", "7"]
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
-    assert "formal mode takes no lam, sigma or N" in result.output
+    assert "formal mode takes no --lambda, --sigma or --vars" in result.output
     assert "VERIFIED" not in result.output
+
+
+def test_schur_pluecker_needs_both_shapes(runner):
+    for shapes in (["--lambda", "3,1"], ["--sigma", "2"], []):
+        result = runner.invoke(main, ["verify", "pluecker", "--mode", "schur", "--k", "2", "--rlist", "1"] + shapes)
+        assert result.exit_code == 2
+        assert "--mode schur needs --lambda and --sigma" in result.output
+        assert "VERIFIED" not in result.output
 
 
 def test_kirillov_window_must_be_constant(runner):

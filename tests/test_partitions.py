@@ -283,6 +283,8 @@ def test_value_types_compare_by_value_and_are_immutable(kind):
     for name in kind.__slots__ + ("colour",):
         with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
             setattr(value, name, None)
+        with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
+            delattr(value, name)
     assert value == copy
     if kind is PathFamily:
         family_edges(value)  # builds the layer and keeps it on the family

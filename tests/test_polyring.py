@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from math import comb
 
@@ -34,6 +35,10 @@ def P(text_terms):
 
 
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
+
+
+def x_poly(i):
+    return Polynomial.variable(x_var(i))
 
 
 monomials_st = st.dictionaries(
@@ -150,8 +155,15 @@ def test_complete_homogeneous_examples():
     assert h2 == P([(1, {x1: 2}), (1, {x1: 1, x2: 1}), (1, {x2: 2})])
     assert complete_homogeneous(0, 3) == 1
     assert complete_homogeneous(-1, 3).is_zero()
-    for m, n in [(1, 1), (3, 2), (4, 3), (2, 4)]:
-        assert complete_homogeneous(m, n).n_terms() == comb(m + n - 1, n - 1)
+    # key for key against the multisets of m indices from 1..n
+    for n in range(1, 7):
+        for m in range(9):
+            reference = Counter(
+                monomial((x_var(i), 1) for i in combo)
+                for combo in itertools.combinations_with_replacement(range(1, n + 1), m)
+            )
+            assert complete_homogeneous(m, n).coeffs == dict(reference), (m, n)
+            assert len(reference) == comb(m + n - 1, n - 1)
 
 
 def test_formal_h():
@@ -186,6 +198,18 @@ def test_determinant_basics():
     d = determinant(g)
     a = {(i, j): Polynomial.variable(a_var(i, j)) for i in (1, 2) for j in (1, 2)}
     assert d == a[(1, 1)] * a[(2, 2)] - a[(1, 2)] * a[(2, 1)]
+    # cancellation: a whole determinant, and the minors of the last two rows on columns 1, 2
+    p, q = P([(2, {x1: 1}), (-1, {x2: 3})]), P([(1, {h_var(2): 1}), (4, {})])
+    assert determinant(FormalMatrix([[p, q], [p, q]])).is_zero()
+    r = P([(1, {x1: 1}), (1, {x2: 1})])
+    m = FormalMatrix([[p, q, r], [r, r, x_poly(2)], [r, r, q]])
+    assert determinant(m) == leibniz(m) == (p - q) * (r * q - r * x_poly(2))
+    # entries over three alphabets
+    h2, a12 = Polynomial.variable(h_var(2)), Polynomial.variable(a_var(1, 2))
+    m = FormalMatrix([[x_poly(1) * h2, a12 + 3, 0], [h2 * h2 - 1, x_poly(3), a12 * x_poly(1)], [2, a12, h2]])
+    det = determinant(m)
+    assert det == leibniz(m) and canonical_keys(det)
+    assert {v[0] for key in det.coeffs for v, _ in key} == {"a", "h", "x"}
     with pytest.raises(ValueError):
         determinant(FormalMatrix.generic(7, 7))
     with pytest.raises(ValueError):
@@ -201,6 +225,18 @@ def test_minor_sign_and_selection():
     assert minor(g, (), ()) == 1
     with pytest.raises(ValueError):
         minor(g, (4,), (1,))
+
+
+@pytest.mark.parametrize("kind", [Polynomial, FormalMatrix], ids=lambda kind: kind.__name__)
+def test_polynomials_and_matrices_are_immutable(kind):
+    make = {Polynomial: lambda: P([(1, {x1: 1})]), FormalMatrix: lambda: FormalMatrix([[1, 2]])}[kind]
+    value = make()
+    for name in kind.__slots__ + ("other",):
+        with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
+            delattr(value, name)
+    assert value == make()
 
 
 def test_generic_matrix_entries():
@@ -238,9 +274,41 @@ def test_determinant_matches_leibniz_on_integers(m):
     assert determinant(m) == leibniz(m)
 
 
-@given(square_st(small_polys_st, 4))
+@given(st.one_of(square_st(small_polys_st, 4), square_st(polys_st, 3)))
+@settings(deadline=None)
 def test_determinant_matches_leibniz_on_polynomials(m):
     assert determinant(m) == leibniz(m)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_determinant_reaches_the_packing_bound(seed):
+    """A triangular matrix whose diagonal puts every variable at its row's top exponent.
+
+    The packing base is 1 + the sum of the rows' top exponents, and the
+    diagonal product reaches that sum in every variable, so each digit of
+    the determinant's one term is base - 1: one more would carry.
+    """
+    rng = random.Random(seed)
+    variables = [x1, x2, h_var(3), a_var(1, 2)]
+    d = rng.randint(1, 6)
+    tops = [rng.randint(1, 9) for _ in range(d)]
+    rows = []
+    for i, top in enumerate(tops):
+        row = [0] * d
+        row[i] = Polynomial({monomial((v, top) for v in variables): rng.choice((-2, 1, 3))})
+        for j in range(i + 1, d):
+            v = rng.choice(variables)
+            row[j] = Polynomial({monomial({v: rng.randint(1, top)}): 1, ONE: rng.randint(-3, 3)})
+        rows.append(row)
+    m = FormalMatrix(rows)
+    det = determinant(m)
+    diagonal = Polynomial.const(1)
+    for i in range(d):
+        diagonal = diagonal * m.entries[i][i]
+    assert det == diagonal == leibniz(m)
+    (key, _), = det.terms()
+    assert key == monomial((v, sum(tops)) for v in variables)
+    assert canonical_keys(det)
 
 
 @given(st.data())

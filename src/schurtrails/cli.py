@@ -206,6 +206,8 @@ def pluecker(k, rlist, mode, lam, sigma, n_vars, fmt, out):
         raise click.UsageError("--mode schur needs --lambda and --sigma")
     if mode == "formal" and (lam is not None or sigma is not None or n_vars is not None):
         raise click.UsageError("formal mode takes no --lambda, --sigma or --vars")
+    if mode == "formal" and k is None:
+        raise click.UsageError("formal mode needs --k")
     rep = verify_pluecker(
         k, _ints(rlist) or (), mode=mode, lam=_ints(lam), sigma=_ints(sigma), N=n_vars
     )

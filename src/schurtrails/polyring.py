@@ -5,8 +5,8 @@ formal symbol h_2, ('a', 1, 2) is the generic matrix entry a_{1,2}.
 A monomial is a canonical tuple key ((var, exp), ...): variables strictly
 increasing, exponents positive, ONE = ().  Plain tuples give immutability,
 equality and hashing; monomial() is the one constructor that canonicalises
-and monomial_mul() keeps keys canonical.  Dense products over few variables
-and determinants pack each key into one integer: one digit per variable, of
+and monomial_mul() keeps keys canonical.  Every product and every
+determinant packs each key into one integer: one digit per variable, of
 base 1 + the sum of the factors' top exponents, so no digit carries and a
 product of keys is one addition.  A determinant sums its products in place
 and decodes only its full minor.  A polynomial maps canonical keys to
@@ -102,11 +102,6 @@ def monomial_str(m):
     return "*".join(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e) for v, e in m)
 
 
-# Selection rule of the packed product in Polynomial.__mul__ (see there).
-PACKED_MIN_TERMS = 8
-PACKED_MAX_VARS = 8
-
-
 class _PackedDigits(dict):
     """Packed digits -> the canonical key fragment they encode, decoded on first lookup."""
 
@@ -174,13 +169,11 @@ def _unpack(acc, base, place):
 
 
 def _packed_product(a, b):
-    """Coefficient dict of a * b via packed exponents, or None if too many variables.
+    """Coefficient dict of a * b: every product packs, whatever its operands' size or variables.
 
     A product of packed keys is an exact integer addition (see _places).
     """
     base, place = _places(((a,), (b,)))
-    if len(place) > PACKED_MAX_VARS:
-        return None
     if len(a) > len(b):
         a, b = b, a
     packed_b = _pack(b, place)
@@ -241,6 +234,8 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, int):
             other = Polynomial.const(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         acc = dict(self.coeffs)
         for m, c in other.coeffs.items():
             s = acc.get(m, 0) + c
@@ -248,65 +243,29 @@ class Polynomial:
                 acc[m] = s
             elif m in acc:
                 del acc[m]
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "coeffs", acc)
-        return out
+        return _of(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "coeffs", {m: -c for m, c in self.coeffs.items()})
-        return out
+        return _of({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.const(other)
+        if not isinstance(other, (int, Polynomial)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        """Product; dense operands over few variables multiply on packed exponents.
-
-        When both operands have at least PACKED_MIN_TERMS terms and
-        together use at most PACKED_MAX_VARS variables, every key is
-        packed into one integer (see _packed_product), so a term product
-        is one integer addition instead of a Python-level merge of two
-        keys.  Otherwise each pair of keys is merged by monomial_mul.
-        Packing costs a pass over each operand and a decode per distinct
-        result, so it pays only on dense products over few variables, as
-        products of Schur polynomials in x_1..x_N are: there it was 3-5x
-        faster than the merge (CPython 3.11, 2-vCPU VM).  On the
-        generic-matrix products of verify_dodgson and verify_pluecker
-        (a dozen and more variables) packing every product took 2.4x the
-        merge's time, and on products with an operand of fewer than 8
-        terms 2-3x, so those keep the merge.
-        """
         if isinstance(other, int):
-            if not other:
-                return Polynomial.zero()
-            out = Polynomial.__new__(Polynomial)
-            object.__setattr__(out, "coeffs", {m: c * other for m, c in self.coeffs.items()})
-            return out
-        a, b = self.coeffs, other.coeffs
-        acc = None
-        if len(a) >= PACKED_MIN_TERMS and len(b) >= PACKED_MIN_TERMS:
-            acc = _packed_product(a, b)
-        if acc is None:
-            acc = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    m = monomial_mul(m1, m2)
-                    s = acc.get(m, 0) + c1 * c2
-                    if s:
-                        acc[m] = s
-                    elif m in acc:
-                        del acc[m]
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "coeffs", acc)
-        return out
+            return _of({m: c * other for m, c in self.coeffs.items()} if other else {})
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return _of(_packed_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -380,6 +339,13 @@ class Polynomial:
         return " ".join(bits)
 
 
+def _of(coeffs):
+    """The polynomial of a dict with canonical keys and no zero coefficients, taken as is."""
+    out = Polynomial.__new__(Polynomial)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
+
+
 def complete_homogeneous(m, n_vars):
     """Sum of all monomials of degree m in x_1..x_n; 1 for m=0, 0 for m<0.
 
@@ -395,9 +361,7 @@ def complete_homogeneous(m, n_vars):
         keys = [keys[d] + [k + ((v, e),) for e in range(1, d + 1) for k in keys[d - e]] for d in range(m + 1)]
     coeffs = dict.fromkeys(keys[m], 1)
     assert len(coeffs) == comb(m + n_vars - 1, n_vars - 1)
-    out = Polynomial.__new__(Polynomial)
-    object.__setattr__(out, "coeffs", coeffs)
-    return out
+    return _of(coeffs)
 
 
 def formal_h(m):
@@ -454,7 +418,11 @@ class FormalMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     def entry(self, i, j):
-        """1-based."""
+        """1-based; an index outside the matrix is an error."""
+        if not 1 <= i <= self.n_rows:
+            raise ValueError("row %d out of range" % i)
+        if not 1 <= j <= self.n_cols:
+            raise ValueError("column %d out of range" % j)
         return self.entries[i - 1][j - 1]
 
     def __eq__(self, other):
@@ -506,9 +474,7 @@ def determinant(matrix):
                         p = p1 + p2
                         acc[p] = get(p, 0) + c1 * c2
         minors = {mask: kept for mask, acc in grown.items() if (kept := {p: c for p, c in acc.items() if c})}
-    out = Polynomial.__new__(Polynomial)
-    object.__setattr__(out, "coeffs", _unpack(minors.get((1 << d) - 1, {}), base, place))
-    return out
+    return _of(_unpack(minors.get((1 << d) - 1, {}), base, place))
 
 
 def minor(matrix, rows, cols):
@@ -518,13 +484,6 @@ def minor(matrix, rows, cols):
     negative of minor(m, (1, 2), (1, 2)).  Indices are 1-based; listing
     a row twice gives the zero polynomial, as a determinant should.
     """
-    rows = tuple(rows)
     cols = tuple(cols)
-    for i in rows:
-        if not 1 <= i <= matrix.n_rows:
-            raise ValueError("row %d out of range" % i)
-    for j in cols:
-        if not 1 <= j <= matrix.n_cols:
-            raise ValueError("column %d out of range" % j)
     sub = FormalMatrix([[matrix.entry(i, j) for j in cols] for i in rows])
     return determinant(sub)

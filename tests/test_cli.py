@@ -96,6 +96,13 @@ def test_formal_pluecker_refuses_schur_options(runner):
     assert "VERIFIED" not in result.output
 
 
+def test_formal_pluecker_needs_k(runner):
+    result = runner.invoke(main, ["verify", "pluecker", "--rlist", "1"])
+    assert result.exit_code == 2
+    assert "formal mode needs --k" in result.output
+    assert "VERIFIED" not in result.output
+
+
 def test_schur_pluecker_needs_both_shapes(runner):
     for shapes in (["--lambda", "3,1"], ["--sigma", "2"], []):
         result = runner.invoke(main, ["verify", "pluecker", "--mode", "schur", "--k", "2", "--rlist", "1"] + shapes)

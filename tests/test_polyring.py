@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from schurtrails.polyring import (
     ONE,
-    PACKED_MAX_VARS,
-    PACKED_MIN_TERMS,
     FormalMatrix,
     Polynomial,
     a_var,
@@ -46,18 +44,17 @@ monomials_st = st.dictionaries(
 ).map(monomial)
 sparse_polys_st = st.dictionaries(monomials_st, st.integers(-5, 5), max_size=4).map(Polynomial)
 
-# Dense operands reach the packed product of Polynomial.__mul__ (at least
-# PACKED_MIN_TERMS terms each); over more than PACKED_MAX_VARS variables in
-# all the product falls back to the merge.
+# Dense operands of 8 to 12 terms with exponents up to 12, over a few
+# variables (like Schur polynomials in x_1..x_N) or over many (like the
+# generic-matrix minors of verify_dodgson and verify_pluecker).
 FEW_VARS = [x1, x2, x3, x_var(4), h_var(1), h_var(4), a_var(1, 2)]
 MANY_VARS = [x_var(i) for i in range(1, 7)] + [h_var(1), h_var(2), a_var(1, 2), a_var(2, 1)]
-assert len(FEW_VARS) <= PACKED_MAX_VARS < len(MANY_VARS)
 
 
 def dense_polys_st(variables):
     keys = st.dictionaries(st.sampled_from(variables), st.integers(1, 12), max_size=4).map(monomial)
     coefficients = st.integers(-5, 5).filter(bool)
-    return st.dictionaries(keys, coefficients, min_size=PACKED_MIN_TERMS, max_size=12).map(Polynomial)
+    return st.dictionaries(keys, coefficients, min_size=8, max_size=12).map(Polynomial)
 
 
 polys_st = st.one_of(sparse_polys_st, dense_polys_st(FEW_VARS), dense_polys_st(MANY_VARS))
@@ -133,21 +130,64 @@ def test_ring_axioms(p, q, r):
     assert (p * q + p * (-q)).is_zero()
 
 
-@given(dense_polys_st(FEW_VARS), dense_polys_st(FEW_VARS))
+@given(polys_st, polys_st)
 @settings(max_examples=50, deadline=None)
 def test_packed_product_matches_the_merge(p, q):
     packed = _packed_product(p.coeffs, q.coeffs)
-    assert packed is not None
     assert Polynomial(packed) == merged_product(p, q) == p * q
     assert all(c for c in packed.values())
 
 
-def test_packed_product_refuses_many_variables():
-    p = Polynomial({((v, 1),): 1 for v in MANY_VARS[:8]})
-    q = Polynomial({((v, 2),): 1 for v in MANY_VARS[1:9]})
-    assert _packed_product(p.coeffs, q.coeffs) is None
-    assert p * q == merged_product(p, q)
-    assert _packed_product(p.coeffs, p.coeffs) is not None
+a12 = a_var(1, 2)
+# Operands over the x, h and a alphabets whose top exponent is 12 each: the packing
+# base of their product is 1 + 12 + 12, and x1^12 times x1^12 puts x1's digit at base - 1.
+TOP = P([(3, {x1: 12, h_var(4): 3, a12: 1}), (-1, {x2: 1}), (2, {})])
+TOP_TOO = P([(-2, {x1: 12, a12: 2}), (1, {h_var(4): 1, x3: 5}), (1, {})])
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (Polynomial.zero(), TOP),
+        (Polynomial.zero(), Polynomial.zero()),
+        (Polynomial.const(-7), TOP),
+        (Polynomial.const(10**30), Polynomial.const(3)),
+        (P([(5, {x2: 1, a12: 3})]), TOP),
+        (P([(1, {x1: 1})]), Polynomial.const(1)),
+        (TOP, TOP_TOO),
+        (TOP, TOP),
+    ],
+    ids=["empty", "both-empty", "constant", "constants", "one-term", "variable-times-one", "top-digits", "square"],
+)
+def test_product_edge_cases_match_the_merge(p, q):
+    assert p * q == q * p == merged_product(p, q)
+    assert canonical_keys(p * q) and all((p * q).coeffs.values())
+
+
+@pytest.mark.parametrize("scale", [0, -1, 10**30])
+def test_int_scaling(scale):
+    for p in (TOP, Polynomial.zero(), Polynomial.const(4)):
+        expected = merged_product(p, Polynomial.const(scale))
+        assert p * scale == scale * p == expected
+        assert all((p * scale).coeffs.values())
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [
+        lambda p, y: p * y,
+        lambda p, y: y * p,
+        lambda p, y: p + y,
+        lambda p, y: y + p,
+        lambda p, y: p - y,
+        lambda p, y: y - p,
+    ],
+    ids=["mul", "rmul", "add", "radd", "sub", "rsub"],
+)
+@pytest.mark.parametrize("foreign", [1.5, "a", None], ids=["float", "str", "None"])
+def test_foreign_operands_raise_type_error(combine, foreign):
+    with pytest.raises(TypeError):
+        combine(Polynomial.const(2), foreign)
 
 
 def test_complete_homogeneous_examples():
@@ -243,6 +283,12 @@ def test_generic_matrix_entries():
     g = FormalMatrix.generic(4, 2)
     assert g.n_rows == 4 and g.n_cols == 2
     assert g.entry(3, 1) == Polynomial.variable(a_var(3, 1))
+    for i in (0, -1, 5):
+        with pytest.raises(ValueError, match="row %d out of range" % i):
+            g.entry(i, 1)
+    for j in (0, -1, 3):
+        with pytest.raises(ValueError, match="column %d out of range" % j):
+            g.entry(1, j)
 
 
 # ------------------------------------------------- differential checks

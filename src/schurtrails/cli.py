@@ -141,6 +141,9 @@ def general(lam, n_vars, sweep, fmt, out):
     if sweep is not None:
         if lam is not None:
             raise click.UsageError("--lambda and --sweep cannot be combined")
+        source = click.get_current_context().get_parameter_source("fmt")
+        if fmt == "text" and source == click.core.ParameterSource.COMMANDLINE:
+            raise click.UsageError("--sweep writes JSON reports and takes no --format text")
         shapes = [_ints(bit) for bit in sweep.split(";") if bit.strip()]
         if not shapes:
             raise click.UsageError("--sweep names no part lists")

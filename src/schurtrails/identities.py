@@ -7,6 +7,13 @@ from them: the sides are equal or not, and a failed check names the
 first monomial whose coefficients disagree instead of returning a bare
 boolean.
 
+Every Schur identity here -- the window exchange and its kirillov
+preset, Schur-mode Plücker, the balanced split and the square expansion
+-- reads sum c * s_alpha * s_beta = sum c' * s_alpha' * s_beta'.  Each
+verifier states its two sides as lists of (c, alpha, beta) terms, and
+one function, _product_identity, expands them.  One rule sets N for all
+of them: unless given, it is the most parts of any factor, at least 1.
+
 The module also hosts the two combinatorial replays behind the
 polynomial identities.  Both run one step, _moved_objects: for every
 object of a terminal pattern -- a (blue, green) pair of TerminalSpecs --
@@ -122,6 +129,34 @@ def _witness(lhs: Polynomial, rhs: Polynomial) -> str | None:
     return "%s: %d versus %d" % (monomial_str(m), lhs.coeffs.get(m, 0), rhs.coeffs.get(m, 0))
 
 
+def _sum(polys) -> Polynomial:
+    """Sum of the polynomials, starting from the first; zero when there are none."""
+    polys = iter(polys)
+    total = next(polys, Polynomial.zero())
+    for p in polys:
+        total = total + p
+    return total
+
+
+def _product_identity(identity, params, lhs, rhs) -> IdentityReport:
+    """Expand the two signed product lists of a Schur identity and report on them.
+
+    A side is a list of (c, alpha, beta) terms read as the sum of
+    c * s_alpha * s_beta; schur_of takes the factors in x_1..x_N, left
+    side first, term by term, alpha before beta.  params["N"] is the N
+    asked for; None stands for the most parts of any factor, at least 1.
+    The report records the N used in its place.
+    """
+    N = params["N"]
+    N = int(N) if N is not None else max([1] + [len(f) for _, a, b in lhs + rhs for f in (a, b)])
+
+    def side(terms):
+        products = ((c, schur_of(alpha, N) * schur_of(beta, N)) for c, alpha, beta in terms)
+        return _sum(p if c == 1 else c * p for c, p in products)
+
+    return IdentityReport(identity, dict(params, N=N), side(lhs), side(rhs))
+
+
 def verify_general(lam, N=None) -> IdentityReport:
     """Window-exchange identity for a weakly decreasing sequence of r+1 parts.
 
@@ -130,22 +165,17 @@ def verify_general(lam, N=None) -> IdentityReport:
     r-part window equals the (r-1)-part middle window times the full
     sequence, plus the product of the trailing window lowered by one in
     every part and the leading window raised by one in every part.  A
-    lowered window reaching -1 contributes zero.  N defaults to the
-    number of parts and is recorded in the report.
+    lowered window reaching -1 contributes zero.  N follows the module's
+    one rule, so it defaults to the number of parts.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     parts = lam.parts
     if len(parts) < 2:
         raise ValueError("need at least two parts, got %r" % (parts,))
     r = len(parts) - 1
-    if N is None:
-        N = len(parts)
-    N = int(N)
-    lhs = schur_of(parts[:r], N) * schur_of(parts[1:], N)
-    rhs = schur_of(parts[1:r], N) * schur_of(parts, N) + schur_of(
-        tuple(p - 1 for p in parts[1:]), N
-    ) * schur_of(tuple(p + 1 for p in parts[:r]), N)
-    return IdentityReport("general", {"lambda": list(parts), "N": N}, lhs, rhs)
+    lowered, raised = tuple(p - 1 for p in parts[1:]), tuple(p + 1 for p in parts[:r])
+    rhs = [(1, parts[1:r], parts), (1, lowered, raised)]
+    return _product_identity("general", {"lambda": list(parts), "N": N}, [(1, parts[:r], parts[1:])], rhs)
 
 
 def verify_kirillov(c, r, N=None) -> IdentityReport:
@@ -214,6 +244,18 @@ def _decreasing_sort_sign(coords) -> int:
     return sign
 
 
+def _exchanges(top, bottom, r_list):
+    """Rows (first, second) for every exchange of the top entries at the 1-based r_list.
+
+    Each trades them, in place and in order, for the bottom entries at one subset of positions.
+    """
+    for subset in itertools.combinations(range(len(bottom)), len(r_list)):
+        first, second = list(top), list(bottom)
+        for r_i, s in zip(r_list, subset):
+            first[r_i - 1], second[s] = bottom[s], top[r_i - 1]
+        yield first, second
+
+
 def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=None) -> IdentityReport:
     """Bracket-exchange identity for a generic 2n x n matrix, or its Schur form.
 
@@ -224,16 +266,15 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
     resulting bracket products.  lam, sigma and N are Schur-mode inputs,
     and formal mode refuses them.
 
-    Schur mode replays the same exchange on endpoint coordinates: top
-    row p carries lam_p - p, bottom row q carries sigma_q - q, and an
-    exchange trades the selected top coordinates in place for a subset
-    of bottom ones.  Each coordinate row is then sorted into strictly
-    decreasing order and re-read as a partition, and the product of the
-    two sorting signs becomes the sign of the term; a row with a
-    repeated coordinate is a determinant with two equal rows, so its
-    term vanishes and is left out.  Factors are tableau expansions in
-    x_1..x_N, with N defaulting to n.  params["products"] lists each
-    remaining term as [lam', sigma'], followed by -1 for a negative term.
+    Schur mode replays the same exchange, by the same generator, on
+    endpoint coordinates: top row p carries lam_p - p and bottom row q
+    carries sigma_q - q.  Each coordinate row is then sorted into
+    strictly decreasing order and re-read as a partition, and the
+    product of the two sorting signs becomes the sign of the term; a row
+    with a repeated coordinate is a determinant with two equal rows, so
+    its term vanishes and is left out.  N follows the module's one rule,
+    so it defaults to n.  params["products"] lists each remaining term
+    as [lam', sigma'], followed by -1 for a negative term.
     """
     if mode not in ("formal", "schur"):
         raise ValueError("mode must be 'formal' or 'schur', got %r" % (mode,))
@@ -255,57 +296,29 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
     for v in r_list:
         if not 1 <= v <= n:
             raise ValueError("exchanged row %d out of range 1..%d" % (v, n))
-    k = len(r_list)
 
     if mode == "formal":
         matrix = FormalMatrix.generic(2 * n, n)
-        all_cols = tuple(range(1, n + 1))
-        top = tuple(range(1, n + 1))
-        bottom = tuple(range(n + 1, 2 * n + 1))
-        lhs = minor(matrix, top, all_cols) * minor(matrix, bottom, all_cols)
-        rhs = Polynomial.zero()
-        for subset in itertools.combinations(bottom, k):
-            first = list(top)
-            second = list(bottom)
-            for r_i, s_i in zip(r_list, subset):
-                first[r_i - 1] = s_i
-                second[s_i - n - 1] = r_i
-            rhs = rhs + minor(matrix, first, all_cols) * minor(matrix, second, all_cols)
+        top, bottom = tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))
+
+        def bracket(first, second):
+            return minor(matrix, first, top) * minor(matrix, second, top)
+
+        lhs = bracket(top, bottom)
+        rhs = _sum(bracket(*rows) for rows in _exchanges(top, bottom, r_list))
         return IdentityReport("pluecker", {"mode": mode, "n": n, "r_list": list(r_list)}, lhs, rhs)
 
-    if N is None:
-        N = n
-    N = int(N)
-    top_parts = _padded(lam, n)
-    bottom_parts = _padded(sigma, n)
-    top_coords = [top_parts[p - 1] - p for p in range(1, n + 1)]
-    bottom_coords = [bottom_parts[q - 1] - q for q in range(1, n + 1)]
-    lhs = schur_of(top_parts, N) * schur_of(bottom_parts, N)
-    rhs = Polynomial.zero()
-    products = []
-    for subset in itertools.combinations(range(1, n + 1), k):
-        first = list(top_coords)
-        second = list(bottom_coords)
-        for r_i, s_i in zip(r_list, subset):
-            first[r_i - 1] = bottom_coords[s_i - 1]
-            second[s_i - 1] = top_coords[r_i - 1]
+    top_parts, bottom_parts = _padded(lam, n), _padded(sigma, n)
+    coords = ([v - p for p, v in enumerate(parts, start=1)] for parts in (top_parts, bottom_parts))
+    terms = []
+    for first, second in _exchanges(*coords, r_list):
         sign = _decreasing_sort_sign(first) * _decreasing_sort_sign(second)
-        if not sign:
-            continue
-        lam2 = _coords_to_partition(first)
-        sigma2 = _coords_to_partition(second)
-        products.append([list(lam2), list(sigma2)] + ([-1] if sign < 0 else []))
-        rhs = rhs + sign * (schur_of(lam2, N) * schur_of(sigma2, N))
-    params = {
-        "mode": mode,
-        "n": n,
-        "r_list": list(r_list),
-        "lambda": list(top_parts),
-        "sigma": list(bottom_parts),
-        "N": N,
-        "products": products,
-    }
-    return IdentityReport("pluecker", params, lhs, rhs)
+        if sign:
+            terms.append((sign, _coords_to_partition(first), _coords_to_partition(second)))
+    products = [[list(a), list(b)] + ([-1] if sign < 0 else []) for sign, a, b in terms]
+    params = {"mode": mode, "n": n, "r_list": list(r_list), "lambda": list(top_parts),
+              "sigma": list(bottom_parts), "N": N, "products": products}
+    return _product_identity("pluecker", params, [(1, top_parts, bottom_parts)], terms)
 
 
 def verify_ciucu(T, k, N=None) -> IdentityReport:
@@ -315,8 +328,8 @@ def verify_ciucu(T, k, N=None) -> IdentityReport:
     T gives 2^k times the product for the alternating split: the
     even-indexed elements t_2, t_4, ... against the odd-indexed ones
     t_1, t_3, ....  lam(S) is the partition whose shifted parts
-    enumerate S.  N defaults to k, the number of parts of every shape
-    involved.
+    enumerate S.  Every shape involved has k parts, so under the
+    module's one rule N defaults to k.
     """
     k = int(k)
     if k < 1:
@@ -329,17 +342,12 @@ def verify_ciucu(T, k, N=None) -> IdentityReport:
         raise ValueError("index set elements must be positive: %r" % (listed,))
     if len(elems) != 2 * k:
         raise ValueError("index set needs exactly 2k = %d elements, got %d" % (2 * k, len(elems)))
-    if N is None:
-        N = k
-    N = int(N)
-    lhs = Polynomial.zero()
-    for subset in itertools.combinations(elems, k):
-        rest = tuple(v for v in elems if v not in subset)
-        lhs = lhs + schur_of(partition_from_set(subset), N) * schur_of(partition_from_set(rest), N)
-    rhs = (2 ** k) * (
-        schur_of(partition_from_set(elems[1::2]), N) * schur_of(partition_from_set(elems[0::2]), N)
-    )
-    return IdentityReport("ciucu", {"T": list(elems), "k": k, "N": N}, lhs, rhs)
+    splits = [
+        (1, partition_from_set(subset), partition_from_set(tuple(v for v in elems if v not in subset)))
+        for subset in itertools.combinations(elems, k)
+    ]
+    alternating = (2**k, partition_from_set(elems[1::2]), partition_from_set(elems[0::2]))
+    return _product_identity("ciucu", {"T": list(elems), "k": k, "N": N}, splits, [alternating])
 
 
 def _nested_strip_pairs(n: int, k: int):
@@ -358,8 +366,8 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
     nested families of border strips straddling corner k: each family
     adds its strips to one factor and removes them from the other, with
     sign (-1)^(m-1) for m nested strips.  A family whose strips cannot
-    all be removed contributes zero and is skipped.  N defaults to the
-    largest number of parts among the shapes that appear.
+    all be removed contributes zero and is skipped.  N follows the
+    module's one rule: the most parts among the shapes that appear.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     encoding = corner_encoding(lam)
@@ -378,24 +386,13 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
         except ValueError:
             continue
         products.append((sign, grown, shrunk))
-    if N is None:
-        N = max(
-            len(lam.parts),
-            max((max(len(a), len(b)) for _, a, b in products), default=1),
-            1,
-        )
-    N = int(N)
-    lhs = schur_of(lam.parts, N) * schur_of(lam.parts, N)
-    rhs = Polynomial.zero()
-    for sign, grown, shrunk in products:
-        rhs = rhs + sign * (schur_of(grown, N) * schur_of(shrunk, N))
     params = {
         "lambda": list(lam.parts),
         "k": k,
         "N": N,
         "products": [[sign, list(a), list(b)] for sign, a, b in products],
     }
-    return IdentityReport("kleber", params, lhs, rhs)
+    return _product_identity("kleber", params, [(1, lam.parts, lam.parts)], products)
 
 
 def _pattern_reader(N):

@@ -171,8 +171,11 @@ def _unpack(acc, base, place):
 def _packed_product(a, b):
     """Coefficient dict of a * b: every product packs, whatever its operands' size or variables.
 
-    A product of packed keys is an exact integer addition (see _places).
+    A product of packed keys is an exact integer addition (see _places);
+    an empty operand gives {} before anything is scanned or packed.
     """
+    if not a or not b:
+        return {}
     base, place = _places(((a,), (b,)))
     if len(a) > len(b):
         a, b = b, a

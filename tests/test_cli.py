@@ -179,6 +179,16 @@ def test_sweep_refuses_lambda(runner):
     assert '"params"' not in result.output
 
 
+def test_sweep_refuses_format_text(runner):
+    result = runner.invoke(main, ["verify", "general", "--sweep", "2,1", "--format", "text"])
+    assert result.exit_code == 2
+    assert "--sweep writes JSON reports and takes no --format text" in result.output
+    assert '"params"' not in result.output
+    result = runner.invoke(main, ["verify", "general", "--sweep", "2,1", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["params"] == {"lambda": [2, 1], "N": 2}
+
+
 # ---------------------------------------------------------------- audit / orbit
 
 def test_audit_text_summary(runner):

@@ -337,6 +337,29 @@ def test_kleber_corner_range():
         verify_kleber((2, 2), 2)
 
 
+# ---------------------------------------------------------------- one N rule
+
+@pytest.mark.parametrize(
+    "verify, most_parts",
+    [
+        (lambda N: verify_general((2, 1, 0), N), 3),  # zero parts count
+        (lambda N: verify_kirillov(2, 2, N), 3),
+        (lambda N: verify_pluecker(None, (1,), mode="schur", lam=(4, 2), sigma=(3, 1), N=N), 2),
+        (lambda N: verify_pluecker(None, (2,), mode="schur", lam=(2,), sigma=(1, 1, 1), N=N), 3),
+        (lambda N: verify_ciucu((1, 2, 4, 6), 2, N), 2),
+        (lambda N: verify_kleber((2, 1), 1, N), 3),  # the product s_(2,2,2) * s_()
+        (lambda N: verify_kleber((3, 2, 1), 2, N), 4),  # the negative term s_(3,3,3,3) * s_()
+    ],
+    ids=["general-zero-part", "kirillov", "pluecker-n-inferred", "pluecker-padded", "ciucu", "kleber", "kleber-signed"],
+)
+def test_default_N_is_the_most_parts_of_any_factor(verify, most_parts):
+    derived, explicit = verify(None), verify(most_parts)
+    assert derived.params["N"] == most_parts
+    assert derived.params == explicit.params
+    assert (derived.lhs, derived.rhs) == (explicit.lhs, explicit.rhs)
+    assert derived.equal
+
+
 # ---------------------------------------------------------------- orbit
 
 def test_orbit_single_windows():

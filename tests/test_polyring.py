@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurtrails import polyring
 from schurtrails.polyring import (
     ONE,
     FormalMatrix,
@@ -162,6 +163,16 @@ TOP_TOO = P([(-2, {x1: 12, a12: 2}), (1, {h_var(4): 1, x3: 5}), (1, {})])
 def test_product_edge_cases_match_the_merge(p, q):
     assert p * q == q * p == merged_product(p, q)
     assert canonical_keys(p * q) and all((p * q).coeffs.values())
+
+
+def test_product_with_the_zero_polynomial_packs_nothing(monkeypatch):
+    def no_packing(groups):
+        raise AssertionError("an empty operand was scanned for packing")
+
+    monkeypatch.setattr(polyring, "_places", no_packing)
+    for p in (TOP, Polynomial.const(3), Polynomial.zero()):
+        assert (Polynomial.zero() * p).is_zero()
+        assert (p * Polynomial.zero()).is_zero()
 
 
 @pytest.mark.parametrize("scale", [0, -1, 10**30])

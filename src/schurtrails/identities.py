@@ -11,8 +11,10 @@ Every Schur identity here -- the window exchange and its kirillov
 preset, Schur-mode Plücker, the balanced split and the square expansion
 -- reads sum c * s_alpha * s_beta = sum c' * s_alpha' * s_beta'.  Each
 verifier states its two sides as lists of (c, alpha, beta) terms, and
-one function, _product_identity, expands them.  One rule sets N for all
-of them: unless given, it is the most parts of any factor, at least 1.
+one function, _product_identity, expands them; it first counts their
+pairs of tableaux and refuses more than MAX_TABLEAU_PAIRS.  One rule
+sets N for all of them: unless given, it is the most parts of any
+factor, at least 1.
 
 The module also hosts the two combinatorial replays behind the
 polynomial identities.  Both run one step, _moved_objects: for every
@@ -145,10 +147,17 @@ def _product_identity(identity, params, lhs, rhs) -> IdentityReport:
     c * s_alpha * s_beta; schur_of takes the factors in x_1..x_N, left
     side first, term by term, alpha before beta.  params["N"] is the N
     asked for; None stands for the most parts of any factor, at least 1.
-    The report records the N used in its place.
+    The report records the N used in its place.  Raises ValueError,
+    before any factor is expanded, when the terms have more than
+    MAX_TABLEAU_PAIRS pairs of tableaux in all.
     """
     N = params["N"]
     N = int(N) if N is not None else max([1] + [len(f) for _, a, b in lhs + rhs for f in (a, b)])
+    pairs = sum(ssyt_count(alpha, N) * ssyt_count(beta, N) for _, alpha, beta in lhs + rhs)
+    if pairs > MAX_TABLEAU_PAIRS:
+        raise ValueError(
+            "the identity has %d tableau pairs, more than MAX_TABLEAU_PAIRS = %d" % (pairs, MAX_TABLEAU_PAIRS)
+        )
 
     def side(terms):
         products = ((c, schur_of(alpha, N) * schur_of(beta, N)) for c, alpha, beta in terms)
@@ -400,13 +409,19 @@ def _pattern_reader(N):
 
     A start has an out-edge and no in-edge, an end the reverse; a zero-length
     path has no edge and is not read.  The weight is x_y per east edge at height y.
+    Edge sets with the same terminals read to one spec object, so the patterns
+    built from them are found in a dict by identity, without a Value comparison.
     """
+    specs = {}
 
     @lru_cache(maxsize=None)
     def read(edges):
         tails = {tail for tail, _ in edges}
         heads = {head for _, head in edges}
-        spec = TerminalSpec(sorted(tails - heads, reverse=True), sorted(heads - tails, reverse=True), N)
+        terminals = tuple(sorted(tails - heads, reverse=True)), tuple(sorted(heads - tails, reverse=True))
+        spec = specs.get(terminals)
+        if spec is None:
+            spec = specs[terminals] = TerminalSpec(*terminals, N)
         return spec, x_monomial(tail[1] for tail, head in edges if tail[1] == head[1])
 
     return read
@@ -454,6 +469,16 @@ def _moved_objects(pattern, locations):
 #: 77 us per object ((7,4,1) at N = 4, 75600 objects in 5.8 s, best of
 #: three; 2-vCPU VM, CPython 3.11.7), so the limit is about 8 s.
 MAX_AUDIT_OBJECTS = 100_000
+
+#: Most tableau pairs a Schur identity expands: the sum over both sides'
+#: terms c * s_alpha * s_beta of s_alpha(1^N) * s_beta(1^N) above this is
+#: refused before any factor is expanded.  The count overstates the work
+#: of the products, most of all for staircases.  The window exchange of
+#: (5,4,3,2,1) at N = 6 has 6.5e8 pairs and took 2-4 s, of (6,6,6) at
+#: N = 6 3.8e8 pairs and 10 s, and of (7,6,6) at N = 6, now refused,
+#: 1.15e9 pairs and 33 s (2-vCPU VM, CPython 3.11.7).  (5,4,3,2,1) at
+#: N = 7 has 3.3e10 pairs.
+MAX_TABLEAU_PAIRS = 10**9
 
 
 @dataclass(frozen=True)

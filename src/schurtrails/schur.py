@@ -10,11 +10,12 @@ generating function of either side is the (skew) Schur polynomial.
 Schur polynomials are computed two independent ways: summing tableau
 weights, and as the determinant det(h_{outer_i - inner_j - i + j}) of
 complete homogeneous pieces.  The tableau sum does not list the tableaux
-one by one: it sums them grouped by the horizontal strip that holds the
-largest entry, which is the branching rule of Schur polynomials.  It
-shares no code with the determinant, so each route checks the other.
-Both are exact polynomials at a fixed variable count N.  enumerate_ssyt
-still lists single tableaux, for the path families and for tests.
+one by one: it runs once over the letters 1..N and adds, at letter n,
+the horizontal strip of the cells that hold n, which is the branching
+rule of Schur polynomials.  It shares no code with the determinant, so
+each route checks the other.  Both are exact polynomials at a fixed
+variable count N.  enumerate_ssyt still lists single tableaux, for the
+path families and for tests.
 """
 
 import itertools
@@ -144,88 +145,46 @@ def jacobi_trudi_matrix(outer, inner=None, N=None):
 def _strip_sum(outer, inner, N):
     """Sum of the tableau weights of outer/inner in x_1..x_N, as a coefficient dict.
 
-    The cells of a tableau holding its largest entry n form a horizontal
-    strip shape/mu with inner <= mu, and the rest is a tableau of mu/inner
-    in x_1..x_(n-1).  So the tableaux are summed grouped by that strip
-    (the branching rule, Macdonald I.(5.11)):
+    The cells of a tableau that hold the entry n form a horizontal strip
+    mu_n/mu_(n-1), so a tableau is a chain inner = mu_0 <= .. <= mu_N =
+    outer of such strips, of weight prod_n x_n^|mu_n/mu_(n-1)|.  One pass
+    over the letters keeps, for each shape mu reached after letter n, the
+    summed weights of the chains that reach it: s_(mu/inner)(x_1..x_n),
+    the branching rule (Macdonald I.(5.11)).  Letter n adds every strip
+    nu/mu with mu_i <= nu_i <= min(outer_i, mu_(i-1)) and nu_i >=
+    outer_(i+N-n), which keeps each column of outer/nu within the N - n
+    letters left.  So a shape that cannot be finished is never reached,
+    and a board with a column of more than N cells gives {}.  Keys over
+    x_1..x_(n-1) stay canonical when (x_n, k) is appended.
 
-        s_(shape/inner)(x_1..x_n) = sum_mu s_(mu/inner)(x_1..x_(n-1)) * x_n^|shape/mu|
-
-    with max(inner_i, shape_(i+1)) <= mu_i <= shape_i.  A board with a
-    column of more than n cells has no filling in x_1..x_n, so it is
-    pruned: mu_i is also at most inner_(i-n+1), which keeps every column
-    of mu/inner within n - 1 cells.  With n = 1 the board is a horizontal
-    strip, filled with 1s only.  Keys over x_1..x_(n-1) stay canonical
-    when (x_n, k) is appended.  The memo of results by board and n lives
-    for this call only.
-
-    The recursion is N deep and keeps a result for every n.  So with more
-    letters than cells the sum is taken in as many letters as there are
-    cells and spread to x_1..x_N (see _spread), which keeps the depth and
-    the memo bounded by the number of cells.
+    A shape that takes no cell of letter n keeps its dict, uncopied, and
+    the strips of smaller shapes add to it; so the shapes go largest
+    first, and each dict is read before anything is added to it.
     """
-    rows = len(outer)
-    inner_size = sum(inner)
-    cells = sum(outer) - inner_size
-    if N > max(cells, 1):
-        return _spread(_strip_sum(outer, inner, max(cells, 1)), N)
-    if any(outer[i + N] > inner[i] for i in range(rows - N)):
-        return {}  # column inner_i + 1 has a cell in each of the rows i..i+N
-    memo = [{} for _ in range(N + 1)]
-
-    def expand(shape, n):
-        seen = memo[n]
-        if shape in seen:
-            return seen[shape]
-        size = sum(shape)
-        if size == inner_size:
-            acc = {ONE: 1}
-        elif n == 1:
-            acc = {((x_var(1), size - inner_size),): 1}
-        else:
-            ranges = []
-            for i in range(rows):
-                top = shape[i]
-                if i >= n - 1 and inner[i - n + 1] < top:
-                    top = inner[i - n + 1]
-                ranges.append(range(max(inner[i], shape[i + 1] if i + 1 < rows else 0), top + 1))
-            xn = x_var(n)
-            acc = {}
-            get = acc.get
-            for mu in itertools.product(*ranges):
-                sub = expand(mu, n - 1)
-                k = size - sum(mu)
-                if k:
-                    suffix = ((xn, k),)
-                    for key, c in sub.items():
-                        key += suffix
-                        acc[key] = get(key, 0) + c
-                else:
-                    for key, c in sub.items():
-                        acc[key] = get(key, 0) + c
-        seen[shape] = acc
-        return acc
-
-    return expand(outer, N)
-
-
-def _spread(coeffs, N):
-    """A symmetric polynomial in x_1..x_c, c <= N, extended to x_1..x_N.
-
-    Skew Schur polynomials are symmetric, and a monomial of degree c has
-    at most c variables.  So the coefficient of a monomial on the
-    variables x_p1..x_pl, p1 < .. < pl, is that of the same exponents on
-    x_1..x_l, which the expansion in c letters already holds, in every
-    order of the exponents.  Each key on exactly x_1..x_l is placed on
-    every l of the N variables, in order, so the work is linear in the
-    output.
-    """
-    out = {}
-    for key, c in coeffs.items():
-        if all(v == x_var(i) for i, (v, _) in enumerate(key, 1)):
-            for places in itertools.combinations(range(1, N + 1), len(key)):
-                out[tuple((x_var(p), e) for p, (_, e) in zip(places, key))] = c
-    return out
+    rows = len(outer) - outer.count(0)  # zero rows hold no cells
+    outer, inner = outer[:rows], inner[:rows]
+    reached = {inner: {ONE: 1}}
+    for n in range(1, N + 1):
+        xn = x_var(n)
+        floor = outer[N - n :] + (0,) * min(N - n, rows)
+        grown = {}
+        for mu in sorted(reached, key=sum, reverse=True):
+            sub = reached[mu]
+            size = sum(mu)
+            ranges = [range(max(m, f), min(o, up) + 1) for m, f, o, up in zip(mu, floor, outer, outer[:1] + mu)]
+            for nu in itertools.product(*ranges):
+                k = sum(nu) - size
+                if not k:
+                    grown[nu] = sub
+                    continue
+                suffix = ((xn, k),)
+                acc = grown.setdefault(nu, {})
+                get = acc.get
+                for key, c in sub.items():
+                    key += suffix
+                    acc[key] = get(key, 0) + c
+        reached = grown
+    return reached.get(outer, {})
 
 
 def ssyt_count(parts, N) -> int:
@@ -239,22 +198,22 @@ def ssyt_count(parts, N) -> int:
     parts = [int(p) for p in parts if p]
     if len(parts) > N or min(parts, default=0) < 0:
         return 0
+    columns = [sum(1 for p in parts if p > j) for j in range(max(parts, default=0))]
     num = den = 1
     for i, p in enumerate(parts):
         for j in range(p):
             num *= N + j - i
-            den *= p - j + sum(1 for q in parts[i + 1 :] if q > j)
+            den *= p - j + columns[j] - i - 1
     return num // den
 
 
 def schur_poly(shape, N, method="tableaux"):
     """Exact (skew) Schur polynomial in x_1..x_N.
 
-    method="tableaux" sums the weights of the semistandard tableaux,
-    grouped by the horizontal strip that holds the largest entry (see
-    _strip_sum); it shares no code with the determinant, so each route
-    is an oracle for the other.  method="jacobi_trudi" expands the
-    determinant det(h_{outer_i - inner_j - i + j}).
+    method="tableaux" sums the tableau weights in one pass over the
+    letters, one horizontal strip per letter (see _strip_sum); it shares
+    no code with the determinant, so each route is an oracle for the
+    other.  method="jacobi_trudi" expands det(h_{outer_i - inner_j - i + j}).
     """
     if isinstance(shape, Partition):
         shape = SkewShape(shape)

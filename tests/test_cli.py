@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from jsonschema import validate
 
 import schurtrails
+from schurtrails import identities
 from schurtrails.cli import REPORT_SCHEMA, main
 from schurtrails.partitions import Partition, SkewShape
 from schurtrails.schur import TerminalSpec, enumerate_families
@@ -225,6 +226,16 @@ def test_audit_refuses_an_oversized_window_at_once(runner):
     assert result.exit_code == 2
     # s_(9,8,7,6)(1^6) * s_(8,7,6,5)(1^6) objects, against the limit
     assert "the audit has 3102772248576 objects, more than MAX_AUDIT_OBJECTS = 100000" in result.output
+
+
+def test_verify_refuses_an_identity_with_too_many_tableau_pairs(runner, monkeypatch):
+    def expand(parts, N):
+        raise AssertionError("expanded %r at N=%d before the guard" % (parts, N))
+
+    monkeypatch.setattr(identities, "schur_of", expand)
+    result = runner.invoke(main, ["verify", "general", "--lambda", "5,4,3,2,1", "--vars", "8"])
+    assert result.exit_code == 2
+    assert "the identity has 944207953920 tableau pairs, more than MAX_TABLEAU_PAIRS = 1000000000" in result.output
 
 
 def test_orbit_json(runner):

@@ -9,6 +9,7 @@ import pytest
 from schurtrails import identities
 from schurtrails.identities import (
     MAX_AUDIT_OBJECTS,
+    MAX_TABLEAU_PAIRS,
     AuditReport,
     IdentityReport,
     OrbitResult,
@@ -36,8 +37,8 @@ from schurtrails.polyring import (
     monomial,
     x_var,
 )
-from schurtrails.schur import TerminalSpec, enumerate_families, jacobi_trudi_matrix, path_weight
-from schurtrails.trails import BLUE, GREEN, build_graph, recolour, terminal_points, trail_at_terminal
+from schurtrails.schur import TerminalSpec, enumerate_families, jacobi_trudi_matrix, path_weight, ssyt_count
+from schurtrails.trails import BLUE, GREEN, build_graph, family_edges, recolour, terminal_points, trail_at_terminal
 
 
 def coeff_sum(poly):
@@ -550,6 +551,15 @@ def test_orbit_reads_the_reached_pattern_off_the_edges(data):
         assert edge_read == _outcome(lambda f: (TerminalSpec.from_family(f, N), path_weight(f)), family)
 
 
+def test_pattern_reader_reads_one_pattern_to_one_spec():
+    read = _pattern_reader(2)
+    spec = TerminalSpec.from_shape(SkewShape(Partition((2, 1))), 2, 0)
+    first, second = (family_edges(f) for f in itertools.islice(enumerate_families(spec), 2))
+    assert first != second
+    assert read(first)[0] == spec
+    assert read(first)[0] is read(second)[0]
+
+
 # ---------------------------------------------------------------- audit
 
 def test_audit_splits_objects():
@@ -624,6 +634,21 @@ def test_audit_refuses_more_objects_than_the_limit():
     assert MAX_AUDIT_OBJECTS < objects < 2 * MAX_AUDIT_OBJECTS
     with pytest.raises(ValueError, match="the audit has %d objects, more than MAX_AUDIT_OBJECTS" % objects):
         bijection_audit((7, 4, 2), N=4)
+
+
+def test_schur_identities_refuse_too_many_tableau_pairs(monkeypatch):
+    def expand(parts, N):
+        raise AssertionError("expanded %r at N=%d before the guard" % (parts, N))
+
+    monkeypatch.setattr(identities, "schur_of", expand)
+    # the window exchange of (5,4,3,2,1) at N = 8, both sides
+    terms = [((5, 4, 3, 2), (4, 3, 2, 1)), ((4, 3, 2), (5, 4, 3, 2, 1)), ((3, 2, 1, 0), (6, 5, 4, 3))]
+    pairs = sum(ssyt_count(a, 8) * ssyt_count(b, 8) for a, b in terms)
+    assert pairs > MAX_TABLEAU_PAIRS
+    with pytest.raises(ValueError, match="the identity has %d tableau pairs, more than MAX_TABLEAU_PAIRS" % pairs):
+        verify_general((5, 4, 3, 2, 1), N=8)
+    with pytest.raises(ValueError, match="more than MAX_TABLEAU_PAIRS"):
+        verify_kleber((5, 4, 3, 2, 1), 2, N=8)
 
 
 def test_audit_needs_two_parts():

@@ -157,6 +157,10 @@ def wide_skew_shapes_st(draw):
 @example(SkewShape(Partition((2, 2, 1, 1)), Partition((1,))), 2)
 @example(SkewShape(Partition((5, 5, 5, 5)), Partition((5, 5, 5, 5))), 1)
 @example(SkewShape(Partition((4, 3, 1, 1)), Partition((2, 1, 1))), 3)
+@example(SkewShape(Partition((2, 1))), 4)  # one letter more than cells, then three more
+@example(SkewShape(Partition((2, 1))), 6)
+@example(SkewShape(Partition((3, 2, 1)), Partition((1, 1))), 5)
+@example(SkewShape(Partition((3, 2, 1)), Partition((1, 1))), 7)
 @settings(max_examples=80, deadline=None)
 def test_strip_sum_matches_the_tableau_sum(shape, n):
     by_tableau = Polynomial(Counter(tableau_weight(t) for t in enumerate_ssyt(shape, n)))
@@ -173,9 +177,9 @@ def test_tableau_route_takes_more_letters_than_cells():
 
 
 def test_spreading_to_more_letters_is_linear_in_the_output():
-    # s_(1^11) in 12 letters is e_11: 12 terms.  Its 11-letter expansion
-    # is one key, so spreading it must not walk the 11! orders of its
-    # exponents.
+    # s_(1^11) in 12 letters is e_11: 12 terms.  After letter n only the
+    # columns (1^(n-1)) and (1^n) can still be finished, so the pass holds
+    # n + 1 keys and must not walk the 11! orders of the exponents.
     n = 12
     e11 = Polynomial(
         (monomial({x_var(k): 1 for k in places}), 1)

@@ -1,8 +1,10 @@
 """Command-line front end for the verifiers, audits, orbits and pictures.
 
-Exit codes: 0 verified/passed, 1 an identity or audit failed, 2 usage
-error.  Reports are deterministic: JSON is emitted with sorted keys, and
-reports carry no timing, so identical invocations give identical bytes.
+Exit codes: 0 verified/passed, 1 an identity, audit or orbit check
+failed (a failed audit or orbit writes "<command> failed: <message>" to
+stderr), 2 usage error.  Reports are deterministic: JSON is emitted with
+sorted keys, and reports carry no timing, so identical invocations give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def _ints(text):
 
 
 def _usage_guard(fn):
-    """Turn domain validation errors into exit-code-2 usage errors."""
+    """Turn a ValueError into a usage error (exit 2) and a RuntimeError into a failed check (exit 1)."""
 
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
@@ -64,34 +66,22 @@ def _usage_guard(fn):
             return fn(*args, **kwargs)
         except ValueError as exc:
             raise click.UsageError(str(exc))
+        except RuntimeError as exc:
+            click.echo("%s failed: %s" % (click.get_current_context().info_name, exc), err=True)
+            raise SystemExit(1)
 
     return wrapped
 
 
-def _emit(chunks, out):
-    """Write a string, or each string of an iterable as soon as it is produced."""
-    if isinstance(chunks, str):
-        chunks = (chunks,)
-    if out is None:
-        for text in chunks:
-            click.echo(text, nl=False)
-    else:
-        with open(out, "w") as fh:
-            for text in chunks:
-                fh.write(text)
-
-
-def _report_json(rep) -> str:
-    return json.dumps(rep.to_json(), sort_keys=True) + "\n"
-
-
-def _report_text(rep) -> str:
-    verdict = "VERIFIED" if rep.equal else "FAILED (%s)" % rep.witness
-    return "%s %s %s\n" % (rep.identity, json.dumps(rep.params, sort_keys=True), verdict)
+def _write(out, fmt, payload, text):
+    """Write one report line: the payload as JSON with sorted keys, or the text."""
+    click.echo(json.dumps(payload, sort_keys=True) if fmt == "json" else text, file=out)
 
 
 def _finish_report(rep, fmt, out):
-    _emit(_report_json(rep) if fmt == "json" else _report_text(rep), out)
+    verdict = "VERIFIED" if rep.equal else "FAILED (%s)" % rep.witness
+    text = "%s %s %s" % (rep.identity, json.dumps(rep.params, sort_keys=True), verdict)
+    _write(out, fmt, rep.to_json(), text)
     if not rep.equal:
         raise SystemExit(1)
 
@@ -106,8 +96,9 @@ fmt_option = click.option(
 )
 out_option = click.option(
     "--out",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
+    type=click.File("w", lazy=True),
+    default="-",
+    metavar="FILE",
     help="Write output to PATH instead of stdout.",
 )
 vars_option = click.option(
@@ -147,16 +138,12 @@ def general(lam, n_vars, sweep, fmt, out):
         shapes = [_ints(bit) for bit in sweep.split(";") if bit.strip()]
         if not shapes:
             raise click.UsageError("--sweep names no part lists")
-        verdicts = []
-
-        def reports():
-            for parts in shapes:
-                rep = verify_general(parts, n_vars)
-                verdicts.append(rep.equal)
-                yield _report_json(rep)
-
-        _emit(reports(), out)
-        if not all(verdicts):
+        all_equal = True
+        for parts in shapes:
+            rep = verify_general(parts, n_vars)
+            _write(out, "json", rep.to_json(), None)
+            all_equal = all_equal and rep.equal
+        if not all_equal:
             raise SystemExit(1)
         return
     if lam is None:
@@ -249,22 +236,15 @@ def kleber(lam, k, n_vars, fmt, out):
 @_usage_guard
 def audit(lam, n_vars, fmt, out):
     """Replay the window-exchange bijection object by object."""
-    try:
-        rep = bijection_audit(_ints(lam), n_vars)
-    except RuntimeError as exc:
-        click.echo("audit failed: %s" % exc, err=True)
-        raise SystemExit(1)
-    if fmt == "json":
-        text = json.dumps(rep.to_json(), sort_keys=True) + "\n"
-    else:
-        text = "lambda %s N %d: %d objects = %d A + %d B\n" % (
-            ",".join(str(p) for p in rep.lam),
-            rep.N,
-            rep.objects,
-            rep.case_a,
-            rep.case_b,
-        )
-    _emit(text, out)
+    rep = bijection_audit(_ints(lam), n_vars)
+    text = "lambda %s N %d: %d objects = %d A + %d B" % (
+        ",".join(str(p) for p in rep.lam),
+        rep.N,
+        rep.objects,
+        rep.case_a,
+        rep.case_b,
+    )
+    _write(out, fmt, rep.to_json(), text)
 
 
 @main.command()
@@ -282,28 +262,21 @@ def orbit(lam, inner, sigma, tau, t, selected, n_vars, fmt, out):
     """Close the trail-recolouring move over families with fixed terminals."""
     blue = SkewShape(Partition(_ints(lam)), Partition(_ints(inner) or ()))
     green = SkewShape(Partition(_ints(sigma)), Partition(_ints(tau) or ()))
-    try:
-        res = explore_orbit(blue, green, t=t, selected=_ints(selected) or (), N=n_vars)
-    except RuntimeError as exc:
-        click.echo("orbit failed: %s" % exc, err=True)
-        raise SystemExit(1)
-    if fmt == "json":
-        text = json.dumps(res.to_json(), sort_keys=True) + "\n"
-    else:
-        text = "initial %s N %d: side 0 has %d objects in %d patterns, side 1 has %d in %d%s\n" % (
-            json.dumps([list(c) for c in res.initial]),
-            res.N,
-            res.O0_size,
-            len(res.counts0),
-            res.O1_size,
-            len(res.counts1),
-            " (degenerate)" if res.degenerate else "",
-        )
-    _emit(text, out)
+    res = explore_orbit(blue, green, t=t, selected=_ints(selected) or (), N=n_vars)
+    text = "initial %s N %d: side 0 has %d objects in %d patterns, side 1 has %d in %d%s" % (
+        json.dumps([list(c) for c in res.initial]),
+        res.N,
+        res.O0_size,
+        len(res.counts0),
+        res.O1_size,
+        len(res.counts1),
+        " (degenerate)" if res.degenerate else "",
+    )
+    _write(out, fmt, res.to_json(), text)
 
 
 @main.command()
-@click.argument("config", type=click.Path(exists=True, dir_okay=False), required=False)
+@click.argument("config", type=click.Path(exists=True, dir_okay=False, allow_dash=True), default="-")
 @click.option(
     "--trail",
     "trail_points",
@@ -315,13 +288,9 @@ def orbit(lam, inner, sigma, tau, t, selected, n_vars, fmt, out):
 @_usage_guard
 def render(config, trail_points, n_vars, out):
     """Draw a graph JSON file (or stdin) as a deterministic SVG."""
-    if config is None:
-        raw = click.get_text_stream("stdin").read()
-    else:
-        with open(config) as fh:
-            raw = fh.read()
     try:
-        graph = TwoColouredGraph.from_json(json.loads(raw))
+        with click.open_file(config) as fh:
+            graph = TwoColouredGraph.from_json(json.load(fh))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise click.UsageError("malformed graph config: %s" % exc)
     trails = []
@@ -330,7 +299,7 @@ def render(config, trail_points, n_vars, out):
         if len(location) != 2:
             raise click.UsageError("--trail wants x,y, got %r" % (spec,))
         trails.append(trail_at_terminal(graph, location))
-    _emit(render_svg(graph, tuple(trails), n_vars), out)
+    click.echo(render_svg(graph, tuple(trails), n_vars), file=out, nl=False)
 
 
 @main.command()
@@ -341,8 +310,4 @@ def render(config, trail_points, n_vars, out):
 def catalan(points, fmt, out):
     """Count perfect noncrossing matchings on cyclically arranged points."""
     count = count_noncrossing_matchings(points)
-    if fmt == "json":
-        text = json.dumps({"matchings": count, "points": points}, sort_keys=True) + "\n"
-    else:
-        text = "%d\n" % count
-    _emit(text, out)
+    _write(out, fmt, {"matchings": count, "points": points}, str(count))

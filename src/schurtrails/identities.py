@@ -11,10 +11,10 @@ Every Schur identity here -- the window exchange and its kirillov
 preset, Schur-mode Plücker, the balanced split and the square expansion
 -- reads sum c * s_alpha * s_beta = sum c' * s_alpha' * s_beta'.  Each
 verifier states its two sides as lists of (c, alpha, beta) terms, and
-one function, _product_identity, expands them; it first counts their
-pairs of tableaux and refuses more than MAX_TABLEAU_PAIRS.  One rule
-sets N for all of them: unless given, it is the most parts of any
-factor, at least 1.
+one function, _product_identity, expands them; it first bounds the key
+digits their products handle and refuses more than MAX_PRODUCT_DIGITS.
+One rule sets N for all of them: unless given, it is the most parts of
+any factor, at least 1.
 
 The module also hosts the two combinatorial replays behind the
 polynomial identities.  Both run one step, _moved_objects: for every
@@ -33,6 +33,7 @@ they are part of neither.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, replace as dataclass_replace
 from functools import lru_cache
@@ -140,6 +141,12 @@ def _sum(polys) -> Polynomial:
     return total
 
 
+def _terms_at_most(parts, N: int) -> int:
+    """Most terms s_parts(x_1..x_N) can have: its tableaux, and no more than the monomials of its degree."""
+    tableaux = ssyt_count(parts, N)
+    return min(tableaux, math.comb(sum(parts) + N - 1, N - 1)) if tableaux else 0
+
+
 def _product_identity(identity, params, lhs, rhs) -> IdentityReport:
     """Expand the two signed product lists of a Schur identity and report on them.
 
@@ -148,15 +155,18 @@ def _product_identity(identity, params, lhs, rhs) -> IdentityReport:
     side first, term by term, alpha before beta.  params["N"] is the N
     asked for; None stands for the most parts of any factor, at least 1.
     The report records the N used in its place.  Raises ValueError,
-    before any factor is expanded, when the terms have more than
-    MAX_TABLEAU_PAIRS pairs of tableaux in all.
+    before any factor is expanded, when N < 1 or when the products
+    handle more than MAX_PRODUCT_DIGITS key digits in all.
     """
     N = params["N"]
     N = int(N) if N is not None else max([1] + [len(f) for _, a, b in lhs + rhs for f in (a, b)])
-    pairs = sum(ssyt_count(alpha, N) * ssyt_count(beta, N) for _, alpha, beta in lhs + rhs)
-    if pairs > MAX_TABLEAU_PAIRS:
+    if N < 1:
+        raise ValueError("alphabet bound must be >= 1")
+    digits = N * sum(_terms_at_most(alpha, N) * _terms_at_most(beta, N) for _, alpha, beta in lhs + rhs)
+    if digits > MAX_PRODUCT_DIGITS:
         raise ValueError(
-            "the identity has %d tableau pairs, more than MAX_TABLEAU_PAIRS = %d" % (pairs, MAX_TABLEAU_PAIRS)
+            "the identity's products have %d key digits, more than MAX_PRODUCT_DIGITS = %d"
+            % (digits, MAX_PRODUCT_DIGITS)
         )
 
     def side(terms):
@@ -470,15 +480,17 @@ def _moved_objects(pattern, locations):
 #: three; 2-vCPU VM, CPython 3.11.7), so the limit is about 8 s.
 MAX_AUDIT_OBJECTS = 100_000
 
-#: Most tableau pairs a Schur identity expands: the sum over both sides'
-#: terms c * s_alpha * s_beta of s_alpha(1^N) * s_beta(1^N) above this is
-#: refused before any factor is expanded.  The count overstates the work
-#: of the products, most of all for staircases.  The window exchange of
-#: (5,4,3,2,1) at N = 6 has 6.5e8 pairs and took 2-4 s, of (6,6,6) at
-#: N = 6 3.8e8 pairs and 10 s, and of (7,6,6) at N = 6, now refused,
-#: 1.15e9 pairs and 33 s (2-vCPU VM, CPython 3.11.7).  (5,4,3,2,1) at
-#: N = 7 has 3.3e10 pairs.
-MAX_TABLEAU_PAIRS = 10**9
+#: Most key digits the products of a Schur identity may handle.  The
+#: count bounds the terms of each factor s_alpha by its tableaux and by
+#: the monomials of its degree (_terms_at_most), sums the bounded
+#: products over both sides' terms c * s_alpha * s_beta and multiplies by
+#: N, since a packed key carries one digit per variable.  Above the limit
+#: the identity is refused before any factor is expanded.  The window
+#: exchange of (6,6,6) at N = 6 has 5.3e8 and took 14-16 s, of
+#: (5,4,3,2,1) at N = 6 4.9e8 and 2-3 s; (7,6,6) at N = 6, refused at
+#: 7.2e8, took 33 s, and (3,3) at N = 30, refused at 1.4e9, 47 s and
+#: 1.2 GB (2-vCPU VM, CPython 3.11.7).
+MAX_PRODUCT_DIGITS = 650_000_000
 
 
 @dataclass(frozen=True)

@@ -142,16 +142,40 @@ def test_verify_output_is_deterministic(runner):
     assert first.exit_code == second.exit_code == 0
 
 
-def test_verify_out_writes_file(runner, tmp_path):
-    target = tmp_path / "report.json"
-    result = runner.invoke(
-        main,
-        ["verify", "general", "--lambda", "2,1", "--format", "json", "--out", str(target)],
-    )
-    assert result.exit_code == 0
-    assert result.output == ""
-    payload = json.loads(target.read_text())
-    assert payload["equal"] is True
+@pytest.mark.parametrize(
+    "argv, exit_code, check",
+    [
+        (["verify", "general", "--lambda", "2,1", "--format", "json"], 0, lambda text: json.loads(text)["equal"]),
+        (
+            ["verify", "general", "--sweep", "3,2,1;2,1", "--vars", "3"],
+            0,
+            lambda text: [json.loads(line)["params"]["lambda"] for line in text.splitlines()]
+            == [[3, 2, 1], [2, 1]],
+        ),
+        (
+            ["audit", "--lambda", "2,1", "--vars", "2", "--format", "json"],
+            0,
+            lambda text: json.loads(text)["objects"] == 6,
+        ),
+        (["render", "GRAPH"], 0, lambda text: text.startswith("<svg ") and text.endswith("</svg>\n")),
+        (["catalan", "--points", "8"], 0, lambda text: text == "14\n"),
+        # a usage error raised after the options are read opens no file
+        (["verify", "general", "--lambda", "9,9", "--sweep", "2,1"], 2, lambda text: text is None),
+    ],
+    ids=["verify", "sweep", "audit", "render", "catalan", "usage-error"],
+)
+def test_verify_out_writes_file(runner, tmp_path, argv, exit_code, check):
+    config = tmp_path / "graph.json"
+    config.write_text(graph_json())
+    argv = [str(config) if bit == "GRAPH" else bit for bit in argv]
+    target = tmp_path / "out.txt"
+    result = runner.invoke(main, argv + ["--out", str(target)])
+    assert result.exit_code == exit_code
+    assert result.stdout == ""
+    written = target.read_text() if target.exists() else None
+    assert check(written)
+    # the file holds the bytes the same call writes to stdout without --out
+    assert (written or "") == runner.invoke(main, argv).stdout
 
 
 # ---------------------------------------------------------------- sweep
@@ -235,7 +259,29 @@ def test_verify_refuses_an_identity_with_too_many_tableau_pairs(runner, monkeypa
     monkeypatch.setattr(identities, "schur_of", expand)
     result = runner.invoke(main, ["verify", "general", "--lambda", "5,4,3,2,1", "--vars", "8"])
     assert result.exit_code == 2
-    assert "the identity has 944207953920 tableau pairs, more than MAX_TABLEAU_PAIRS = 1000000000" in result.output
+    # 8 * (s_(5,4,3,2) * s_(4,3,2,1) + ...) with each factor's terms bounded, against the limit
+    message = "the identity's products have 40298544000 key digits, more than MAX_PRODUCT_DIGITS = 650000000"
+    assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["audit", "--lambda", "2,1", "--vars", "2"], "audit failed: image "),
+        (
+            ["orbit", "--lambda", "2", "--sigma", "1", "--offset", "-1", "--rlist", "1", "--vars", "2"],
+            "orbit failed: the two sides differ in size: 6 vs 0\n",
+        ),
+    ],
+    ids=["audit", "orbit"],
+)
+def test_failed_check_exits_1_naming_its_command(runner, monkeypatch, argv, message):
+    # a recolouring that changes nothing maps every object to itself, which neither check accepts
+    monkeypatch.setattr(identities, "recolour", lambda graph, trails: graph)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(message)
 
 
 def test_orbit_json(runner):

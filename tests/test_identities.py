@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 from hypothesis import assume, given, settings
@@ -9,7 +10,7 @@ import pytest
 from schurtrails import identities
 from schurtrails.identities import (
     MAX_AUDIT_OBJECTS,
-    MAX_TABLEAU_PAIRS,
+    MAX_PRODUCT_DIGITS,
     AuditReport,
     IdentityReport,
     OrbitResult,
@@ -641,13 +642,21 @@ def test_schur_identities_refuse_too_many_tableau_pairs(monkeypatch):
         raise AssertionError("expanded %r at N=%d before the guard" % (parts, N))
 
     monkeypatch.setattr(identities, "schur_of", expand)
-    # the window exchange of (5,4,3,2,1) at N = 8, both sides
-    terms = [((5, 4, 3, 2), (4, 3, 2, 1)), ((4, 3, 2), (5, 4, 3, 2, 1)), ((3, 2, 1, 0), (6, 5, 4, 3))]
-    pairs = sum(ssyt_count(a, 8) * ssyt_count(b, 8) for a, b in terms)
-    assert pairs > MAX_TABLEAU_PAIRS
-    with pytest.raises(ValueError, match="the identity has %d tableau pairs, more than MAX_TABLEAU_PAIRS" % pairs):
-        verify_general((5, 4, 3, 2, 1), N=8)
-    with pytest.raises(ValueError, match="more than MAX_TABLEAU_PAIRS"):
+
+    def terms(parts, N):
+        # no more terms than tableaux, nor than monomials of degree |parts| in N variables
+        return min(ssyt_count(parts, N), math.comb(sum(parts) + N - 1, N - 1))
+
+    # the window exchange, both sides: (5,4,3,2,1) has many tableaux, (3,3) few but over 30 variables
+    for lam, N, products in (
+        ((5, 4, 3, 2, 1), 8, [((5, 4, 3, 2), (4, 3, 2, 1)), ((4, 3, 2), (5, 4, 3, 2, 1)), ((3, 2, 1, 0), (6, 5, 4, 3))]),
+        ((3, 3), 30, [((3,), (3,)), ((), (3, 3)), ((2,), (4,))]),
+    ):
+        digits = N * sum(terms(a, N) * terms(b, N) for a, b in products)
+        assert digits > MAX_PRODUCT_DIGITS
+        with pytest.raises(ValueError, match="products have %d key digits, more than MAX_PRODUCT_DIGITS" % digits):
+            verify_general(lam, N=N)
+    with pytest.raises(ValueError, match="more than MAX_PRODUCT_DIGITS"):
         verify_kleber((5, 4, 3, 2, 1), 2, N=8)
 
 

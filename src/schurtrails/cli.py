@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 
 import click
 
@@ -86,6 +87,16 @@ def _finish_report(rep, fmt, out):
         raise SystemExit(1)
 
 
+def _checked_out(ctx, param, out):
+    """Refuse an --out path that is a directory or lies in a missing one, before any work; the file opens lazily."""
+    if out.name != "-":
+        if os.path.isdir(out.name):
+            raise click.BadParameter("%r is a directory" % out.name)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(out.name))):
+            raise click.BadParameter("the directory of %r does not exist" % out.name)
+    return out
+
+
 fmt_option = click.option(
     "--format",
     "fmt",
@@ -98,6 +109,7 @@ out_option = click.option(
     "--out",
     type=click.File("w", lazy=True),
     default="-",
+    callback=_checked_out,
     metavar="FILE",
     help="Write output to PATH instead of stdout.",
 )

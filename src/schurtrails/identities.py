@@ -13,8 +13,10 @@ preset, Schur-mode Plücker, the balanced split and the square expansion
 verifier states its two sides as lists of (c, alpha, beta) terms, and
 one function, _product_identity, expands them; it first bounds the key
 digits their products handle and refuses more than MAX_PRODUCT_DIGITS.
-One rule sets N for all of them: unless given, it is the most parts of
-any factor, at least 1.
+The window exchange is stated once, by _window_exchange, and
+verify_general, verify_kirillov and bijection_audit read its lists.  One
+rule, _alphabet, sets N for all of them, the audit and the orbit: unless
+given, it is the most parts of any factor, at least 1.
 
 The module also hosts the two combinatorial replays behind the
 polynomial identities.  Both run one step, _moved_objects: for every
@@ -35,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import (
@@ -147,21 +149,26 @@ def _terms_at_most(parts, N: int) -> int:
     return min(tableaux, math.comb(sum(parts) + N - 1, N - 1)) if tableaux else 0
 
 
+def _alphabet(N, terms) -> int:
+    """N when given, else the most parts of any factor of the (c, alpha, beta) terms, at least 1; refuses N < 1."""
+    N = int(N) if N is not None else max([1] + [len(f) for _, alpha, beta in terms for f in (alpha, beta)])
+    if N < 1:
+        raise ValueError("alphabet bound must be >= 1")
+    return N
+
+
 def _product_identity(identity, params, lhs, rhs) -> IdentityReport:
     """Expand the two signed product lists of a Schur identity and report on them.
 
     A side is a list of (c, alpha, beta) terms read as the sum of
     c * s_alpha * s_beta; schur_of takes the factors in x_1..x_N, left
     side first, term by term, alpha before beta.  params["N"] is the N
-    asked for; None stands for the most parts of any factor, at least 1.
-    The report records the N used in its place.  Raises ValueError,
-    before any factor is expanded, when N < 1 or when the products
-    handle more than MAX_PRODUCT_DIGITS key digits in all.
+    asked for, and _alphabet settles it; the report records the N used
+    in its place.  Raises ValueError, before any factor is expanded,
+    when N < 1 or when the products handle more than MAX_PRODUCT_DIGITS
+    key digits in all.
     """
-    N = params["N"]
-    N = int(N) if N is not None else max([1] + [len(f) for _, a, b in lhs + rhs for f in (a, b)])
-    if N < 1:
-        raise ValueError("alphabet bound must be >= 1")
+    N = _alphabet(params["N"], lhs + rhs)
     digits = N * sum(_terms_at_most(alpha, N) * _terms_at_most(beta, N) for _, alpha, beta in lhs + rhs)
     if digits > MAX_PRODUCT_DIGITS:
         raise ValueError(
@@ -176,25 +183,28 @@ def _product_identity(identity, params, lhs, rhs) -> IdentityReport:
     return IdentityReport(identity, dict(params, N=N), side(lhs), side(rhs))
 
 
-def verify_general(lam, N=None) -> IdentityReport:
-    """Window-exchange identity for a weakly decreasing sequence of r+1 parts.
+def _window_exchange(parts):
+    """The window exchange at the parts l_1 >= ... >= l_{r+1}, as its (lhs, rhs) product lists.
 
-    Writing the parts as l_1 >= ... >= l_{r+1}: the product of the
-    Schur polynomials of the leading r-part window and the trailing
-    r-part window equals the (r-1)-part middle window times the full
-    sequence, plus the product of the trailing window lowered by one in
-    every part and the leading window raised by one in every part.  A
-    lowered window reaching -1 contributes zero.  N follows the module's
-    one rule, so it defaults to the number of parts.
+    lead * trail = middle * full + lowered * raised: lead and trail are
+    the leading and trailing r-part windows, middle the window between
+    them, full all r+1 parts, lowered trail less one in every part and
+    raised lead plus one.  A lowered window reaching -1 contributes zero.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    parts = lam.parts
     if len(parts) < 2:
         raise ValueError("need at least two parts, got %r" % (parts,))
     r = len(parts) - 1
     lowered, raised = tuple(p - 1 for p in parts[1:]), tuple(p + 1 for p in parts[:r])
-    rhs = [(1, parts[1:r], parts), (1, lowered, raised)]
-    return _product_identity("general", {"lambda": list(parts), "N": N}, [(1, parts[:r], parts[1:])], rhs)
+    return [(1, parts[:r], parts[1:])], [(1, parts[1:r], parts), (1, lowered, raised)]
+
+
+def verify_general(lam, N=None) -> IdentityReport:
+    """Window-exchange identity, as _window_exchange states it, for a weakly decreasing sequence of r+1 parts.
+
+    N follows the module's one rule, so it defaults to the number of parts.
+    """
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    return _product_identity("general", {"lambda": list(lam.parts), "N": N}, *_window_exchange(lam.parts))
 
 
 def verify_kirillov(c, r, N=None) -> IdentityReport:
@@ -207,10 +217,7 @@ def verify_kirillov(c, r, N=None) -> IdentityReport:
     r = int(r)
     if c < 0 or r < 1:
         raise ValueError("need c >= 0 and r >= 1, got c=%d r=%d" % (c, r))
-    inner = verify_general((c,) * (r + 1), N)
-    return dataclass_replace(
-        inner, identity="kirillov", params={"c": c, "r": r, "N": inner.params["N"]}
-    )
+    return _product_identity("kirillov", {"c": c, "r": r, "N": N}, *_window_exchange((c,) * (r + 1)))
 
 
 def verify_dodgson(r) -> IdentityReport:
@@ -414,15 +421,16 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
     return _product_identity("kleber", params, [(1, lam.parts, lam.parts)], products)
 
 
-def _pattern_reader(N):
+def _pattern_reader(N, *known):
     """A cached reader of one colour's edge set: (its TerminalSpec, its weight).
 
     A start has an out-edge and no in-edge, an end the reverse; a zero-length
     path has no edge and is not read.  The weight is x_y per east edge at height y.
-    Edge sets with the same terminals read to one spec object, so the patterns
-    built from them are found in a dict by identity, without a Value comparison.
+    Edge sets with the same terminals read to one spec object, the known spec of
+    those terminals if one is given, so the patterns built from them are found in
+    a dict by identity, without a Value comparison.
     """
-    specs = {}
+    specs = {(spec.starts, spec.ends): spec for spec in known}
 
     @lru_cache(maxsize=None)
     def read(edges):
@@ -519,62 +527,58 @@ class AuditReport:
 def bijection_audit(lam, N=None) -> AuditReport:
     """Replay the window-exchange bijection and check every object.
 
-    Left-side objects pair a green family of the leading r-part window
-    (offset 0) with a blue family of the trailing window (offset -1).
-    For each object the changing trail starting at the rightmost
-    endpoint is recoloured; the image must land in exactly one of the
-    two right-side layouts: case A keeps the trail at the bottom point
-    (-1, 1) and realizes the middle-window times full-sequence product,
-    case B ends on the top line and realizes the lowered-times-raised
-    product.  Raises on any violated check: a trail reaching the
-    protected bottom point (-r-1, 1) or any non-terminal, a repeated
-    image, an image outside the two layouts, a changed weight, or a
-    right-side object never reached.  Returns the tallies on success.
-    Raises ValueError, before enumerating, when the left side has more
-    than MAX_AUDIT_OBJECTS objects.
+    The left side and the two right-side layouts are the terms
+    c * s_green * s_blue of _window_exchange, each laid out with its last
+    blue path starting at (-r-1, 1) and its last green path at (-r, 1).
+    For each left-side object the changing trail starting at the
+    rightmost endpoint, green end 1, is recoloured.  The image must land
+    in exactly one layout: case A keeps the trail at green start 1,
+    (-1, 1), and realizes middle * full; case B ends on the top line, at
+    blue end r, and realizes lowered * raised.  Raises on any violated
+    check: a trail reaching the protected blue start r, (-r-1, 1), or any
+    non-terminal, a repeated image, an image outside the two layouts, a
+    changed weight, or a right-side object never reached.  Returns the
+    tallies on success.  Raises ValueError, before enumerating, when the
+    left side has more than MAX_AUDIT_OBJECTS objects.
 
-    The left side is one terminal pattern, moved by the step explore_orbit
-    runs on every pattern, with the rightmost endpoint as the only
-    selected point.  The right side is counted, not enumerated: an image's
+    The left side is moved by the step explore_orbit runs on every
+    pattern.  The right side is counted, not enumerated: an image's
     pattern and weight are read off its edges, and the distinct images in
     a layout must number its hook-content count.  Zero-length paths have
     no edges, so a layout's pattern is compared without them.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     parts = lam.parts
-    if len(parts) < 2:
-        raise ValueError("need at least two parts, got %r" % (parts,))
+    lhs, rhs = _window_exchange(parts)
+    N = _alphabet(N, lhs + rhs)
     r = len(parts) - 1
-    if N is None:
-        N = len(parts)
-    N = int(N)
-    objects = ssyt_count(parts[:r], N) * ssyt_count(parts[1:], N)
-    if objects > MAX_AUDIT_OBJECTS:
-        raise ValueError(
-            "the audit has %d objects, more than MAX_AUDIT_OBJECTS = %d" % (objects, MAX_AUDIT_OBJECTS)
-        )
 
-    probe = (parts[0] - 1, N)
-    keep_end = (-1, 1)
-    exchange_end = (parts[-1] - r - 1, N)
-    protected = (-r - 1, 1)
+    def objects(term):
+        return ssyt_count(term[1], N) * ssyt_count(term[2], N)
+
+    def layout(term):
+        _, green, blue = term
+        return TerminalSpec.from_shape(blue, N, len(blue) - r - 1), TerminalSpec.from_shape(green, N, len(green) - r)
+
+    count = objects(lhs[0])
+    if count > MAX_AUDIT_OBJECTS:
+        raise ValueError("the audit has %d objects, more than MAX_AUDIT_OBJECTS = %d" % (count, MAX_AUDIT_OBJECTS))
+    blue, green = left = layout(lhs[0])
+    probe, keep_end, exchange_end, protected = green.ends[0], green.starts[0], blue.ends[-1], blue.starts[-1]
 
     read = _pattern_reader(N)
     kind_of, size = {}, {}
-    for kind, blue, blue_offset, green, green_offset in (
-        ("A", parts, 0, parts[1:r], -1),
-        ("B", tuple(p + 1 for p in parts[:r]), -1, tuple(p - 1 for p in parts[1:]), 0),
-    ):
+    for kind, term in zip("AB", rhs):
         # an empty layout matches no image: at N = 1, less its zero-length paths, it can look like the other
-        size[kind] = ssyt_count(blue, N) * ssyt_count(green, N)
+        size[kind] = objects(term)
         if size[kind]:
             # read like an image, each path as a chord from start to end: a zero-length path is a loop, not read
-            specs = TerminalSpec.from_shape(blue, N, blue_offset), TerminalSpec.from_shape(green, N, green_offset)
-            kind_of[tuple(read(frozenset(zip(spec.starts, spec.ends)))[0] for spec in specs)] = kind
+            kind_of[tuple(read(frozenset(zip(spec.starts, spec.ends)))[0] for spec in layout(term))] = kind
 
     images = {}  # each image to its layout
-    stored = {}.setdefault  # one copy of each distinct image edge set
-    left = (TerminalSpec.from_shape(parts[1:], N, -1), TerminalSpec.from_shape(parts[:r], N, 0))
+    # one copy of each distinct image edge set: without this store and the orbit's, trail_replay's wall time
+    # rose 3-13% and its check tail 5-15% (two sets of 4 run pairs, 2 vCPUs); the cause was not isolated
+    stored = {}.setdefault
     # with N = 1 and every part 0 the probe's path has no edge: the object is its own image
     selected = (probe,) if probe != keep_end else ()
     for _, _, weight_before, taken, image_blue, image_green in _moved_objects(left, selected):
@@ -715,12 +719,9 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     """
     blue = blue if isinstance(blue, SkewShape) else SkewShape(blue)
     green = green if isinstance(green, SkewShape) else SkewShape(green)
-    if N is None:
-        N = max(blue.n_rows, green.n_rows, 1)
-    N = int(N)
-    blue_spec = TerminalSpec.from_shape(blue, N, 0)
-    green_spec = TerminalSpec.from_shape(green, N, int(t))
-    initial = (blue_spec, green_spec)
+    N = _alphabet(N, [(1, blue.outer, green.outer)])  # the objects weigh s_blue * s_green
+    initial = blue_spec, green_spec = TerminalSpec.from_shape(blue, N, 0), TerminalSpec.from_shape(green, N, int(t))
+    read = _pattern_reader(N, *initial)
     q_points = terminal_points_from_sets(blue_spec.starts, blue_spec.ends, green_spec.starts, green_spec.ends)
     sel_indices = sorted(set(int(i) for i in selected))
     for i in sel_indices:
@@ -740,8 +741,7 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     counts = ({}, {})
     weights = (Counter(), Counter())
     image_of = {}
-    stored = {}.setdefault  # one copy of each distinct image edge set
-    read = _pattern_reader(N)
+    stored = {}.setdefault  # one copy of each distinct image edge set, kept for speed (see bijection_audit)
 
     while pending:
         pattern = pending.popleft()

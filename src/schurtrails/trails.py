@@ -505,20 +505,16 @@ def terminal_matching(graph: TwoColouredGraph) -> NoncrossingMatching:
     """Matching on the Q-sequence induced by the path_like changing trails.
 
     Every chord joins a black to a white point and an odd to an even
-    index, and no two chords cross.
+    index, and no two chords cross.  A trail traced from a terminal starts
+    at a step with no predecessor, so it is path_like, and its far end is
+    a terminal of one colour, so on the Q-sequence too.
     """
     points = terminal_points(graph)
     by_location = {q.location: q for q in points}
     pairs = set()
     for q in points:
-        trail = trail_at_terminal(graph, q.location)
-        if trail.kind != PATH_LIKE:
-            continue
-        a, b = trail.endpoints
-        qa = by_location.get(a)
-        qb = by_location.get(b)
-        if qa is None or qb is None:
-            continue
+        a, b = trail_at_terminal(graph, q.location).endpoints
+        qa, qb = by_location[a], by_location[b]
         pair = (min(qa.index, qb.index), max(qa.index, qb.index))
         pairs.add(pair)
         assert qa.matching_colour != qb.matching_colour, "trail joined two %s points" % qa.matching_colour

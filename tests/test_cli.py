@@ -9,9 +9,11 @@ from click.testing import CliRunner
 from jsonschema import validate
 
 import schurtrails
-from schurtrails import identities
+from schurtrails import cli, identities
 from schurtrails.cli import REPORT_SCHEMA, main
+from schurtrails.identities import IdentityReport
 from schurtrails.partitions import Partition, SkewShape
+from schurtrails.polyring import Polynomial, x_var
 from schurtrails.schur import TerminalSpec, enumerate_families
 from schurtrails.trails import build_graph
 
@@ -59,6 +61,8 @@ def test_non_integer_parts_are_usage_error(runner):
         ["verify", "ciucu", "--set", "1,2,3,4", "--k", "2"],
         ["verify", "pluecker", "--mode", "schur", "--lambda", "4,2", "--sigma", "3,1",
          "--rlist", "1", "--k", "2"],
+        ["audit", "--lambda", "2,1"],
+        ["orbit", "--lambda", "2", "--sigma", "1", "--offset", "-1", "--rlist", "1"],
     ],
 )
 def test_empty_alphabet_is_usage_error(runner, argv, n_vars):
@@ -87,6 +91,33 @@ def test_verify_text_verdict(runner):
     assert result.exit_code == 0
     assert "kirillov" in result.output
     assert "VERIFIED" in result.output
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--lambda", "2,1"], lambda text: text == 'general {"N": 2, "lambda": [2, 1]} FAILED (x1: 1 versus 0)\n'),
+        (
+            ["--lambda", "2,1", "--format", "json"],
+            lambda text: json.loads(text)["equal"] is False and json.loads(text)["witness"] == "x1: 1 versus 0",
+        ),
+        (
+            ["--sweep", "2,1;3,2"],
+            lambda text: [json.loads(line)["params"]["lambda"] for line in text.splitlines()] == [[2, 1], [3, 2]],
+        ),
+    ],
+    ids=["text", "json", "sweep"],
+)
+def test_unequal_report_exits_1_after_writing_it(runner, monkeypatch, argv, expected):
+    def unequal(parts, N=None):
+        # x_1 against 0: the first differing monomial is x1
+        x1 = Polynomial.variable(x_var(1))
+        return IdentityReport("general", {"lambda": list(parts), "N": 2}, x1, Polynomial.zero())
+
+    monkeypatch.setattr(cli, "verify_general", unequal)
+    result = runner.invoke(main, ["verify", "general"] + argv)
+    assert result.exit_code == 1
+    assert expected(result.stdout)
 
 
 def test_formal_pluecker_refuses_schur_options(runner):
@@ -178,6 +209,33 @@ def test_verify_out_writes_file(runner, tmp_path, argv, exit_code, check):
     assert (written or "") == runner.invoke(main, argv).stdout
 
 
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["verify", "general", "--lambda", "2,1"], "verify_general"),
+        (["verify", "general", "--sweep", "2,1;3,2"], "verify_general"),
+        (["audit", "--lambda", "2,1"], "bijection_audit"),
+        (["render", "GRAPH"], "render_svg"),
+        (["catalan", "--points", "8"], "count_noncrossing_matchings"),
+    ],
+    ids=["verify", "sweep", "audit", "render", "catalan"],
+)
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_unopenable_out_is_refused_before_the_work(runner, monkeypatch, tmp_path, argv, work, target):
+    def refuse(*args, **kwargs):
+        raise AssertionError("%s ran before --out was checked" % work)
+
+    monkeypatch.setattr(cli, work, refuse)
+    config = tmp_path / "graph.json"
+    config.write_text(graph_json())
+    argv = [str(config) if bit == "GRAPH" else bit for bit in argv]
+    out = tmp_path if target == "directory" else tmp_path / "no" / "out.txt"
+    result = runner.invoke(main, argv + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert "Invalid value for '--out'" in result.output
+    assert not (tmp_path / "no").exists()
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_streams_reports_in_input_order(runner):
@@ -195,6 +253,9 @@ def test_sweep_streams_reports_in_input_order(runner):
 def test_sweep_needs_entries(runner):
     result = runner.invoke(main, ["verify", "general", "--sweep", " ; "])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["verify", "general"])
+    assert result.exit_code == 2
+    assert "--lambda is required without --sweep" in result.output
 
 
 def test_sweep_refuses_lambda(runner):
@@ -232,6 +293,8 @@ def test_audit_json(runner):
         "case_a": 2,
         "case_b": 4,
     }
+    # without --vars the window's parts set N
+    assert runner.invoke(main, ["audit", "--lambda", "2,1", "--format", "json"]).output == result.output
 
 
 @pytest.mark.parametrize("parts", ["0,0", "0,0,0", "0,0,0,0"])
@@ -372,6 +435,9 @@ def test_render_rejects_malformed_config(runner):
     result = runner.invoke(main, ["render"], input='{"blue": 3}')
     assert result.exit_code == 2
     assert "malformed graph config" in result.output
+    result = runner.invoke(main, ["render", "--trail", "1"], input='{"blue": [], "green": []}')
+    assert result.exit_code == 2
+    assert "--trail wants x,y, got '1'" in result.output
 
 
 def test_render_rejects_non_string_paths(runner):

@@ -20,16 +20,17 @@ given, it is the most parts of any factor, at least 1.
 
 The module also hosts the two combinatorial replays behind the
 polynomial identities.  Both run one step, _moved_objects: for every
-object of a terminal pattern -- a (blue, green) pair of TerminalSpecs --
-it pairs the two families' colour layers, traces the changing trails at
-the selected points and recolours them.  explore_orbit runs that step on
-every pattern it reaches and closes the move, tallying both sides of
-the resulting object bijection; bijection_audit runs it once, on the
-left side of the window exchange with one selected point, and checks
-the images by counting them into the right-side layouts, which it never
-enumerates.  Objects compare as per-colour edge sets, and an image's
-pattern is read off its edges.  Zero-length paths carry no edges, so
-they are part of neither.
+object of a terminal pattern it pairs the two families' colour layers,
+traces the changing trails at the selected points, recolours them and
+reads the image.  explore_orbit runs that step on every pattern it
+reaches and closes the move, tallying both sides of the resulting
+object bijection; bijection_audit runs it once, on the left side of the
+window exchange with one selected point, and checks the images by
+counting them into the right-side layouts, which it never enumerates.
+Objects compare as per-colour edge sets.  A pattern is a (blue, green)
+pair of (starts, ends) tuples, read off edges by trails.edge_pattern;
+TerminalSpecs are built only to enumerate a pattern's families.
+Zero-length paths carry no edges, so they are part of neither.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .partitions import (
     partition_from_corners,
     partition_from_set,
 )
-from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_mul, monomial_str, x_monomial
+from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_mul, monomial_str
 from .schur import TerminalSpec, enumerate_families, path_weight, schur_poly, ssyt_count
 from .trails import (
     BLACK,
@@ -60,6 +61,7 @@ from .trails import (
     GREEN,
     WHITE,
     build_graph,
+    edge_pattern,
     family_edges,
     family_from_edges,
     recolour,
@@ -421,47 +423,30 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
     return _product_identity("kleber", params, [(1, lam.parts, lam.parts)], products)
 
 
-def _pattern_reader(N, *known):
-    """A cached reader of one colour's edge set: (its TerminalSpec, its weight).
-
-    A start has an out-edge and no in-edge, an end the reverse; a zero-length
-    path has no edge and is not read.  The weight is x_y per east edge at height y.
-    Edge sets with the same terminals read to one spec object, the known spec of
-    those terminals if one is given, so the patterns built from them are found in
-    a dict by identity, without a Value comparison.
-    """
-    specs = {(spec.starts, spec.ends): spec for spec in known}
-
-    @lru_cache(maxsize=None)
-    def read(edges):
-        tails = {tail for tail, _ in edges}
-        heads = {head for _, head in edges}
-        terminals = tuple(sorted(tails - heads, reverse=True)), tuple(sorted(heads - tails, reverse=True))
-        spec = specs.get(terminals)
-        if spec is None:
-            spec = specs[terminals] = TerminalSpec(*terminals, N)
-        return spec, x_monomial(tail[1] for tail, head in edges if tail[1] == head[1])
-
-    return read
-
-
 def _path_texts(key) -> tuple:
     """A (blue edges, green edges) object as path texts, rightmost path first, for messages."""
     return tuple(tuple(family_from_edges(edges).to_text()) for edges in key)
 
 
-def _moved_objects(pattern, locations):
-    """Every object of the pattern with its image under the move at the selected locations.
+def _moved_objects(specs, locations, read):
+    """Every object of the (blue, green) spec pair with its image under the move at the selected locations.
 
-    Yields (blue edges, green edges, weight, trails, image blue edges,
-    image green edges) per object, blue families outer and green inner.
-    Every location is traced, so a location no trail or two trails start
-    at raises; its trail is taken unless the location is the far end of
-    one already taken, and the taken trails are recoloured together.
+    Yields (key, weight, trails, image key, image pattern, image weights)
+    per object, blue families outer and green inner.  A key is the pair
+    (blue edges, green edges), and a pattern is the pair of (starts, ends)
+    tuples that read, the caller's lru_cache over
+    edges -> (edges, *edge_pattern(edges)), gives for the two image edge
+    sets.  A cache hit returns the first equal edge set read, so one copy
+    of each distinct image edge set is kept: without that copy
+    trail_replay's wall time rose 3-13% and its check tail 5-15% (two sets
+    of 4 run pairs, 2 vCPUs); the cause was not isolated.  Every location
+    is traced, so a location no trail or two trails start at raises; its
+    trail is taken unless the location is the far end of one already
+    taken, and the taken trails are recoloured together.
     """
     blues, greens = (
         [(family, family_edges(family), path_weight(family)) for family in enumerate_families(spec)]
-        for spec in pattern
+        for spec in specs
     )
     for blue_family, blue_edges, blue_weight in blues:
         for green_family, green_edges, green_weight in greens:
@@ -472,14 +457,9 @@ def _moved_objects(pattern, locations):
                 if not any(other.end == location for other in taken):
                     taken.append(trail)
             image = recolour(graph, taken)
-            yield (
-                blue_edges,
-                green_edges,
-                monomial_mul(blue_weight, green_weight),
-                taken,
-                image.colour_edges(BLUE),
-                image.colour_edges(GREEN),
-            )
+            image_key, reached, weights = zip(read(image.colour_edges(BLUE)), read(image.colour_edges(GREEN)))
+            weight = monomial_mul(blue_weight, green_weight)
+            yield (blue_edges, green_edges), weight, taken, image_key, reached, weights
 
 
 #: Most objects bijection_audit replays: s_lead(1^N) * s_trail(1^N) above
@@ -542,10 +522,11 @@ def bijection_audit(lam, N=None) -> AuditReport:
     left side has more than MAX_AUDIT_OBJECTS objects.
 
     The left side is moved by the step explore_orbit runs on every
-    pattern.  The right side is counted, not enumerated: an image's
-    pattern and weight are read off its edges, and the distinct images in
-    a layout must number its hook-content count.  Zero-length paths have
-    no edges, so a layout's pattern is compared without them.
+    pattern.  The right side is counted, not enumerated: trails.edge_pattern
+    reads each layout's pattern off the edges of its first object and each
+    image's pattern and weight off the image's edges, and the distinct
+    images in a layout must number its hook-content count.  Zero-length
+    paths have no edges, so a layout's pattern is compared without them.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     parts = lam.parts
@@ -566,30 +547,26 @@ def bijection_audit(lam, N=None) -> AuditReport:
     blue, green = left = layout(lhs[0])
     probe, keep_end, exchange_end, protected = green.ends[0], green.starts[0], blue.ends[-1], blue.starts[-1]
 
-    read = _pattern_reader(N)
     kind_of, size = {}, {}
     for kind, term in zip("AB", rhs):
         # an empty layout matches no image: at N = 1, less its zero-length paths, it can look like the other
         size[kind] = objects(term)
         if size[kind]:
-            # read like an image, each path as a chord from start to end: a zero-length path is a loop, not read
-            kind_of[tuple(read(frozenset(zip(spec.starts, spec.ends)))[0] for spec in layout(term))] = kind
+            # read off the layout's first object, as an image is read
+            firsts = (next(enumerate_families(spec)) for spec in layout(term))
+            kind_of[tuple(edge_pattern(family_edges(family))[0] for family in firsts)] = kind
 
     images = {}  # each image to its layout
-    # one copy of each distinct image edge set: without this store and the orbit's, trail_replay's wall time
-    # rose 3-13% and its check tail 5-15% (two sets of 4 run pairs, 2 vCPUs); the cause was not isolated
-    stored = {}.setdefault
+    read = lru_cache(maxsize=None)(lambda edges: (edges, *edge_pattern(edges)))
     # with N = 1 and every part 0 the probe's path has no edge: the object is its own image
     selected = (probe,) if probe != keep_end else ()
-    for _, _, weight_before, taken, image_blue, image_green in _moved_objects(left, selected):
+    for _, weight_before, taken, image, reached, image_weights in _moved_objects(left, selected, read):
         far = taken[0].end if taken else probe
         if far == protected:
             raise RuntimeError("trail from %r reached the protected point %r" % (probe, protected))
         if far not in (keep_end, exchange_end):
             raise RuntimeError("gap trail: far endpoint %r is not an exchange target" % (far,))
-        image = (stored(image_blue, image_blue), stored(image_green, image_green))
-        (blue_spec, blue_weight), (green_spec, green_weight) = map(read, image)
-        kind = kind_of.get((blue_spec, green_spec))
+        kind = kind_of.get(reached)
         if kind is None:
             raise RuntimeError("image %r is not an object of either layout" % (_path_texts(image),))
         if image in images:
@@ -599,7 +576,7 @@ def bijection_audit(lam, N=None) -> AuditReport:
         # and only the image itself tells the cases apart
         if keep_end != exchange_end and kind != ("A" if far == keep_end else "B"):
             raise RuntimeError("far endpoint %r disagrees with the image layout %s" % (far, kind))
-        weight_after = monomial_mul(blue_weight, green_weight)
+        weight_after = monomial_mul(*image_weights)
         if weight_before != weight_after:
             raise RuntimeError(
                 "recolouring changed the weight: %s -> %s"
@@ -713,15 +690,16 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     degenerate.
 
     Every pattern reached is moved by one shared step, the one
-    bijection_audit runs on its left side, and the reached pattern is read
-    off the image's edges as the audit reads it.  Objects compare as
-    per-colour edge sets, and equal image sets are stored once.
+    bijection_audit runs on its left side, and the reached pattern, a pair
+    of (starts, ends) tuples, is read off the image's edges as the audit
+    reads it.  Its TerminalSpecs are built once, when it is queued.
+    Objects compare as per-colour edge sets, and the step's reader keeps
+    one copy of each distinct image edge set.
     """
     blue = blue if isinstance(blue, SkewShape) else SkewShape(blue)
     green = green if isinstance(green, SkewShape) else SkewShape(green)
     N = _alphabet(N, [(1, blue.outer, green.outer)])  # the objects weigh s_blue * s_green
     initial = blue_spec, green_spec = TerminalSpec.from_shape(blue, N, 0), TerminalSpec.from_shape(green, N, int(t))
-    read = _pattern_reader(N, *initial)
     q_points = terminal_points_from_sets(blue_spec.starts, blue_spec.ends, green_spec.starts, green_spec.ends)
     sel_indices = sorted(set(int(i) for i in selected))
     for i in sel_indices:
@@ -736,12 +714,12 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
 
     cap = 2 ** len(q_points) if q_points else 1
     pending = deque([initial])
-    queued = {initial}
+    queued = {tuple((spec.starts, spec.ends) for spec in initial)}
     processed = 0
     counts = ({}, {})
     weights = (Counter(), Counter())
     image_of = {}
-    stored = {}.setdefault  # one copy of each distinct image edge set, kept for speed (see bijection_audit)
+    read = lru_cache(maxsize=None)(lambda edges: (edges, *edge_pattern(edges)))
 
     while pending:
         pattern = pending.popleft()
@@ -750,17 +728,15 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
         processed += 1
         side = _side_of(pattern, original_colours)
         objects = 0
-        for blue_edges, green_edges, weight, _, image_blue, image_green in _moved_objects(pattern, sel_locations):
+        for key, weight, _, image_key, reached, _ in _moved_objects(pattern, sel_locations, read):
             objects += 1
             weights[side][weight] += 1
             if degenerate:
                 continue
-            image_key = (stored(image_blue, image_blue), stored(image_green, image_green))
-            image_of[blue_edges, green_edges] = image_key
-            reached = (read(image_key[0])[0], read(image_key[1])[0])
+            image_of[key] = image_key
             if reached not in queued:
                 queued.add(reached)
-                pending.append(reached)
+                pending.append(tuple(TerminalSpec(*terminals, N) for terminals in reached))
         if objects:
             canon = _canonical_pattern(pattern)
             counts[side][canon] = counts[side].get(canon, 0) + objects

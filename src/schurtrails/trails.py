@@ -12,6 +12,7 @@ move behind the exchange identities in this package.
 A graph holds one layer per colour: its edge set, the points its
 zero-length paths mark, and tail-to-head and head-to-tail maps built on
 the first trace.  A family's layer is built once and kept on the family.
+edge_pattern reads one colour's edge set back as its terminals and weight.
 A trail step is one map lookup; recolouring moves the flipped edges
 between the two edge sets and checks degrees only at their ends.  A
 zero-length path has no edge, so graph equality ignores it, and a
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .partitions import Value
+from .polyring import x_monomial
 from .schur import EAST, NORTH, LatticePath, PathFamily
 
 BLUE = "blue"
@@ -82,6 +84,18 @@ def _family_layer(family):
 def family_edges(family) -> frozenset:
     """The family's edge set, held by its layer; zero-length paths add no edge."""
     return _family_layer(family).edges
+
+
+def edge_pattern(edges):
+    """((starts, ends), weight) of one colour's edge set, each terminal tuple rightmost first.
+
+    A start has an out-edge and no in-edge, an end the reverse; a zero-length
+    path has no edge and is not read.  The weight is x_y per east edge at height y.
+    """
+    tails = {tail for tail, _ in edges}
+    heads = {head for _, head in edges}
+    terminals = tuple(sorted(tails - heads, reverse=True)), tuple(sorted(heads - tails, reverse=True))
+    return terminals, x_monomial(tail[1] for tail, head in edges if tail[1] == head[1])
 
 
 def _by_colour(blue, green):
@@ -378,9 +392,9 @@ def trail_at_terminal(graph: TwoColouredGraph, location) -> ChangingTrail:
     trail = _trail_from_step(maps, candidates[0])
     # terminal-started trails stay clear of doubly-coloured edges, which
     # live on their own two-step cycles
-    doubly = graph.colour_edges(BLUE) & graph.colour_edges(GREEN)
-    assert doubly.isdisjoint(
-        [edge for edge, _, _ in trail.steps]
+    blue, green = graph.colour_edges(BLUE), graph.colour_edges(GREEN)
+    assert not any(
+        edge in blue and edge in green for edge, _, _ in trail.steps
     ), "terminal-started trail entered a doubly-coloured edge"
     return trail
 

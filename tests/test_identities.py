@@ -14,7 +14,6 @@ from schurtrails.identities import (
     AuditReport,
     IdentityReport,
     OrbitResult,
-    _pattern_reader,
     _witness,
     bijection_audit,
     explore_orbit,
@@ -39,7 +38,16 @@ from schurtrails.polyring import (
     x_var,
 )
 from schurtrails.schur import TerminalSpec, enumerate_families, jacobi_trudi_matrix, path_weight, ssyt_count
-from schurtrails.trails import BLUE, GREEN, build_graph, family_edges, recolour, terminal_points, trail_at_terminal
+from schurtrails.trails import (
+    BLUE,
+    GREEN,
+    build_graph,
+    edge_pattern,
+    family_edges,
+    recolour,
+    terminal_points,
+    trail_at_terminal,
+)
 
 
 def coeff_sum(poly):
@@ -546,19 +554,17 @@ def test_orbit_reads_the_reached_pattern_off_the_edges(data):
         image = recolour(graph, [trail_at_terminal(graph, data.draw(st.sampled_from(locations)))])
     except ValueError:
         assume(False)  # on one line two trails can start at a point, or none
-    read = _pattern_reader(N)
     for colour, family in ((BLUE, image.blue), (GREEN, image.green)):
-        edge_read = _outcome(read, image.colour_edges(colour))
+        terminals, weight = edge_pattern(image.colour_edges(colour))
+        edge_read = _outcome(lambda t: (TerminalSpec(*t, N), weight), terminals)
         assert edge_read == _outcome(lambda f: (TerminalSpec.from_family(f, N), path_weight(f)), family)
 
 
-def test_pattern_reader_reads_one_pattern_to_one_spec():
-    read = _pattern_reader(2)
+def test_edge_pattern_reads_two_objects_of_one_layout_to_its_terminals():
     spec = TerminalSpec.from_shape(SkewShape(Partition((2, 1))), 2, 0)
     first, second = (family_edges(f) for f in itertools.islice(enumerate_families(spec), 2))
     assert first != second
-    assert read(first)[0] == spec
-    assert read(first)[0] is read(second)[0]
+    assert edge_pattern(first)[0] == edge_pattern(second)[0] == (spec.starts, spec.ends)
 
 
 # ---------------------------------------------------------------- audit

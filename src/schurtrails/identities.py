@@ -27,10 +27,12 @@ reaches and closes the move, tallying both sides of the resulting
 object bijection; bijection_audit runs it once, on the left side of the
 window exchange with one selected point, and checks the images by
 counting them into the right-side layouts, which it never enumerates.
-Objects compare as per-colour edge sets.  A pattern is a (blue, green)
-pair of (starts, ends) tuples, read off edges by trails.edge_pattern;
-TerminalSpecs are built only to enumerate a pattern's families.
-Zero-length paths carry no edges, so they are part of neither.
+Objects compare as graph keys: the frame's columns and rows and each
+colour's east and north edge masks over it.  A pattern is a (blue,
+green) pair of (starts, ends) tuples, read off a layer's masks by
+trails.edge_pattern; TerminalSpecs are built only to enumerate a
+pattern's families.  Zero-length paths carry no edges, so they are part
+of neither.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ from .trails import (
     BLUE,
     GREEN,
     WHITE,
+    TwoColouredGraph,
     build_graph,
     edge_pattern,
-    family_edges,
-    family_from_edges,
+    family_layer,
     recolour,
     terminal_points_from_sets,
     trail_at_terminal,
@@ -424,48 +426,66 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
 
 
 def _path_texts(key) -> tuple:
-    """A (blue edges, green edges) object as path texts, rightmost path first, for messages."""
-    return tuple(tuple(family_from_edges(edges).to_text()) for edges in key)
+    """An object's graph key as (blue, green) path texts, rightmost path first, for messages."""
+    graph = TwoColouredGraph.from_key(key)
+    return tuple(graph.blue.to_text()), tuple(graph.green.to_text())
+
+
+def _layer_reader():
+    """A memo of edge_pattern over image layers: layer -> ((east, north), pattern, weight).
+
+    It keys on the frame's columns and rows and the two masks.  A hit
+    returns the masks first read, so one copy of each distinct image
+    layer is kept.
+    """
+    memo = {}
+
+    def read(layer):
+        key = layer.frame.cols, layer.frame.rows, layer.east, layer.north
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (key[2:], *edge_pattern(layer))
+        return got
+
+    return read
 
 
 def _moved_objects(specs, locations, read):
     """Every object of the (blue, green) spec pair with its image under the move at the selected locations.
 
     Yields (key, weight, trails, image key, image pattern, image weights)
-    per object, blue families outer and green inner.  A key is the pair
-    (blue edges, green edges), and a pattern is the pair of (starts, ends)
-    tuples that read, the caller's lru_cache over
-    edges -> (edges, *edge_pattern(edges)), gives for the two image edge
-    sets.  A cache hit returns the first equal edge set read, so one copy
-    of each distinct image edge set is kept: without that copy
-    trail_replay's wall time rose 3-13% and its check tail 5-15% (two sets
-    of 4 run pairs, 2 vCPUs); the cause was not isolated.  Every location
-    is traced, so a location no trail or two trails start at raises; its
-    trail is taken unless the location is the far end of one already
-    taken, and the taken trails are recoloured together.
+    per object, blue families outer and green inner.  A key is the
+    graph's: its frame's columns and rows, then the blue and the green
+    east and north masks.  A pattern is the pair of (starts, ends) tuples
+    that read, the caller's _layer_reader, gives for the two image
+    layers.  Every location is traced, so a location no trail or two
+    trails start at raises; its trail is taken unless the location is
+    the far end of one already taken, and the taken trails are
+    recoloured together.
     """
-    blues, greens = (
-        [(family, family_edges(family), path_weight(family)) for family in enumerate_families(spec)]
-        for spec in specs
-    )
-    for blue_family, blue_edges, blue_weight in blues:
-        for green_family, green_edges, green_weight in greens:
+    blues, greens = ([(family, path_weight(family)) for family in enumerate_families(spec)] for spec in specs)
+    for blue_family, blue_weight in blues:
+        for green_family, green_weight in greens:
             graph = build_graph(blue_family, green_family)
             taken = []
             for location in locations:
                 trail = trail_at_terminal(graph, location)
                 if not any(other.end == location for other in taken):
                     taken.append(trail)
-            image = recolour(graph, taken)
-            image_key, reached, weights = zip(read(image.colour_edges(BLUE)), read(image.colour_edges(GREEN)))
+            (blue_masks, blue_reached, blue_after), (green_masks, green_reached, green_after) = map(
+                read, recolour(graph, taken).layers
+            )
+            key = graph._key()
+            image_key = key[:2] + blue_masks + green_masks
             weight = monomial_mul(blue_weight, green_weight)
-            yield (blue_edges, green_edges), weight, taken, image_key, reached, weights
+            yield key, weight, taken, image_key, (blue_reached, green_reached), (blue_after, green_after)
 
 
 #: Most objects bijection_audit replays: s_lead(1^N) * s_trail(1^N) above
 #: this is refused before any family is enumerated.  An audit takes about
-#: 77 us per object ((7,4,1) at N = 4, 75600 objects in 5.8 s, best of
-#: three; 2-vCPU VM, CPython 3.11.7), so the limit is about 8 s.
+#: 42 us per object ((7,4,1) at N = 4, 75600 objects in 3.2 s, best of
+#: three; 2-vCPU VM, CPython 3.11.7), so the limit is about 4 s.  The
+#: r = 2 Dodgson audit, (7,5,3) at N = 4 with 264,600 objects, stays over it.
 MAX_AUDIT_OBJECTS = 100_000
 
 #: Most key digits the products of a Schur identity may handle.  The
@@ -523,8 +543,8 @@ def bijection_audit(lam, N=None) -> AuditReport:
 
     The left side is moved by the step explore_orbit runs on every
     pattern.  The right side is counted, not enumerated: trails.edge_pattern
-    reads each layout's pattern off the edges of its first object and each
-    image's pattern and weight off the image's edges, and the distinct
+    reads each layout's pattern off the layer of its first object and each
+    image's pattern and weight off the image's layers, and the distinct
     images in a layout must number its hook-content count.  Zero-length
     paths have no edges, so a layout's pattern is compared without them.
     """
@@ -554,10 +574,10 @@ def bijection_audit(lam, N=None) -> AuditReport:
         if size[kind]:
             # read off the layout's first object, as an image is read
             firsts = (next(enumerate_families(spec)) for spec in layout(term))
-            kind_of[tuple(edge_pattern(family_edges(family))[0] for family in firsts)] = kind
+            kind_of[tuple(edge_pattern(family_layer(family))[0] for family in firsts)] = kind
 
     images = {}  # each image to its layout
-    read = lru_cache(maxsize=None)(lambda edges: (edges, *edge_pattern(edges)))
+    read = _layer_reader()
     # with N = 1 and every part 0 the probe's path has no edge: the object is its own image
     selected = (probe,) if probe != keep_end else ()
     for _, weight_before, taken, image, reached, image_weights in _moved_objects(left, selected, read):
@@ -691,10 +711,10 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
 
     Every pattern reached is moved by one shared step, the one
     bijection_audit runs on its left side, and the reached pattern, a pair
-    of (starts, ends) tuples, is read off the image's edges as the audit
+    of (starts, ends) tuples, is read off the image's layers as the audit
     reads it.  Its TerminalSpecs are built once, when it is queued.
-    Objects compare as per-colour edge sets, and the step's reader keeps
-    one copy of each distinct image edge set.
+    Objects compare as graph keys, and the step's reader keeps one copy
+    of each distinct image layer.
     """
     blue = blue if isinstance(blue, SkewShape) else SkewShape(blue)
     green = green if isinstance(green, SkewShape) else SkewShape(green)
@@ -719,7 +739,7 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     counts = ({}, {})
     weights = (Counter(), Counter())
     image_of = {}
-    read = lru_cache(maxsize=None)(lambda edges: (edges, *edge_pattern(edges)))
+    read = _layer_reader()
 
     while pending:
         pattern = pending.popleft()

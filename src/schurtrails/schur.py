@@ -301,8 +301,9 @@ class LatticePath(Value):
 class PathFamily(Value):
     """Ordered tuple of pairwise vertex-disjoint paths.
 
-    _layer keeps the family's colour layer once a two-coloured graph has
-    been built from it (see trails); it plays no part in equality.
+    _layer keeps the family's colour layer, in the frame of the last
+    two-coloured graph built from it (see trails); it plays no part in
+    equality.
     """
 
     __slots__ = ("paths", "_layer")

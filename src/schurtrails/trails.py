@@ -9,14 +9,17 @@ single-colour vertex it runs straight while it can.  Tracing the trail
 through a terminal point and flipping the colours along it is the local
 move behind the exchange identities in this package.
 
-A graph holds one layer per colour: its edge set, the points its
-zero-length paths mark, and tail-to-head and head-to-tail maps built on
-the first trace.  A family's layer is built once and kept on the family.
-edge_pattern reads one colour's edge set back as its terminals and weight.
-A trail step is one map lookup; recolouring moves the flipped edges
-between the two edge sets and checks degrees only at their ends.  A
-zero-length path has no edge, so graph equality ignores it, and a
-recoloured graph, whose families are read off its edges, has none.
+A graph numbers only the columns and rows its edges touch, its frame:
+point (x, y) is bit v = column * rows + row, so along a path an east
+step adds the number of rows to v and a north step adds 1.  Each colour
+is a layer, kept on its family: east and north masks with a bit at each
+edge's tail, the points its zero-length paths mark, and a mask of all
+its points.  Tracing, recolouring and edge_pattern, the one reader of a
+layer's terminals and weight, are integer operations; edge sets, point
+colours and coordinate steps are views.  An image keeps its graph's
+edges and frame, and graphs compare as frame and masks.  A zero-length
+path has no edge, so graph equality ignores it, and a recoloured graph,
+whose families are read off its edges, has none.
 
 Orientation vocabulary: ``forward`` means right-upwards (the paths' own
 direction), ``backward`` means left-downwards.
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .partitions import Value
-from .polyring import x_monomial
+from .polyring import x_var
 from .schur import EAST, NORTH, LatticePath, PathFamily
 
 BLUE = "blue"
@@ -45,65 +48,150 @@ CYCLE_LIKE = "cycle_like"
 START = "start"
 END = "end"
 
-_ONLY = {BLUE: frozenset((BLUE,)), GREEN: frozenset((GREEN,))}
-_BOTH = frozenset((BLUE, GREEN))
-_OTHER = {BLUE: GREEN, GREEN: BLUE, FORWARD: BACKWARD, BACKWARD: FORWARD}
+_COLOURS = (BLUE, GREEN)
+_ORIENTATIONS = (FORWARD, BACKWARD)
+_INDEX = {BLUE: 0, GREEN: 1, FORWARD: 0, BACKWARD: 1}
+
+# An integer step is v << 3 | north << 2 | colour << 1 | backward, v being
+# its edge's tail and colour 0 blue.  Four masks (blue east, blue north,
+# green east, green north) are indexed colour * 2 + north.
+
+
+def _bits(mask) -> list:
+    """The set bits of a mask, highest first."""
+    out = []
+    while mask:
+        out.append(mask.bit_length() - 1)
+        mask ^= 1 << out[-1]
+    return out
+
+
+class _Frame:
+    """The columns and rows a graph's edges touch; point (x, y) is bit column * n + row, n the rows."""
+
+    __slots__ = ("cols", "rows", "n", "_col", "_row")
+
+    def __init__(self, cols, rows):
+        self.cols, self.rows, self.n = cols, rows, len(rows)
+        self._col = {x: c for c, x in enumerate(cols)}
+        self._row = {y: r for r, y in enumerate(rows)}
+
+    @classmethod
+    def of(cls, *families):
+        cols, rows = set(), set()
+        for path in (path for family in families for path in family if path.steps):
+            (x, y), (u, w) = path.start, path.end
+            cols.update(range(x, u + 1))
+            rows.update(range(y, w + 1))
+        return cls(tuple(sorted(cols)), tuple(sorted(rows)))
+
+    def same(self, other) -> bool:
+        return self is other or (self.cols == other.cols and self.rows == other.rows)
+
+    def index(self, point):
+        """The bit of a lattice point, or None outside the frame."""
+        c, r = self._col.get(point[0]), self._row.get(point[1])
+        return None if c is None or r is None else c * self.n + r
+
+    def point(self, v) -> tuple:
+        c, r = divmod(v, self.n)
+        return (self.cols[c], self.rows[r])
+
+    def points(self, mask) -> tuple:
+        """The points of a mask's bits, rightmost first."""
+        return tuple(map(self.point, _bits(mask)))
+
+    def locate(self, edge):
+        """(north, tail bit) of a unit right/up edge whose tail is in the frame, or None."""
+        (x, y), (u, w) = edge
+        north = {(1, 0): 0, (0, 1): 1}.get((u - x, w - y))
+        v = self.index((x, y))
+        return None if north is None or v is None else (north, v)
+
+    def edge(self, north, v) -> tuple:
+        c, r = divmod(v, self.n)
+        x, y = self.cols[c], self.rows[r]
+        return ((x, y), (x, y + 1) if north else (x + 1, y))
 
 
 class _Layer:
-    """One colour of a graph: its edges, the points its zero-length paths mark, and lazy maps.
+    """One colour of a graph in a frame: edge masks, zero-length marks and points.
 
-    A family is vertex-disjoint, so each point has at most one in- and
-    one out-edge of a colour: the maps are well defined, and trails are
-    deterministic.
+    A family is vertex-disjoint, so each point has at most one in- and one
+    out-edge of a colour, and trails are deterministic.  marked has the
+    marks' bits, points a bit at every edge end and mark, and span the bits
+    of the columns and rows a family's own edges touch.
     """
 
-    __slots__ = ("edges", "marks", "_maps")
+    __slots__ = ("frame", "east", "north", "marks", "marked", "points", "span")
 
-    def __init__(self, edges, marks):
-        self.edges, self.marks, self._maps = edges, marks, None
+    def __init__(self, frame, east, north, marks=frozenset(), marked=0, span=None):
+        self.frame, self.east, self.north, self.marks, self.marked, self.span = frame, east, north, marks, marked, span
+        self.points = east | north | east << frame.n | north << 1 | marked
 
-    def maps(self):
-        """(tail -> head, head -> tail, points), built once; the points are edge ends and marks."""
-        if self._maps is None:
-            succ = dict(self.edges)
-            pred = {head: tail for tail, head in self.edges}
-            self._maps = (succ, pred, succ.keys() | pred.keys() | self.marks)
-        return self._maps
+    @classmethod
+    def of(cls, family, frame):
+        n, east, north, marked, cols, rows, marks = frame.n, 0, 0, 0, 0, 0, []
+        for path in family:
+            v = frame.index(path.start)
+            if not path.steps:
+                marks.append(path.start)
+                marked |= 0 if v is None else 1 << v
+                continue
+            c0, r0 = divmod(v, n)
+            for step in path.steps:
+                if step == EAST:
+                    east, v = east | 1 << v, v + n
+                else:
+                    north, v = north | 1 << v, v + 1
+            c1, r1 = divmod(v, n)
+            cols, rows = cols | (2 << c1) - (1 << c0), rows | (2 << r1) - (1 << r0)
+        return cls(frame, east, north, frozenset(marks), marked, (cols, rows))
+
+    def edges(self) -> frozenset:
+        return frozenset(self.frame.edge(d, v) for d, mask in enumerate((self.east, self.north)) for v in _bits(mask))
 
 
-def _family_layer(family):
-    """The family's layer, built on first use and kept on the immutable family."""
-    if family._layer is None:
-        edges = frozenset(edge for path in family for edge in path.edges())
-        marks = frozenset(path.start for path in family if not path.steps)
-        object.__setattr__(family, "_layer", _Layer(edges, marks))
-    return family._layer
+def _layers(blue, green) -> tuple:
+    """The two families' layers in the frame of their edges, cached on the families.
 
-
-def family_edges(family) -> frozenset:
-    """The family's edge set, held by its layer; zero-length paths add no edge."""
-    return _family_layer(family).edges
-
-
-def edge_pattern(edges):
-    """((starts, ends), weight) of one colour's edge set, each terminal tuple rightmost first.
-
-    A start has an out-edge and no in-edge, an end the reverse; a zero-length
-    path has no edge and is not read.  The weight is x_y per east edge at height y.
+    Cached layers whose shared frame their spans cover are reused.  Otherwise an
+    equal cached frame is adopted, so that later pairings share it, and the rest rebuilt.
     """
-    tails = {tail for tail, _ in edges}
-    heads = {head for _, head in edges}
-    terminals = tuple(sorted(tails - heads, reverse=True)), tuple(sorted(heads - tails, reverse=True))
-    return terminals, x_monomial(tail[1] for tail, head in edges if tail[1] == head[1])
+    cached = b, g = blue._layer, green._layer
+    if b is not None and g is not None and b.frame is g.frame:
+        full = (1 << len(b.frame.cols)) - 1, (1 << b.frame.n) - 1
+        if (b.span[0] | g.span[0], b.span[1] | g.span[1]) == full:
+            return cached
+    frame = _Frame.of(blue, green)
+    frame = next((layer.frame for layer in cached if layer is not None and layer.frame.same(frame)), frame)
+    for family, layer in zip((blue, green), cached):
+        if layer is None or layer.frame is not frame:
+            object.__setattr__(family, "_layer", _Layer.of(family, frame))
+    return blue._layer, green._layer
+
+
+def family_layer(family) -> _Layer:
+    """The family's layer in the frame of its own edges, kept on the family."""
+    return _layers(family, PathFamily())[0]
+
+
+def edge_pattern(layer):
+    """((starts, ends), weight) of one colour's layer, each terminal tuple rightmost first.
+
+    A start is the tail of an edge and the head of none, an end the reverse, so
+    a zero-length path is not read.  The weight is x_y per east edge in row y.
+    """
+    frame, east, north, n = layer.frame, layer.east, layer.north, layer.frame.n
+    tails, heads = east | north, east << n | north << 1
+    row = ((1 << n * len(frame.cols)) - 1) // ((1 << n) - 1) if n else 0  # the bottom row's bits
+    counts = ((y, (east >> r & row).bit_count()) for r, y in enumerate(frame.rows))
+    return (frame.points(tails & ~heads), frame.points(heads & ~tails)), tuple((x_var(y), k) for y, k in counts if k)
 
 
 def _by_colour(blue, green):
     """Each member of either set mapped to the frozenset of the colours holding it."""
-    out = dict.fromkeys(blue, _ONLY[BLUE])
-    out.update(dict.fromkeys(green, _ONLY[GREEN]))
-    out.update(dict.fromkeys(blue & green, _BOTH))
-    return out
+    return {v: frozenset(c for c, held in ((BLUE, blue), (GREEN, green)) if v in held) for v in blue | green}
 
 
 class TwoColouredGraph(Value):
@@ -111,9 +199,9 @@ class TwoColouredGraph(Value):
 
     blue and green are the families the graph was built from, or, after a
     recolour, read off the edges on first use.  Equality and hashing use
-    the two edge sets only.  edge_colours (each unit edge to its colours)
-    and vertices (each point to the colours at it) are derived views.
-    Graphs are immutable: recolour returns a new one.
+    the frame and the four edge masks only.  edge_colours (each unit edge
+    to its colours), vertices (each point to its colours) and instances
+    are views.  Graphs are immutable: recolour returns a new one.
     """
 
     __slots__ = ("layers", "_families")
@@ -124,7 +212,22 @@ class TwoColouredGraph(Value):
         if not isinstance(green, PathFamily):
             green = PathFamily(green)
         object.__setattr__(self, "_families", {BLUE: blue, GREEN: green})
-        object.__setattr__(self, "layers", {BLUE: _family_layer(blue), GREEN: _family_layer(green)})
+        object.__setattr__(self, "layers", _layers(blue, green))
+
+    @classmethod
+    def _of_layers(cls, blue, green) -> "TwoColouredGraph":
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "_families", {})
+        object.__setattr__(graph, "layers", (blue, green))
+        return graph
+
+    @classmethod
+    def from_key(cls, key) -> "TwoColouredGraph":
+        """The graph, without zero-length paths, whose _key() is key."""
+        frame = _Frame(*key[:2])
+        return cls._of_layers(_Layer(frame, *key[2:4]), _Layer(frame, *key[4:]))
+
+    frame = property(lambda self: self.layers[0].frame)
 
     def family(self, colour: str) -> PathFamily:
         """The colour's path family: as built, or read off the edges once."""
@@ -136,13 +239,14 @@ class TwoColouredGraph(Value):
     green = property(lambda self: self.family(GREEN))
 
     def _key(self):
-        return self.layers[BLUE].edges, self.layers[GREEN].edges
+        blue, green = self.layers
+        return blue.frame.cols, blue.frame.rows, blue.east, blue.north, green.east, green.north
 
     def __repr__(self):
         return "TwoColouredGraph(%r, %r)" % (self.blue, self.green)
 
     def colour_edges(self, colour: str) -> frozenset:
-        return self.layers[colour].edges
+        return self.layers[_INDEX[colour]].edges()
 
     @property
     def edge_colours(self) -> dict:
@@ -150,11 +254,11 @@ class TwoColouredGraph(Value):
 
     @property
     def vertices(self) -> dict:
-        return _by_colour(self.layers[BLUE].maps()[2], self.layers[GREEN].maps()[2])
+        return _by_colour(*(frozenset(layer.frame.points(layer.points)) | layer.marks for layer in self.layers))
 
     def instances(self):
         """All (edge, colour) pairs, doubly-coloured edges contributing two."""
-        return ((edge, colour) for colour, layer in self.layers.items() for edge in layer.edges)
+        return ((edge, colour) for colour in _COLOURS for edge in self.colour_edges(colour))
 
     def to_json(self) -> dict:
         return {"blue": self.blue.to_text(), "green": self.green.to_text()}
@@ -229,33 +333,69 @@ def terminal_points_from_sets(blue_starts, blue_ends, green_starts, green_ends) 
     return points
 
 
-@dataclass(frozen=True)
-class ChangingTrail:
+class ChangingTrail(Value):
     """Maximal alternating walk; steps are (edge, colour, orientation) triples.
 
     Consecutive steps keep colour and orientation together: equal
     colours share the orientation, a colour change flips it.  A
     path_like trail has genuine endpoints; a cycle_like trail closes up
-    and its step sequence starts at an arbitrary rotation.
+    and its step sequence starts at an arbitrary rotation.  A traced trail
+    keeps its integer steps and flip masks, and spells steps out on first read.
     """
 
-    kind: str
-    steps: tuple
+    __slots__ = ("kind", "_steps", "_frame", "_ints", "_flips")
 
-    def __post_init__(self):
-        if not self.steps:
+    def __init__(self, kind, steps):
+        self._set(kind, tuple(steps), None, None, None)
+        if not self._steps:
             raise ValueError("a changing trail has at least one step")
-        for (e1, c1, o1), (e2, c2, o2) in zip(self.steps, self.steps[1:]):
+        for (e1, c1, o1), (e2, c2, o2) in zip(self._steps, self._steps[1:]):
             if (c1 == c2) != (o1 == o2):
                 raise ValueError("colour change must flip orientation: %r -> %r" % ((e1, c1, o1), (e2, c2, o2)))
 
+    @classmethod
+    def _traced(cls, kind, frame, ints, flips) -> "ChangingTrail":
+        trail = object.__new__(cls)
+        trail._set(kind, None, frame, ints, flips)
+        # colour and orientation change together, so all steps share colour ^ orientation
+        if len({(step ^ step >> 1) & 1 for step in ints}) > 1:
+            a, b = next((a, b) for a, b in zip(ints, ints[1:]) if (a ^ a >> 1 ^ b ^ b >> 1) & 1)
+            raise ValueError("colour change must flip orientation: %r -> %r" % (trail._spell(a), trail._spell(b)))
+        return trail
+
+    def _set(self, kind, steps, frame, ints, flips):
+        setter = object.__setattr__
+        setter(self, "kind", kind)
+        setter(self, "_steps", steps)
+        setter(self, "_frame", frame)
+        setter(self, "_ints", ints)
+        setter(self, "_flips", flips)
+
+    def _spell(self, step) -> tuple:
+        return self._frame.edge(step >> 2 & 1, step >> 3), _COLOURS[step >> 1 & 1], _ORIENTATIONS[step & 1]
+
+    def _point(self, step, at_head) -> tuple:
+        return self._frame.point((step >> 3) + (1 if step & 4 else self._frame.n) * at_head)
+
+    @property
+    def steps(self) -> tuple:
+        if self._steps is None:
+            object.__setattr__(self, "_steps", tuple(map(self._spell, self._ints)))
+        return self._steps
+
+    def _key(self):
+        return self.kind, self.steps
+
+    def __repr__(self):
+        return "ChangingTrail(kind=%r, steps=%r)" % (self.kind, self.steps)
+
     @property
     def start(self):
-        return _begin(self.steps[0])
+        return _begin(self._steps[0]) if self._ints is None else self._point(self._ints[0], self._ints[0] & 1)
 
     @property
     def end(self):
-        return _arrival(self.steps[-1])
+        return _arrival(self._steps[-1]) if self._ints is None else self._point(self._ints[-1], ~self._ints[-1] & 1)
 
     @property
     def endpoints(self):
@@ -282,84 +422,50 @@ def _arrival(step):
     return head if orientation == FORWARD else tail
 
 
-def _reverse(step):
-    edge, colour, orientation = step
-    return (edge, colour, _OTHER[orientation])
+def _leave(layers, n, v, colour, backward):
+    """The integer step leaving bit v in the colour and orientation, or None; v - 1 never wraps onto a north edge."""
+    east, north = layers[colour].east, layers[colour].north
+    if not backward:
+        return v << 3 | colour << 1 if east >> v & 1 else v << 3 | 4 | colour << 1 if north >> v & 1 else None
+    if v >= n and east >> (v - n) & 1:
+        return (v - n) << 3 | colour << 1 | 1
+    return (v - 1) << 3 | 4 | colour << 1 | 1 if v and north >> (v - 1) & 1 else None
 
 
-def _maps(graph):
-    return {BLUE: graph.layers[BLUE].maps(), GREEN: graph.layers[GREEN].maps()}
+def _walk(layers, n, both, seed, flips):
+    """Integer steps after seed on its trail, in walk order, and whether the walk came back to seed.
 
-
-def _after(maps, step):
-    """The steps that follow step on its trail, in walk order; one map lookup each."""
-    blue_points, green_points = maps[BLUE][2], maps[GREEN][2]
-    (tail, head), colour, orientation = step
-    while True:
-        v = head if orientation == FORWARD else tail
-        if v in blue_points and v in green_points:
-            colour, orientation = _OTHER[colour], _OTHER[orientation]
-        succ, pred, _ = maps[colour]
-        tail, head = (v, succ.get(v)) if orientation == FORWARD else (pred.get(v), v)
-        if tail is None or head is None:
-            return
-        yield (tail, head), colour, orientation
-
-
-def _walk(maps, seed, seen):
-    """Steps after seed in walk order, and whether the walk came back to seed."""
-    steps = []
-    for step in _after(maps, seed):
-        if step == seed:
-            return steps, True
-        key = (step[0], step[1])
-        assert key not in seen, "trail revisited an edge instance"
-        seen.add(key)
-        steps.append(step)
-    return steps, False
-
-
-def _trail_from_step(maps, step0):
-    """Walk back from step0 by walking on from its reversal, then on from step0."""
-    seen = {(step0[0], step0[1])}
-    back, closed = _walk(maps, _reverse(step0), seen)
-    steps = [_reverse(step) for step in reversed(back)]
-    steps.append(step0)
-    if closed:
-        return ChangingTrail(kind=CYCLE_LIKE, steps=tuple(steps))
-    ahead, _ = _walk(maps, step0, seen)
-    return ChangingTrail(kind=PATH_LIKE, steps=tuple(steps + ahead))
-
-
-def _start_instances(maps, location):
-    """Edge instances leaving the point that no arrival feeds into.
-
-    A step has no predecessor when its reversal has no successor; these
-    are the first steps of the trails with an endpoint at the location.
+    Each step is set in flips, the trail's four masks.
     """
-    found = []
-    for colour in (BLUE, GREEN):
-        succ, pred, _ = maps[colour]
-        for step in (
-            ((location, succ.get(location)), colour, FORWARD),
-            ((pred.get(location), location), colour, BACKWARD),
-        ):
-            if None not in step[0] and next(_after(maps, _reverse(step)), None) is None:
-                found.append(step)
-    return found
+    steps, step = [], seed
+    while True:
+        v, colour, backward = step >> 3, step >> 1 & 1, step & 1
+        if not backward:
+            v += 1 if step & 4 else n  # arrive at the head
+        if both >> v & 1:
+            colour, backward = colour ^ 1, backward ^ 1
+        step = _leave(layers, n, v, colour, backward)
+        if step is None or step == seed:
+            return steps, step is not None
+        k, bit = (step & 2) | (step >> 2 & 1), 1 << (step >> 3)
+        assert not flips[k] & bit, "trail revisited an edge instance"
+        flips[k] |= bit
+        steps.append(step)
 
 
-def _seed_step(graph, start):
-    try:
-        (tail, head), colour, orientation = start
-    except (TypeError, ValueError):
-        raise ValueError("cannot interpret trail start %r" % (start,))
-    if orientation not in (FORWARD, BACKWARD):
-        raise ValueError("unknown orientation %r" % (orientation,))
-    edge = (tuple(tail), tuple(head))
-    if colour not in graph.layers or edge not in graph.layers[colour].edges:
-        raise ValueError("edge %r does not carry colour %s" % (edge, colour))
-    return (edge, colour, orientation)
+def _trace(graph, seed) -> ChangingTrail:
+    """The trail through an integer step: walk on from its reversal back to the start, then on from seed."""
+    layers = graph.layers
+    frame = layers[0].frame
+    both = layers[0].points & layers[1].points
+    flips = [0, 0, 0, 0]
+    flips[(seed & 2) | (seed >> 2 & 1)] = 1 << (seed >> 3)
+    back, closed = _walk(layers, frame.n, both, seed ^ 1, flips)
+    steps = [step ^ 1 for step in reversed(back)]
+    steps.append(seed)
+    if not closed:
+        steps += _walk(layers, frame.n, both, seed, flips)[0]
+    return ChangingTrail._traced(CYCLE_LIKE if closed else PATH_LIKE, frame, tuple(steps), tuple(flips))
 
 
 def trace_trail(graph: TwoColouredGraph, start) -> ChangingTrail:
@@ -369,7 +475,18 @@ def trace_trail(graph: TwoColouredGraph, start) -> ChangingTrail:
     set, with the step direction following the seed.  The trail with an
     endpoint at a given lattice point comes from trail_at_terminal.
     """
-    return _trail_from_step(_maps(graph), _seed_step(graph, start))
+    try:
+        (tail, head), colour, orientation = start
+    except (TypeError, ValueError):
+        raise ValueError("cannot interpret trail start %r" % (start,))
+    if orientation not in (FORWARD, BACKWARD):
+        raise ValueError("unknown orientation %r" % (orientation,))
+    edge = (tuple(tail), tuple(head))
+    layer = graph.layers[_INDEX[colour]] if colour in _COLOURS else None
+    at = None if layer is None else graph.frame.locate(edge)
+    if at is None or not (layer.east, layer.north)[at[0]] >> at[1] & 1:
+        raise ValueError("edge %r does not carry colour %s" % (edge, colour))
+    return _trace(graph, at[1] << 3 | at[0] << 2 | _INDEX[colour] << 1 | _INDEX[orientation])
 
 
 def trail_at_terminal(graph: TwoColouredGraph, location) -> ChangingTrail:
@@ -383,34 +500,42 @@ def trail_at_terminal(graph: TwoColouredGraph, location) -> ChangingTrail:
     start of one colour can sit on an end of the other.
     """
     location = (int(location[0]), int(location[1]))
-    maps = _maps(graph)
-    candidates = _start_instances(maps, location)
+    layers = graph.layers
+    n, v = layers[0].frame.n, layers[0].frame.index(location)
+    candidates = []
+    if v is not None:
+        swap = (layers[0].points & layers[1].points) >> v & 1
+        for colour, backward in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            # a step has no predecessor when its reversal, which arrives at v, has no successor
+            step = _leave(layers, n, v, colour, backward)
+            if step is not None and _leave(layers, n, v, colour ^ swap, backward ^ 1 ^ swap) is None:
+                candidates.append(step)
     if not candidates:
         raise ValueError("no changing trail starts at %r" % (location,))
     if len(candidates) > 1:
         raise ValueError("%d changing trails start at %r" % (len(candidates), location))
-    trail = _trail_from_step(maps, candidates[0])
-    # terminal-started trails stay clear of doubly-coloured edges, which
-    # live on their own two-step cycles
-    blue, green = graph.colour_edges(BLUE), graph.colour_edges(GREEN)
-    assert not any(
-        edge in blue and edge in green for edge, _, _ in trail.steps
-    ), "terminal-started trail entered a doubly-coloured edge"
+    trail = _trace(graph, candidates[0])
+    # terminal-started trails stay clear of doubly-coloured edges, which live on their own two-step cycles
+    (blue, green), (blue_east, blue_north, green_east, green_north) = layers, trail._flips
+    doubly = (blue_east | green_east) & blue.east & green.east or (blue_north | green_north) & blue.north & green.north
+    assert not doubly, "terminal-started trail entered a doubly-coloured edge"
     return trail
 
 
 def all_trails(graph: TwoColouredGraph) -> tuple:
-    """Every maximal changing trail once; their instance sets partition the graph."""
-    seen = set()
-    trails = []
-    for edge, colour in sorted(graph.instances()):
-        if (edge, colour) in seen:
-            continue
-        trail = trace_trail(graph, (edge, colour, FORWARD))
-        trails.append(trail)
-        overlap = trail.edge_instances() & seen
-        assert not overlap, "trails are not instance-disjoint: %r" % (overlap,)
-        seen |= trail.edge_instances()
+    """Every maximal changing trail once; their instance sets partition the graph.
+
+    Each is traced forward from its least (edge, colour) instance: tails ascend, north before east, blue first.
+    """
+    masks = graph._key()[2:]
+    seen, trails = [0, 0, 0, 0], []
+    for v in reversed(_bits(masks[0] | masks[1] | masks[2] | masks[3])):
+        for k in (1, 3, 0, 2):
+            if (masks[k] & ~seen[k]) >> v & 1:
+                trail = _trace(graph, v << 3 | (k & 1) << 2 | (k & 2))
+                assert not any(map(int.__and__, seen, trail._flips)), "trails are not instance-disjoint"
+                seen = list(map(int.__or__, seen, trail._flips))
+                trails.append(trail)
     return tuple(trails)
 
 
@@ -452,48 +577,60 @@ def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
 
     The trails must be pairwise instance-disjoint and flip both instances
     of a doubly-coloured edge, so the edge multiset and the total path
-    weight are conserved.  The flipped edges move between the two edge
-    sets.  Each colour must still enter and leave every end of a flipped
-    edge at most once; the source obeys this, so only the unit step beside
-    each newly coloured edge is looked up.
+    weight are conserved.  A traced trail brings its flip masks; any other
+    is folded in step by step.  Each colour must still leave (east & north)
+    and enter (east << rows & north << 1) every point at most once.
     """
-    steps = [step for trail in trails for step in trail.steps]
-    flips = {BLUE: set(), GREEN: set()}
-    for edge, colour, _ in steps:
-        flipped = flips.setdefault(colour, set())
-        if edge in flipped:
-            raise ValueError("overlapping trails share the edge instance %r" % ((edge, colour),))
-        flipped.add(edge)
-    blue, green = graph.layers[BLUE], graph.layers[GREEN]
-    from_blue, from_green = flips.pop(BLUE), flips.pop(GREEN)
-    to_blue, to_green = from_green - from_blue, from_blue - from_green
-    stray = (from_blue - blue.edges).union(from_green - green.edges, *flips.values())
-    half = (to_blue & blue.edges) | (to_green & green.edges)
-    if stray or half:
-        edge = next(edge for edge, _, _ in steps if edge in stray or edge in half)
-        if edge in stray:
-            raise ValueError("trail edges do not all belong to the graph")
-        raise ValueError("the doubly-coloured edge %r must flip both colours or neither" % (edge,))
-    # a doubly-coloured edge flipped both ways keeps its colours
-    blue_edges, green_edges = (blue.edges - to_green) | to_blue, (green.edges - to_blue) | to_green
-    for edges, flipped in ((blue_edges, to_blue), (green_edges, to_green)):
-        for tail, head in flipped:
-            (x, y), (u, w) = tail, head
-            dx, dy = u - x, w - y  # the other unit step is (dy, dx)
-            if (tail, (x + dy, y + dx)) in edges:
-                raise ValueError("vertex %r has out-degree 2 within one colour" % (tail,))
-            if ((u - dy, w - dx), head) in edges:
-                raise ValueError("vertex %r has in-degree 2 within one colour" % (head,))
+    frame, flips, off = graph.layers[0].frame, [0, 0, 0, 0], False
+    for trail in trails:
+        own = trail._flips if trail._frame is not None and trail._frame.same(frame) else None
+        if own is not None and not (flips[0] & own[0] or flips[1] & own[1] or flips[2] & own[2] or flips[3] & own[3]):
+            flips = [flips[0] | own[0], flips[1] | own[1], flips[2] | own[2], flips[3] | own[3]]
+            continue
+        for edge, colour, _ in trail.steps:
+            at = frame.locate(edge) if colour in _COLOURS else None
+            if at is None:
+                off = True
+                continue
+            k, bit = _INDEX[colour] * 2 + at[0], 1 << at[1]
+            if flips[k] & bit:
+                raise ValueError("overlapping trails share the edge instance %r" % ((edge, colour),))
+            flips[k] |= bit
+    (blue, green), (blue_east, blue_north, green_east, green_north) = graph.layers, flips
+    # an edge flipped in both colours keeps them; an edge off the frame is stray
+    to_blue = green_east & ~blue_east, green_north & ~blue_north
+    to_green = blue_east & ~green_east, blue_north & ~green_north
+    stray = blue_east & ~blue.east | green_east & ~green.east, blue_north & ~blue.north | green_north & ~green.north
+    half = to_blue[0] & blue.east | to_green[0] & green.east, to_blue[1] & blue.north | to_green[1] & green.north
+    if off or stray[0] or stray[1] or half[0] or half[1]:
+        # name the first step on a faulty edge, in trail order
+        for edge, _, _ in (step for trail in trails for step in trail.steps):
+            at = frame.locate(edge)
+            if at is None or stray[at[0]] >> at[1] & 1:
+                break
+            if half[at[0]] >> at[1] & 1:
+                raise ValueError("the doubly-coloured edge %r must flip both colours or neither" % (edge,))
+        raise ValueError("trail edges do not all belong to the graph")
+    new = (
+        (blue.east & ~to_green[0] | to_blue[0], blue.north & ~to_green[1] | to_blue[1]),
+        (green.east & ~to_blue[0] | to_green[0], green.north & ~to_blue[1] | to_green[1]),
+    )
+    n = frame.n
+    for east, north in new:
+        for twice, degree in ((east & north, "out"), (east << n & north << 1, "in")):
+            if twice:
+                point = frame.point(twice.bit_length() - 1)
+                raise ValueError("vertex %r has %s-degree 2 within one colour" % (point, degree))
     # a marked point that a flipped edge reaches is held by its edges alone
-    touched = {v for edge in to_blue | to_green for v in edge} if blue.marks or green.marks else ()
-    layers = {
-        BLUE: _Layer(blue_edges, blue.marks.difference(touched)),
-        GREEN: _Layer(green_edges, green.marks.difference(touched)),
-    }
-    image = object.__new__(TwoColouredGraph)
-    object.__setattr__(image, "_families", {})
-    object.__setattr__(image, "layers", layers)
-    return image
+    moved_east, moved_north = to_blue[0] | to_green[0], to_blue[1] | to_green[1]
+    touched = moved_east | moved_north | moved_east << n | moved_north << 1
+    layers = []
+    for layer, (east, north) in zip((blue, green), new):
+        marks, marked = layer.marks, layer.marked
+        if marked & touched:
+            marks, marked = marks.difference(frame.points(marked & touched)), marked & ~touched
+        layers.append(_Layer(frame, east, north, marks, marked))
+    return TwoColouredGraph._of_layers(*layers)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+import collections
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -39,11 +42,9 @@ from schurtrails.polyring import (
 )
 from schurtrails.schur import TerminalSpec, enumerate_families, jacobi_trudi_matrix, path_weight, ssyt_count
 from schurtrails.trails import (
-    BLUE,
-    GREEN,
     build_graph,
     edge_pattern,
-    family_edges,
+    family_layer,
     recolour,
     terminal_points,
     trail_at_terminal,
@@ -554,16 +555,16 @@ def test_orbit_reads_the_reached_pattern_off_the_edges(data):
         image = recolour(graph, [trail_at_terminal(graph, data.draw(st.sampled_from(locations)))])
     except ValueError:
         assume(False)  # on one line two trails can start at a point, or none
-    for colour, family in ((BLUE, image.blue), (GREEN, image.green)):
-        terminals, weight = edge_pattern(image.colour_edges(colour))
+    for layer, family in zip(image.layers, (image.blue, image.green)):
+        terminals, weight = edge_pattern(layer)
         edge_read = _outcome(lambda t: (TerminalSpec(*t, N), weight), terminals)
         assert edge_read == _outcome(lambda f: (TerminalSpec.from_family(f, N), path_weight(f)), family)
 
 
 def test_edge_pattern_reads_two_objects_of_one_layout_to_its_terminals():
     spec = TerminalSpec.from_shape(SkewShape(Partition((2, 1))), 2, 0)
-    first, second = (family_edges(f) for f in itertools.islice(enumerate_families(spec), 2))
-    assert first != second
+    first, second = (family_layer(f) for f in itertools.islice(enumerate_families(spec), 2))
+    assert (first.east, first.north) != (second.east, second.north)
     assert edge_pattern(first)[0] == edge_pattern(second)[0] == (spec.starts, spec.ends)
 
 
@@ -686,3 +687,43 @@ def test_audit_counts_match_products(parts, N):
     assert rep.case_b == count_of([p - 1 for p in parts[1:]], N) * count_of(
         [p + 1 for p in parts[:r]], N
     )
+
+
+# ---------------------------------------------------------------- seeded sweep
+
+def _sweep_shape(rng):
+    outer = sorted((rng.randint(0, 3) for _ in range(rng.randint(1, 3))), reverse=True)
+    inner = sorted((rng.randint(0, part) for part in outer), reverse=True)
+    return SkewShape(Partition(outer), Partition([min(i, o) for i, o in zip(inner, outer)]))
+
+
+def _sweep_calls():
+    rng = random.Random(7)
+    for _ in range(1400):
+        N = rng.randint(1, 3)
+        blue, green = _sweep_shape(rng), _sweep_shape(rng)
+        t = rng.randint(-2, 2)
+        selected = [rng.randint(1, 8) for _ in range(rng.randint(0, 2))]
+        yield explore_orbit, (blue, green), {"t": t, "selected": selected, "N": N}
+    for _ in range(300):
+        parts = sorted((rng.randint(0, 4) for _ in range(rng.randint(2, 4))), reverse=True)
+        yield bijection_audit, (parts, rng.randint(1, 3)), {}
+
+
+def _sweep_outcome(move, args, kwargs):
+    try:
+        return json.dumps(move(*args, **kwargs).to_json(), sort_keys=True)
+    except (ValueError, RuntimeError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def test_seeded_orbit_and_audit_sweep_keeps_its_outcomes():
+    # 1,400 small orbits at N = 1..3, zero-length paths among them, then 300
+    # audits; each outcome is the report's JSON or the refusal's type and text.
+    # The digest pins every outcome, so a change that mends a refusal on
+    # purpose (the N = 1 involution failures, say) records a new one.
+    outcomes = [_sweep_outcome(*call) for call in _sweep_calls()]
+    kinds = collections.Counter("report" if o.startswith("{") else o.split(":")[0] for o in outcomes)
+    assert kinds == {"report": 1227, "ValueError": 414, "RuntimeError": 59}
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "8e399eb27a6f71855a638da51d7a296c1fd920e442067e650966381589873378"

@@ -276,6 +276,187 @@ def rebuilt_families(graph, trails):
     )
 
 
+# ---------------------------------------------------------------- the frozenset oracle
+#
+# The move as it was stated on edge sets before graphs held bit masks: dict
+# maps of successors and predecessors for tracing, set algebra for
+# recolouring.  The mask code must give the same trails, images and refusals.
+
+_OTHER = {BLUE: GREEN, GREEN: BLUE, FORWARD: BACKWARD, BACKWARD: FORWARD}
+
+
+class OracleGraph:
+    """Per-colour edge sets and zero-length marks, with (succ, pred, points) maps."""
+
+    def __init__(self, edges, marks):
+        self.edges, self.marks, self.maps = edges, marks, {}
+        for colour in (BLUE, GREEN):
+            succ = dict(edges[colour])
+            pred = {head: tail for tail, head in edges[colour]}
+            self.maps[colour] = (succ, pred, succ.keys() | pred.keys() | marks[colour])
+
+    @classmethod
+    def of(cls, blue, green):
+        families = {BLUE: blue, GREEN: green}
+        return cls(
+            {colour: frozenset(e for p in f for e in p.edges()) for colour, f in families.items()},
+            {colour: frozenset(p.start for p in f if not p.steps) for colour, f in families.items()},
+        )
+
+    def picture(self):
+        return _by_colour(self.edges[BLUE], self.edges[GREEN]), _by_colour(self.maps[BLUE][2], self.maps[GREEN][2])
+
+
+def _by_colour(blue, green):
+    out = dict.fromkeys(blue, frozenset((BLUE,)))
+    out.update(dict.fromkeys(green, frozenset((GREEN,))))
+    out.update(dict.fromkeys(blue & green, frozenset((BLUE, GREEN))))
+    return out
+
+
+def _oracle_after(maps, step):
+    blue_points, green_points = maps[BLUE][2], maps[GREEN][2]
+    (tail, head), colour, orientation = step
+    while True:
+        v = head if orientation == FORWARD else tail
+        if v in blue_points and v in green_points:
+            colour, orientation = _OTHER[colour], _OTHER[orientation]
+        succ, pred, _ = maps[colour]
+        tail, head = (v, succ.get(v)) if orientation == FORWARD else (pred.get(v), v)
+        if tail is None or head is None:
+            return
+        yield (tail, head), colour, orientation
+
+
+def _oracle_walk(maps, seed, seen):
+    steps = []
+    for step in _oracle_after(maps, seed):
+        if step == seed:
+            return steps, True
+        assert (step[0], step[1]) not in seen, "trail revisited an edge instance"
+        seen.add((step[0], step[1]))
+        steps.append(step)
+    return steps, False
+
+
+def _reverse(step):
+    return step[0], step[1], _OTHER[step[2]]
+
+
+def oracle_trail_at_terminal(oracle, location):
+    """(kind, steps) of the trail starting at the location, or its refusal raised."""
+    location = (int(location[0]), int(location[1]))
+    candidates = []
+    for colour in (BLUE, GREEN):
+        succ, pred, _ = oracle.maps[colour]
+        leaving = ((location, succ.get(location)), colour, FORWARD), ((pred.get(location), location), colour, BACKWARD)
+        for step in leaving:
+            if None not in step[0] and next(_oracle_after(oracle.maps, _reverse(step)), None) is None:
+                candidates.append(step)
+    if not candidates:
+        raise ValueError("no changing trail starts at %r" % (location,))
+    if len(candidates) > 1:
+        raise ValueError("%d changing trails start at %r" % (len(candidates), location))
+    step0 = candidates[0]
+    seen = {(step0[0], step0[1])}
+    back, closed = _oracle_walk(oracle.maps, _reverse(step0), seen)
+    steps = [_reverse(step) for step in reversed(back)] + [step0]
+    if closed:
+        return CYCLE_LIKE, tuple(steps)
+    return PATH_LIKE, tuple(steps + _oracle_walk(oracle.maps, step0, seen)[0])
+
+
+def oracle_recolour(oracle, trails):
+    """The recoloured OracleGraph, or the list of refusals it may give.
+
+    Where several vertices break a degree rule the refusal named depends on
+    set order, so each of them is listed.
+    """
+    steps = [step for trail in trails for step in trail]
+    flips = {BLUE: set(), GREEN: set()}
+    for edge, colour, _ in steps:
+        flipped = flips.setdefault(colour, set())
+        if edge in flipped:
+            return ["overlapping trails share the edge instance %r" % ((edge, colour),)]
+        flipped.add(edge)
+    blue, green = oracle.edges[BLUE], oracle.edges[GREEN]
+    from_blue, from_green = flips.pop(BLUE), flips.pop(GREEN)
+    to_blue, to_green = from_green - from_blue, from_blue - from_green
+    stray = (from_blue - blue).union(from_green - green, *flips.values())
+    half = (to_blue & blue) | (to_green & green)
+    if stray or half:
+        edge = next(edge for edge, _, _ in steps if edge in stray or edge in half)
+        if edge in stray:
+            return ["trail edges do not all belong to the graph"]
+        return ["the doubly-coloured edge %r must flip both colours or neither" % (edge,)]
+    blue_edges, green_edges = (blue - to_green) | to_blue, (green - to_blue) | to_green
+    for edges, flipped in ((blue_edges, to_blue), (green_edges, to_green)):
+        refusals = []
+        for tail, head in flipped:
+            (x, y), (u, w) = tail, head
+            dx, dy = u - x, w - y  # the other unit step is (dy, dx)
+            if (tail, (x + dy, y + dx)) in edges:
+                refusals.append("vertex %r has out-degree 2 within one colour" % (tail,))
+            if ((u - dy, w - dx), head) in edges:
+                refusals.append("vertex %r has in-degree 2 within one colour" % (head,))
+        if refusals:
+            return refusals
+    touched = {v for edge in to_blue | to_green for v in edge}
+    marks = {colour: oracle.marks[colour] - touched for colour in (BLUE, GREEN)}
+    return OracleGraph({BLUE: blue_edges, GREEN: green_edges}, marks)
+
+
+def _same_move(graph, oracle, trails):
+    """The image and its oracle when the move succeeds, after checking they agree."""
+    image = _outcome(recolour, graph, trails)
+    want = oracle_recolour(oracle, [trail.steps for trail in trails])
+    if isinstance(want, list):
+        assert image in want
+        return None
+    assert not isinstance(image, str), image
+    assert _picture(image) == want.picture()
+    return image, want
+
+
+def _same_trail(graph, oracle, location):
+    trail = _outcome(trail_at_terminal, graph, location)
+    want = _outcome(oracle_trail_at_terminal, oracle, location)
+    assert trail == want if isinstance(trail, str) else (trail.kind, trail.steps) == want
+    return None if isinstance(trail, str) else trail
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_masks_agree_with_the_frozenset_oracle(data):
+    # N = 1 draws zero-length paths, and starts of one colour on ends of the other
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    t = data.draw(st.integers(min_value=-2, max_value=2))
+    blues = list(enumerate_families(TerminalSpec.from_shape(data.draw(skew_shapes_st()), n)))
+    greens = list(enumerate_families(TerminalSpec.from_shape(data.draw(skew_shapes_st()), n, offset=t)))
+    assume(blues and greens)
+    fb, fg = data.draw(st.sampled_from(blues)), data.draw(st.sampled_from(greens))
+    graph, oracle = build_graph(fb, fg), OracleGraph.of(fb, fg)
+    assert _picture(graph) == oracle.picture()
+    traced = []
+    for location in sorted({p.start for f in (fb, fg) for p in f} | {p.end for f in (fb, fg) for p in f}):
+        trail = _same_trail(graph, oracle, location)
+        moved = trail and _same_move(graph, oracle, [trail])
+        if moved:
+            traced.append(trail)
+            # moving back from the image drops the zero-length marks the move reached
+            back = _same_trail(*moved, location)
+            if back:
+                _same_move(*moved, [back])
+    if traced:
+        _same_move(graph, oracle, data.draw(st.lists(st.sampled_from(traced), max_size=3)))
+    instances = sorted(graph.instances())
+    if instances:
+        # hand-built one-step trails: stray, half-flipped, overlapping, or refused by a degree rule
+        picks = data.draw(st.lists(st.tuples(st.sampled_from(instances), st.booleans()), min_size=1, max_size=3))
+        hand_built = [one_step(edge, colour if same else _OTHER[colour]) for (edge, colour), same in picks]
+        _same_move(graph, oracle, hand_built)
+
+
 def distinct_trails(graph, locations):
     trails = {}
     for location in locations:
@@ -363,12 +544,14 @@ def test_cached_layers_match_fresh_families(data):
     greens = list(enumerate_families(TerminalSpec.from_shape(data.draw(skew_shapes_st()), n, offset=t)))
     assume(blues and greens)
     fb, fg = data.draw(st.sampled_from(blues)), data.draw(st.sampled_from(greens))
-    # trace other pairings first, so that both families' layers and maps are cached
+    # trace other pairings first, so that both families' layers are cached
     all_trails(build_graph(fb, data.draw(st.sampled_from(greens))))
     all_trails(build_graph(data.draw(st.sampled_from(blues)), fg))
     cached = build_graph(fb, fg)
     fresh = build_graph(PathFamily(list(fb)), PathFamily(list(fg)))
-    assert cached.layers[BLUE] is fb._layer and fresh.layers[BLUE] is not fb._layer
+    # the cached layers are the families', for the graph's frame
+    assert cached.layers == (fb._layer, fg._layer) and fb._layer.frame is fg._layer.frame is cached.frame
+    assert fresh.layers[0] is not fb._layer
     assert _picture(cached) == _picture(fresh)
     marks = {path.start: colour for colour, f in ((BLUE, fb), (GREEN, fg)) for path in f if not path.steps}
     for location in sorted({p.start for f in (fb, fg) for p in f} | {p.end for f in (fb, fg) for p in f}):
@@ -386,6 +569,25 @@ def test_cached_layers_match_fresh_families(data):
         for point, colour in marks.items():
             if point not in ends:
                 assert colour in image.vertices[point]
+
+
+@pytest.mark.parametrize(
+    "blue, green",
+    [(["(0,1):E"], ["(20000,20000):E"]), (["(-1000000000,1):E"], ["(1000000000,5):NE"])],
+    ids=["far-apart", "wide-apart"],
+)
+def test_the_frame_numbers_only_the_columns_and_rows_the_edges_touch(blue, green):
+    g = build_graph(PathFamily.from_text(blue), PathFamily.from_text(green))
+    graphs = [g]
+    for q in terminal_points(g):
+        trail = trail_at_terminal(g, q.location)
+        image = recolour(g, [trail])
+        back = recolour(image, [trail_at_terminal(image, q.location)])
+        assert back == g and hash(back) == hash(g)
+        assert max(mask.bit_length() for mask in trail._flips) <= 64
+        graphs += [image, back]
+    for graph in graphs:
+        assert max(m.bit_length() for layer in graph.layers for m in (layer.east, layer.north, layer.points)) <= 64
 
 
 # ---------------------------------------------------------------- decomposition

@@ -286,6 +286,16 @@ def _exchanges(top, bottom, r_list):
         yield first, second
 
 
+#: Most term pairs formal verify_pluecker may multiply.  Each of its
+#: C(n, |r|) + 1 bracket products pairs the n! terms of one maximal minor
+#: with the n! of the other, so it multiplies (C(n, |r|) + 1) * (n!)^2
+#: pairs in all.  Every n <= 5 is accepted (at most 158,400 pairs; n = 5
+#: with r = 1,2 took 1.2-1.3 s) and every n = 6 refused (at least
+#: 1,036,800; n = 6 with r = 1, 3,628,800 pairs, took 25.2-25.6 s, and
+#: with r = 1,2,3 98.1 s; whole CLI calls, 2-vCPU VM, CPython 3.11.7).
+MAX_PLUECKER_PAIRS = 400_000
+
+
 def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=None) -> IdentityReport:
     """Bracket-exchange identity for a generic 2n x n matrix, or its Schur form.
 
@@ -294,7 +304,8 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
     ways to exchange the listed top rows against equally many bottom
     rows (each replacement made in place, order kept), of the two
     resulting bracket products.  lam, sigma and N are Schur-mode inputs,
-    and formal mode refuses them.
+    and formal mode refuses them, as it refuses more than
+    MAX_PLUECKER_PAIRS term pairs before any minor is expanded.
 
     Schur mode replays the same exchange, by the same generator, on
     endpoint coordinates: top row p carries lam_p - p and bottom row q
@@ -328,6 +339,10 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
             raise ValueError("exchanged row %d out of range 1..%d" % (v, n))
 
     if mode == "formal":
+        pairs = (math.comb(n, len(r_list)) + 1) * math.factorial(n) ** 2
+        if pairs > MAX_PLUECKER_PAIRS:
+            raise ValueError("the identity multiplies %d term pairs, more than MAX_PLUECKER_PAIRS = %d"
+                             % (pairs, MAX_PLUECKER_PAIRS))
         matrix = FormalMatrix.generic(2 * n, n)
         top, bottom = tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))
 

@@ -14,12 +14,16 @@ point (x, y) is bit v = column * rows + row, so along a path an east
 step adds the number of rows to v and a north step adds 1.  Each colour
 is a layer, kept on its family: east and north masks with a bit at each
 edge's tail, the points its zero-length paths mark, and a mask of all
-its points.  Tracing, recolouring and edge_pattern, the one reader of a
-layer's terminals and weight, are integer operations; edge sets, point
-colours and coordinate steps are views.  An image keeps its graph's
-edges and frame, and graphs compare as frame and masks.  A zero-length
-path has no edge, so graph equality ignores it, and a recoloured graph,
-whose families are read off its edges, has none.
+its points.  Tracing and recolouring are integer operations, and
+edge_pattern reads a layer's terminals and weight off its masks; edge
+sets, point colours and coordinate steps are views.  A trail is only
+ever traced, and keeps its frame, its integer steps and its flip masks.
+An image keeps its graph's frame, and graphs compare as frame and masks.
+A zero-length path has no edge, so graph equality ignores it; its layer
+keeps it as a mark, and a recoloured graph keeps every mark no flipped
+edge reaches.  A graph built from families returns them, and any other
+reads each family off its layer, marks included, so its layers,
+families and JSON agree.
 
 Orientation vocabulary: ``forward`` means right-upwards (the paths' own
 direction), ``backward`` means left-downwards.
@@ -189,6 +193,23 @@ def edge_pattern(layer):
     return (frame.points(tails & ~heads), frame.points(heads & ~tails)), tuple((x_var(y), k) for y, k in counts if k)
 
 
+def _family_of(layer) -> PathFamily:
+    """A layer's paths, each start bit walked along the masks and each mark a zero-length path.
+
+    Paths are listed by start, rightmost first, then bottom first.
+    """
+    frame, east, north, n = layer.frame, layer.east, layer.north, layer.frame.n
+    paths = [LatticePath(mark) for mark in layer.marks]
+    for v in _bits((east | north) & ~(east << n | north << 1)):
+        start, steps = frame.point(v), []
+        while (east | north) >> v & 1:
+            up = north >> v & 1
+            steps.append(NORTH if up else EAST)
+            v += 1 if up else n
+        paths.append(LatticePath(start, "".join(steps)))
+    return PathFamily(sorted(paths, key=lambda path: (-path.start[0], path.start[1])))
+
+
 def _by_colour(blue, green):
     """Each member of either set mapped to the frozenset of the colours holding it."""
     return {v: frozenset(c for c, held in ((BLUE, blue), (GREEN, green)) if v in held) for v in blue | green}
@@ -198,10 +219,11 @@ class TwoColouredGraph(Value):
     """Superposition of a blue and a green path family, held as one layer per colour.
 
     blue and green are the families the graph was built from, or, after a
-    recolour, read off the edges on first use.  Equality and hashing use
-    the frame and the four edge masks only.  edge_colours (each unit edge
-    to its colours), vertices (each point to its colours) and instances
-    are views.  Graphs are immutable: recolour returns a new one.
+    recolour or from a key, read off the layers on first use.  Equality
+    and hashing use the frame and the four edge masks only.  edge_colours
+    (each unit edge to its colours), vertices (each point to its colours)
+    and instances are views.  Graphs are immutable: recolour returns a new
+    one.
     """
 
     __slots__ = ("layers", "_families")
@@ -230,9 +252,9 @@ class TwoColouredGraph(Value):
     frame = property(lambda self: self.layers[0].frame)
 
     def family(self, colour: str) -> PathFamily:
-        """The colour's path family: as built, or read off the edges once."""
+        """The colour's path family: as built, or read off its layer once."""
         if colour not in self._families:
-            self._families[colour] = family_from_edges(self.colour_edges(colour))
+            self._families[colour] = _family_of(self.layers[_INDEX[colour]])
         return self._families[colour]
 
     blue = property(lambda self: self.family(BLUE))
@@ -339,37 +361,23 @@ class ChangingTrail(Value):
     Consecutive steps keep colour and orientation together: equal
     colours share the orientation, a colour change flips it.  A
     path_like trail has genuine endpoints; a cycle_like trail closes up
-    and its step sequence starts at an arbitrary rotation.  A traced trail
-    keeps its integer steps and flip masks, and spells steps out on first read.
+    and its step sequence starts at an arbitrary rotation.  Trails are
+    only traced: each keeps its graph's frame, its integer steps and its
+    flip masks, and spells steps out on first read.
     """
 
-    __slots__ = ("kind", "_steps", "_frame", "_ints", "_flips")
-
-    def __init__(self, kind, steps):
-        self._set(kind, tuple(steps), None, None, None)
-        if not self._steps:
-            raise ValueError("a changing trail has at least one step")
-        for (e1, c1, o1), (e2, c2, o2) in zip(self._steps, self._steps[1:]):
-            if (c1 == c2) != (o1 == o2):
-                raise ValueError("colour change must flip orientation: %r -> %r" % ((e1, c1, o1), (e2, c2, o2)))
+    __slots__ = ("kind", "_frame", "_ints", "_flips", "_steps")
 
     @classmethod
     def _traced(cls, kind, frame, ints, flips) -> "ChangingTrail":
         trail = object.__new__(cls)
-        trail._set(kind, None, frame, ints, flips)
+        for name, value in (("kind", kind), ("_frame", frame), ("_ints", ints), ("_flips", flips), ("_steps", None)):
+            object.__setattr__(trail, name, value)
         # colour and orientation change together, so all steps share colour ^ orientation
         if len({(step ^ step >> 1) & 1 for step in ints}) > 1:
             a, b = next((a, b) for a, b in zip(ints, ints[1:]) if (a ^ a >> 1 ^ b ^ b >> 1) & 1)
             raise ValueError("colour change must flip orientation: %r -> %r" % (trail._spell(a), trail._spell(b)))
         return trail
-
-    def _set(self, kind, steps, frame, ints, flips):
-        setter = object.__setattr__
-        setter(self, "kind", kind)
-        setter(self, "_steps", steps)
-        setter(self, "_frame", frame)
-        setter(self, "_ints", ints)
-        setter(self, "_flips", flips)
 
     def _spell(self, step) -> tuple:
         return self._frame.edge(step >> 2 & 1, step >> 3), _COLOURS[step >> 1 & 1], _ORIENTATIONS[step & 1]
@@ -391,11 +399,11 @@ class ChangingTrail(Value):
 
     @property
     def start(self):
-        return _begin(self._steps[0]) if self._ints is None else self._point(self._ints[0], self._ints[0] & 1)
+        return self._point(self._ints[0], self._ints[0] & 1)
 
     @property
     def end(self):
-        return _arrival(self._steps[-1]) if self._ints is None else self._point(self._ints[-1], ~self._ints[-1] & 1)
+        return self._point(self._ints[-1], ~self._ints[-1] & 1)
 
     @property
     def endpoints(self):
@@ -409,17 +417,7 @@ class ChangingTrail(Value):
 
     def visited_vertices(self):
         """Vertices in walk order: begin of first step, then each arrival."""
-        return (_begin(self.steps[0]),) + tuple(map(_arrival, self.steps))
-
-
-def _begin(step):
-    (tail, head), _, orientation = step
-    return tail if orientation == FORWARD else head
-
-
-def _arrival(step):
-    (tail, head), _, orientation = step
-    return head if orientation == FORWARD else tail
+        return (self.start,) + tuple(self._point(step, ~step & 1) for step in self._ints)
 
 
 def _leave(layers, n, v, colour, backward):
@@ -539,77 +537,37 @@ def all_trails(graph: TwoColouredGraph) -> tuple:
     return tuple(trails)
 
 
-def family_from_edges(edges) -> PathFamily:
-    """Reassemble one colour's edge set into its nonintersecting family.
-
-    Paths are listed by start, rightmost first.  Raises when the edges
-    are not unit right/up steps forming vertex-disjoint monotone paths;
-    monotone steps cannot close a cycle, so every edge lies on a path.
-    """
-    edges = set((tuple(t), tuple(h)) for t, h in edges)
-    out = {}
-    inc = {}
-    for tail, head in edges:
-        dx, dy = head[0] - tail[0], head[1] - tail[1]
-        if (dx, dy) not in ((1, 0), (0, 1)):
-            raise ValueError("edge %r is not a unit right/up step" % ((tail, head),))
-        if tail in out:
-            raise ValueError("vertex %r has out-degree 2 within one colour" % (tail,))
-        if head in inc:
-            raise ValueError("vertex %r has in-degree 2 within one colour" % (head,))
-        out[tail] = (tail, head)
-        inc[head] = (tail, head)
-    starts = [v for v in out if v not in inc]
-    paths = []
-    for v in sorted(starts, key=lambda p: (-p[0], p[1])):
-        cur = v
-        steps = []
-        while cur in out:
-            tail, head = out[cur]
-            steps.append(EAST if head[0] > tail[0] else NORTH)
-            cur = head
-        paths.append(LatticePath(v, "".join(steps)))
-    return PathFamily(paths)
-
-
 def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
     """Flip the colour of every edge instance on the given trails.
 
-    The trails must be pairwise instance-disjoint and flip both instances
-    of a doubly-coloured edge, so the edge multiset and the total path
-    weight are conserved.  A traced trail brings its flip masks; any other
-    is folded in step by step.  Each colour must still leave (east & north)
-    and enter (east << rows & north << 1) every point at most once.
+    Each trail must be traced in a graph of an equal frame, and brings its
+    flip masks.  The trails must be pairwise instance-disjoint, lie in the
+    graph and flip both instances of a doubly-coloured edge, so the edge
+    multiset and the total path weight are conserved.  Each colour must
+    still leave (east & north) and enter (east << rows & north << 1) every
+    point at most once.
     """
-    frame, flips, off = graph.layers[0].frame, [0, 0, 0, 0], False
+    frame, flips = graph.frame, [0, 0, 0, 0]
     for trail in trails:
-        own = trail._flips if trail._frame is not None and trail._frame.same(frame) else None
-        if own is not None and not (flips[0] & own[0] or flips[1] & own[1] or flips[2] & own[2] or flips[3] & own[3]):
-            flips = [flips[0] | own[0], flips[1] | own[1], flips[2] | own[2], flips[3] | own[3]]
-            continue
-        for edge, colour, _ in trail.steps:
-            at = frame.locate(edge) if colour in _COLOURS else None
-            if at is None:
-                off = True
-                continue
-            k, bit = _INDEX[colour] * 2 + at[0], 1 << at[1]
-            if flips[k] & bit:
-                raise ValueError("overlapping trails share the edge instance %r" % ((edge, colour),))
-            flips[k] |= bit
+        if not trail._frame.same(frame):
+            raise ValueError("trail edges do not all belong to the graph")
+        own = trail._flips
+        if flips[0] & own[0] or flips[1] & own[1] or flips[2] & own[2] or flips[3] & own[3]:
+            shared = next(step for step in trail._ints if flips[step & 2 | step >> 2 & 1] >> (step >> 3) & 1)
+            raise ValueError("overlapping trails share the edge instance %r" % (trail._spell(shared)[:2],))
+        flips = [flips[0] | own[0], flips[1] | own[1], flips[2] | own[2], flips[3] | own[3]]
     (blue, green), (blue_east, blue_north, green_east, green_north) = graph.layers, flips
-    # an edge flipped in both colours keeps them; an edge off the frame is stray
+    # an edge flipped in both colours keeps them; an edge flipped from a colour it lacks is stray
     to_blue = green_east & ~blue_east, green_north & ~blue_north
     to_green = blue_east & ~green_east, blue_north & ~green_north
     stray = blue_east & ~blue.east | green_east & ~green.east, blue_north & ~blue.north | green_north & ~green.north
     half = to_blue[0] & blue.east | to_green[0] & green.east, to_blue[1] & blue.north | to_green[1] & green.north
-    if off or stray[0] or stray[1] or half[0] or half[1]:
+    if stray[0] or stray[1] or half[0] or half[1]:
         # name the first step on a faulty edge, in trail order
-        for edge, _, _ in (step for trail in trails for step in trail.steps):
-            at = frame.locate(edge)
-            if at is None or stray[at[0]] >> at[1] & 1:
-                break
-            if half[at[0]] >> at[1] & 1:
-                raise ValueError("the doubly-coloured edge %r must flip both colours or neither" % (edge,))
+        faulty, steps = (stray[0] | half[0], stray[1] | half[1]), (step for trail in trails for step in trail._ints)
+        north, v = next((s >> 2 & 1, s >> 3) for s in steps if faulty[s >> 2 & 1] >> (s >> 3) & 1)
+        if not stray[north] >> v & 1:
+            raise ValueError("the doubly-coloured edge %r must flip both colours or neither" % (frame.edge(north, v),))
         raise ValueError("trail edges do not all belong to the graph")
     new = (
         (blue.east & ~to_green[0] | to_blue[0], blue.north & ~to_green[1] | to_blue[1]),

@@ -447,6 +447,30 @@ def test_render_rejects_non_string_paths(runner):
         assert "bad path text" in result.output
 
 
+@pytest.mark.parametrize(
+    "document, n_vars, lines",
+    [
+        ('{"blue": ["(0,1):E"], "green": ["(200000,1):E"]}', "2", 200_004),
+        ('{"blue": ["(-1000000000,1):E"], "green": ["(1000000000,5):NE"]}', "5", 2_000_000_008),
+        ('{"blue": [], "green": []}', "1000000000", 1_000_000_005),
+    ],
+    ids=["wide", "far-apart", "tall-empty"],
+)
+def test_render_refuses_a_picture_with_too_many_grid_lines(runner, document, n_vars, lines):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["render", "--vars", n_vars], input=document)
+    assert time.perf_counter() - start < 5
+    assert result.exit_code == 2
+    assert "the picture needs %d grid lines, more than MAX_GRID_LINES = 100000" % lines in result.output
+
+
+def test_render_draws_a_picture_at_the_grid_line_limit(runner):
+    # 99,998 columns and 2 rows of grid, then the two paths
+    result = runner.invoke(main, ["render", "--vars", "2"], input='{"blue": ["(0,1):E"], "green": ["(99996,1):E"]}')
+    assert result.exit_code == 0
+    assert result.output.count("<polyline") == 100_000 + 2
+
+
 # ---------------------------------------------------------------- catalan
 
 def test_catalan_counts(runner):

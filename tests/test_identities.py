@@ -40,7 +40,7 @@ from schurtrails.polyring import (
     monomial,
     x_var,
 )
-from schurtrails.schur import TerminalSpec, enumerate_families, jacobi_trudi_matrix, path_weight, ssyt_count
+from schurtrails.schur import PathFamily, TerminalSpec, enumerate_families, jacobi_trudi_matrix, path_weight, ssyt_count
 from schurtrails.trails import (
     build_graph,
     edge_pattern,
@@ -216,6 +216,20 @@ def test_pluecker_formal_needs_n():
         verify_pluecker(2, (3,))
     with pytest.raises(ValueError):
         verify_pluecker(2, (1,), mode="sideways")
+
+
+def test_pluecker_formal_counts_its_term_pairs_before_expanding(monkeypatch):
+    def expand(*args):
+        raise AssertionError("a minor was expanded before the guard")
+
+    # every n = 5 is accepted, every n = 6 refused
+    assert max((math.comb(5, k) + 1) * math.factorial(5) ** 2 for k in range(6)) == 158_400
+    assert 158_400 <= identities.MAX_PLUECKER_PAIRS < 2 * math.factorial(6) ** 2
+    monkeypatch.setattr(identities, "minor", expand)
+    for r_list in ((), (1,), (1, 2, 3)):
+        pairs = (math.comb(6, len(r_list)) + 1) * math.factorial(6) ** 2
+        with pytest.raises(ValueError, match="^the identity multiplies %d term pairs, more than MAX_PLUECKER" % pairs):
+            verify_pluecker(6, r_list)
 
 
 @pytest.mark.parametrize("schur_input", [{"lam": (3, 1)}, {"sigma": (9,)}, {"N": 7}])
@@ -541,7 +555,8 @@ def _outcome(read, *args):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_orbit_reads_the_reached_pattern_off_the_edges(data):
-    # N = 1 is where zero-length paths occur, and a recoloured graph has none
+    # N = 1 is where zero-length paths occur; a recoloured graph keeps those no
+    # flipped edge reaches, and the edges carry no trace of them
     N = data.draw(st.integers(1, 3), label="N")
     offset = data.draw(st.integers(-2, 2), label="offset")
     blue_shape, green_shape = data.draw(skew_shapes(), label="blue"), data.draw(skew_shapes(), label="green")
@@ -556,6 +571,7 @@ def test_orbit_reads_the_reached_pattern_off_the_edges(data):
     except ValueError:
         assume(False)  # on one line two trails can start at a point, or none
     for layer, family in zip(image.layers, (image.blue, image.green)):
+        family = PathFamily(path for path in family if path.steps)
         terminals, weight = edge_pattern(layer)
         edge_read = _outcome(lambda t: (TerminalSpec(*t, N), weight), terminals)
         assert edge_read == _outcome(lambda f: (TerminalSpec.from_family(f, N), path_weight(f)), family)

@@ -5,7 +5,7 @@ import pytest
 
 from schurtrails.partitions import Partition, SkewShape
 from schurtrails.polyring import monomial_mul
-from schurtrails.schur import PathFamily, TerminalSpec, enumerate_families, path_weight
+from schurtrails.schur import EAST, NORTH, LatticePath, PathFamily, TerminalSpec, enumerate_families, path_weight
 from schurtrails.trails import (
     MAX_MATCHING_POINTS,
     BACKWARD,
@@ -18,13 +18,12 @@ from schurtrails.trails import (
     ODD,
     PATH_LIKE,
     WHITE,
-    ChangingTrail,
     NoncrossingMatching,
     TerminalPoint,
+    TwoColouredGraph,
     all_trails,
     build_graph,
     count_noncrossing_matchings,
-    family_from_edges,
     recolour,
     terminal_matching,
     terminal_points,
@@ -67,8 +66,6 @@ def test_build_graph_empty():
 
 
 def test_graph_json_roundtrip():
-    from schurtrails.trails import TwoColouredGraph
-
     g = fig3()
     assert TwoColouredGraph.from_json(g.to_json()) == g
 
@@ -162,15 +159,6 @@ def test_trace_errors():
         trace_trail(g, (((9, 9), (10, 9)), BLUE, FORWARD))  # edge not in graph
     with pytest.raises(ValueError):
         trail_at_terminal(g, (9, 9))  # nothing starts there
-    with pytest.raises(ValueError):
-        ChangingTrail(PATH_LIKE, ())
-
-
-def test_trail_step_coherence_validated():
-    e1 = (((0, 1), (0, 2)), BLUE, FORWARD)
-    e2 = (((0, 2), (0, 3)), GREEN, FORWARD)  # colour change must flip orientation
-    with pytest.raises(ValueError):
-        ChangingTrail(PATH_LIKE, (e1, e2))
 
 
 # ---------------------------------------------------------------- recolouring
@@ -228,38 +216,75 @@ def test_recolour_disjoint_trails_together():
     assert recolour(g2, [trail_at_terminal(g2, (4, 5)), trail_at_terminal(g2, (-4, 1))]) == g
 
 
+def sibling_trail(blue, green, location):
+    """The trail at the location in the graph of the two families' texts."""
+    return trail_at_terminal(build_graph(PathFamily.from_text(blue), PathFamily.from_text(green)), location)
+
+
 def test_recolour_rejects_half_of_a_doubly_coloured_edge():
     fam = PathFamily.from_text(["(0,1):EN"])
     g = build_graph(fam, fam)
-    half = ChangingTrail(PATH_LIKE, ((((0, 1), (1, 1)), BLUE, FORWARD),))
-    with pytest.raises(ValueError):
+    # a graph of an equal frame whose one blue step runs along g's doubly-coloured edge
+    half = sibling_trail(["(0,1):EN"], ["(1,1):N"], (0, 1))
+    assert half.steps == ((((0, 1), (1, 1)), BLUE, FORWARD),)
+    with pytest.raises(ValueError, match=r"^the doubly-coloured edge \(\(0, 1\), \(1, 1\)\) must flip both"):
         recolour(g, [half])  # its blue instance would land on the green one
     # flipping both instances of the two-cycle leaves the graph as it was
     cycle = trace_trail(g, (((0, 1), (1, 1)), BLUE, FORWARD))
     assert recolour(g, [cycle]) == g
 
 
-def one_step(edge, colour):
-    return ChangingTrail(PATH_LIKE, ((edge, colour, FORWARD),))
-
-
 def test_recolour_refuses_a_colour_leaving_a_point_twice():
     g = build_graph(PathFamily.from_text(["(0,1):E"]), PathFamily.from_text(["(0,1):N"]))
+    step = sibling_trail(["(1,1):N"], ["(0,1):N"], (0, 1))
+    assert step.steps == ((((0, 1), (0, 2)), GREEN, FORWARD),)
     with pytest.raises(ValueError, match=r"^vertex \(0, 1\) has out-degree 2 within one colour$"):
-        recolour(g, [one_step(((0, 1), (0, 2)), GREEN)])  # blue would leave (0,1) right and up
+        recolour(g, [step])  # blue would leave (0,1) right and up
 
 
 def test_recolour_refuses_a_colour_entering_a_point_twice():
     g = build_graph(PathFamily.from_text(["(1,1):N"]), PathFamily.from_text(["(0,2):E"]))
+    step = sibling_trail(["(0,1):N"], ["(0,2):E"], (1, 2))
+    assert step.edge_instances() == {(((0, 2), (1, 2)), GREEN)}
     with pytest.raises(ValueError, match=r"^vertex \(1, 2\) has in-degree 2 within one colour$"):
-        recolour(g, [one_step(((0, 2), (1, 2)), GREEN)])  # blue would enter (1,2) from left and below
+        recolour(g, [step])  # blue would enter (1,2) from left and below
 
 
 def test_recolour_refuses_an_edge_outside_the_graph():
     g = fig3()
-    for step in ((((9, 9), (10, 9)), BLUE), (((-1, 1), (0, 1)), BLUE)):  # absent; green only
+    # a trail of another frame; a trail of fig3 with its colours swapped, whose blue edges are green in fig3
+    elsewhere = sibling_trail(["(9,9):E"], [], (9, 9))
+    swapped = trace_trail(build_graph(g.green, g.blue), (((-1, 1), (0, 1)), BLUE, FORWARD))
+    assert swapped._frame.same(g.frame)
+    for trail in (elsewhere, swapped):
         with pytest.raises(ValueError, match="^trail edges do not all belong to the graph$"):
-            recolour(g, [one_step(*step)])
+            recolour(g, [trail])
+
+
+def family_from_edges(edges) -> PathFamily:
+    """Reassemble one colour's edge set into its nonintersecting family, rightmost start first.
+
+    The reading on coordinate edge sets that graphs used before they read
+    their families off the layers' masks.  Raises when the edges are not
+    unit right/up steps forming vertex-disjoint monotone paths.
+    """
+    out, inc = {}, {}
+    for tail, head in edges:
+        if (head[0] - tail[0], head[1] - tail[1]) not in ((1, 0), (0, 1)):
+            raise ValueError("edge %r is not a unit right/up step" % ((tail, head),))
+        if tail in out:
+            raise ValueError("vertex %r has out-degree 2 within one colour" % (tail,))
+        if head in inc:
+            raise ValueError("vertex %r has in-degree 2 within one colour" % (head,))
+        out[tail], inc[head] = head, tail
+    paths = []
+    for start in sorted((v for v in out if v not in inc), key=lambda p: (-p[0], p[1])):
+        cur, steps = start, []
+        while cur in out:
+            steps.append(EAST if out[cur][0] > cur[0] else NORTH)
+            cur = out[cur]
+        paths.append(LatticePath(start, "".join(steps)))
+    return PathFamily(paths)
 
 
 def rebuilt_families(graph, trails):
@@ -449,12 +474,22 @@ def test_masks_agree_with_the_frozenset_oracle(data):
                 _same_move(*moved, [back])
     if traced:
         _same_move(graph, oracle, data.draw(st.lists(st.sampled_from(traced), max_size=3)))
-    instances = sorted(graph.instances())
-    if instances:
-        # hand-built one-step trails: stray, half-flipped, overlapping, or refused by a degree rule
-        picks = data.draw(st.lists(st.tuples(st.sampled_from(instances), st.booleans()), min_size=1, max_size=3))
-        hand_built = [one_step(edge, colour if same else _OTHER[colour]) for (edge, colour), same in picks]
-        _same_move(graph, oracle, hand_built)
+    # each other object of the two layouts that shares a family with this one has an equal frame;
+    # its trails are recoloured here and this one's there, each alone, then a few of its trails
+    # together here: a trail can be stray, half-flipped, overlapping or refused by a degree rule
+    own, foreign = all_trails(graph), []
+    for pair in [(fb, green) for green in greens] + [(blue, fg) for blue in blues]:
+        other, other_oracle = build_graph(*pair), OracleGraph.of(*pair)
+        assert other.frame.same(graph.frame)
+        theirs = all_trails(other)
+        foreign += [trail for trail in theirs if trail not in own and trail not in foreign]
+        for trail in own:
+            if trail not in theirs:
+                _same_move(other, other_oracle, [trail])
+    for trail in foreign:
+        _same_move(graph, oracle, [trail])
+    if foreign:
+        _same_move(graph, oracle, data.draw(st.lists(st.sampled_from(foreign), min_size=1, max_size=3)))
 
 
 def distinct_trails(graph, locations):
@@ -514,6 +549,38 @@ def test_recolour_keeps_a_point_only_a_zero_length_path_marks():
     image = recolour(g, [trail_at_terminal(g, (0, 1))])
     back = recolour(image, [trail_at_terminal(image, (0, 1))])
     assert back == g and back.vertices[(2, 1)] == frozenset((GREEN,)) != g.vertices[(2, 1)]
+
+
+def test_an_image_and_its_json_round_trip_trace_the_same_trails():
+    # N = 1: the trail at (2,1) is one green step, so the green mark at (0,1) stays
+    g = build_graph(PathFamily.from_text(["(-1,1):EE"]), PathFamily.from_text(["(1,1):E", "(0,1):"]))
+    image = recolour(g, [trail_at_terminal(g, (2, 1))])
+    assert (image.blue.to_text(), image.green.to_text()) == (["(-1,1):EEE"], ["(0,1):"])
+    again = TwoColouredGraph.from_json(image.to_json())
+    assert again == image and again.vertices == image.vertices
+    assert terminal_points(again) == terminal_points(image)
+    # the blue trail from (-1,1) stops at the mark after one edge, in both
+    trail = trail_at_terminal(image, (-1, 1))
+    assert trail.steps == ((((-1, 1), (0, 1)), BLUE, FORWARD),)
+    assert trail_at_terminal(again, (-1, 1)) == trail
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_images_at_one_variable_survive_the_json_round_trip(data):
+    t = data.draw(st.integers(min_value=-2, max_value=2))
+    blues = list(enumerate_families(TerminalSpec.from_shape(data.draw(skew_shapes_st()), 1)))
+    greens = list(enumerate_families(TerminalSpec.from_shape(data.draw(skew_shapes_st()), 1, offset=t)))
+    assume(blues and greens)
+    g = build_graph(data.draw(st.sampled_from(blues)), data.draw(st.sampled_from(greens)))
+    for q in terminal_points(g):
+        image = _outcome(lambda: recolour(g, [trail_at_terminal(g, q.location)]))
+        if isinstance(image, str):
+            continue
+        again = TwoColouredGraph.from_json(image.to_json())
+        assert again == image and again.vertices == image.vertices
+        for point in image.vertices:
+            assert _outcome(trail_at_terminal, again, point) == _outcome(trail_at_terminal, image, point)
 
 
 @st.composite
@@ -596,12 +663,13 @@ def test_decompose_roundtrip():
     g = fig3()
     assert family_from_edges(g.colour_edges(BLUE)) == g.blue
     assert family_from_edges(g.colour_edges(GREEN)) == g.green
-    # a recoloured graph reads its families back off the edges
+    # a recoloured graph reads its families back off the layers
     same = recolour(g, [])
     assert (same.blue, same.green) == (g.blue, g.green)
 
 
 def test_family_from_edges_errors():
+    # the oracle refuses edge sets that are not a family
     with pytest.raises(ValueError):
         family_from_edges([((0, 0), (2, 0))])  # not a unit step
     with pytest.raises(ValueError):

@@ -13,17 +13,19 @@ preset, Schur-mode Plücker, the balanced split and the square expansion
 verifier states its two sides as lists of (c, alpha, beta) terms, and
 one function, _product_identity, expands them; it first bounds the key
 digits their products handle and refuses more than MAX_PRODUCT_DIGITS.
-The window exchange is stated once, by _window_exchange, and
-verify_general, verify_kirillov and bijection_audit read its lists.  One
-rule, _alphabet, sets N for all of them, the audit and the orbit: unless
-given, it is the most parts of any factor, at least 1.
+Ciucu, Kleber and Schur-mode Plücker count their terms before they list
+them, and refuse more than MAX_PRODUCT_TERMS.  The window exchange is
+stated once, by _window_exchange, and verify_general, verify_kirillov
+and bijection_audit read its lists.  One rule, _alphabet, sets N for all
+of them, the audit and the orbit: unless given, it is the most parts of
+any factor, at least 1.
 
 The module also hosts the two combinatorial replays behind the
 polynomial identities.  Both run one step, _moved_objects: for every
-object of a terminal pattern it pairs the two families' colour layers,
-traces the changing trails at the selected points, recolours them and
-reads the image.  explore_orbit runs that step on every pattern it
-reaches and closes the move, tallying both sides of the resulting
+object trails.pattern_objects lists for a terminal pattern, all in one
+frame, it traces the changing trails at the selected points, recolours
+them and reads the image.  explore_orbit runs that step on every pattern
+it reaches and closes the move, tallying both sides of the resulting
 object bijection; bijection_audit runs it once, on the left side of the
 window exchange with one selected point, and checks the images by
 counting them into the right-side layouts, which it never enumerates.
@@ -56,7 +58,7 @@ from .partitions import (
     partition_from_set,
 )
 from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_mul, monomial_str
-from .schur import TerminalSpec, enumerate_families, path_weight, schur_poly, ssyt_count
+from .schur import TerminalSpec, enumerate_families, schur_poly, ssyt_count
 from .trails import (
     BLACK,
     BLUE,
@@ -65,7 +67,7 @@ from .trails import (
     TwoColouredGraph,
     build_graph,
     edge_pattern,
-    family_layer,
+    pattern_objects,
     recolour,
     terminal_points_from_sets,
     trail_at_terminal,
@@ -286,6 +288,27 @@ def _exchanges(top, bottom, r_list):
         yield first, second
 
 
+#: Most product terms a Schur identity may list.  Ciucu has C(2k, k)
+#: splits, Kleber with n corners at most C(n+1, k) terms and Schur-mode
+#: Plücker C(n, |r|) exchanges, and each verifier counts them before it
+#: lists them.  Whole CLI calls at the default N, where the key-digit
+#: count refused them only after the terms were listed, and at N = 1
+#: (2-vCPU VM, CPython 3.11.7): Kleber with 14 corners at k = 7, 6,435
+#: terms, took 1.0-1.9 / 1.3-1.8 s and Plücker at n = 14, 3,432 terms,
+#: 1.3-2.5 / 0.5 s; Kleber with 16 corners at k = 8, 24,310 terms, took
+#: 5.1 / 4.6 s and Plücker at n = 16, 12,870 terms, 9.1 / 2.0 s.  Ciucu
+#: at k = 10, 11 and 12 took 8.7, 38.8 and 149.1 s at N = 1, and k = 11
+#: and 12 were refused at the default N only after 48.6 and 217.6 s.
+MAX_PRODUCT_TERMS = 10_000
+
+
+def _refuse_terms(count):
+    """Raises ValueError when an identity has more than MAX_PRODUCT_TERMS product terms."""
+    if count > MAX_PRODUCT_TERMS:
+        raise ValueError("the identity has %d product terms, more than MAX_PRODUCT_TERMS = %d"
+                         % (count, MAX_PRODUCT_TERMS))
+
+
 #: Most term pairs formal verify_pluecker may multiply.  Each of its
 #: C(n, |r|) + 1 bracket products pairs the n! terms of one maximal minor
 #: with the n! of the other, so it multiplies (C(n, |r|) + 1) * (n!)^2
@@ -355,6 +378,7 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
 
     top_parts, bottom_parts = _padded(lam, n), _padded(sigma, n)
     coords = ([v - p for p, v in enumerate(parts, start=1)] for parts in (top_parts, bottom_parts))
+    _refuse_terms(math.comb(n, len(r_list)))
     terms = []
     for first, second in _exchanges(*coords, r_list):
         sign = _decreasing_sort_sign(first) * _decreasing_sort_sign(second)
@@ -387,6 +411,7 @@ def verify_ciucu(T, k, N=None) -> IdentityReport:
         raise ValueError("index set elements must be positive: %r" % (listed,))
     if len(elems) != 2 * k:
         raise ValueError("index set needs exactly 2k = %d elements, got %d" % (2 * k, len(elems)))
+    _refuse_terms(math.comb(2 * k, k))
     splits = [
         (1, partition_from_set(subset), partition_from_set(tuple(v for v in elems if v not in subset)))
         for subset in itertools.combinations(elems, k)
@@ -421,6 +446,7 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
     if not 1 <= k <= n:
         raise ValueError("corner index %d out of range for %d corners" % (k, n))
     products = [(1, apply_omega(lam, k, +1).parts, apply_omega(lam, k, -1).parts)]
+    _refuse_terms(math.comb(n + 1, k))
     for pairs in _nested_strip_pairs(n, k):
         sign = -1 if len(pairs) % 2 == 0 else 1
         grown = partition_from_corners(apply_nested(encoding, BorderStripSpec(pairs, BORDER_ADD))).parts
@@ -469,7 +495,8 @@ def _moved_objects(specs, locations, read):
     """Every object of the (blue, green) spec pair with its image under the move at the selected locations.
 
     Yields (key, weight, trails, image key, image pattern, image weights)
-    per object, blue families outer and green inner.  A key is the
+    per object, in the order and with the weight trails.pattern_objects
+    gives, blue families outer and green inner.  A key is the
     graph's: its frame's columns and rows, then the blue and the green
     east and north masks.  A pattern is the pair of (starts, ends) tuples
     that read, the caller's _layer_reader, gives for the two image
@@ -478,22 +505,18 @@ def _moved_objects(specs, locations, read):
     the far end of one already taken, and the taken trails are
     recoloured together.
     """
-    blues, greens = ([(family, path_weight(family)) for family in enumerate_families(spec)] for spec in specs)
-    for blue_family, blue_weight in blues:
-        for green_family, green_weight in greens:
-            graph = build_graph(blue_family, green_family)
-            taken = []
-            for location in locations:
-                trail = trail_at_terminal(graph, location)
-                if not any(other.end == location for other in taken):
-                    taken.append(trail)
-            (blue_masks, blue_reached, blue_after), (green_masks, green_reached, green_after) = map(
-                read, recolour(graph, taken).layers
-            )
-            key = graph._key()
-            image_key = key[:2] + blue_masks + green_masks
-            weight = monomial_mul(blue_weight, green_weight)
-            yield key, weight, taken, image_key, (blue_reached, green_reached), (blue_after, green_after)
+    for graph, weight in pattern_objects(*specs):
+        taken = []
+        for location in locations:
+            trail = trail_at_terminal(graph, location)
+            if not any(other.end == location for other in taken):
+                taken.append(trail)
+        (blue_masks, blue_reached, blue_after), (green_masks, green_reached, green_after) = map(
+            read, recolour(graph, taken).layers
+        )
+        key = graph._key()
+        image_key = key[:2] + blue_masks + green_masks
+        yield key, weight, taken, image_key, (blue_reached, green_reached), (blue_after, green_after)
 
 
 #: Most objects bijection_audit replays: s_lead(1^N) * s_trail(1^N) above
@@ -588,8 +611,8 @@ def bijection_audit(lam, N=None) -> AuditReport:
         size[kind] = objects(term)
         if size[kind]:
             # read off the layout's first object, as an image is read
-            firsts = (next(enumerate_families(spec)) for spec in layout(term))
-            kind_of[tuple(edge_pattern(family_layer(family))[0] for family in firsts)] = kind
+            first = build_graph(*(next(enumerate_families(spec)) for spec in layout(term)))
+            kind_of[tuple(edge_pattern(layer)[0] for layer in first.layers)] = kind
 
     images = {}  # each image to its layout
     read = _layer_reader()

@@ -299,14 +299,9 @@ class LatticePath(Value):
 
 
 class PathFamily(Value):
-    """Ordered tuple of pairwise vertex-disjoint paths.
+    """Ordered tuple of pairwise vertex-disjoint paths."""
 
-    _layer keeps the family's colour layer, in the frame of the last
-    two-coloured graph built from it (see trails); it plays no part in
-    equality.
-    """
-
-    __slots__ = ("paths", "_layer")
+    __slots__ = ("paths",)
 
     def __init__(self, paths=()):
         paths = tuple(paths)
@@ -322,7 +317,6 @@ class PathFamily(Value):
                     )
                 seen[v] = idx
         object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "_layer", None)
 
     def _key(self):
         return self.paths

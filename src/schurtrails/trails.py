@@ -12,18 +12,20 @@ move behind the exchange identities in this package.
 A graph numbers only the columns and rows its edges touch, its frame:
 point (x, y) is bit v = column * rows + row, so along a path an east
 step adds the number of rows to v and a north step adds 1.  Each colour
-is a layer, kept on its family: east and north masks with a bit at each
-edge's tail, the points its zero-length paths mark, and a mask of all
-its points.  Tracing and recolouring are integer operations, and
-edge_pattern reads a layer's terminals and weight off its masks; edge
-sets, point colours and coordinate steps are views.  A trail is only
-ever traced, and keeps its frame, its integer steps and its flip masks.
-An image keeps its graph's frame, and graphs compare as frame and masks.
-A zero-length path has no edge, so graph equality ignores it; its layer
-keeps it as a mark, and a recoloured graph keeps every mark no flipped
-edge reaches.  A graph built from families returns them, and any other
-reads each family off its layer, marks included, so its layers,
-families and JSON agree.
+is a layer: east and north masks with a bit at each edge's tail, the
+points its zero-length paths mark, and a mask of all its points.  Every
+object of one terminal pattern touches the same columns and rows, so
+pattern_objects lists a pattern's objects in one frame and builds each
+family's layer once.  Tracing and recolouring are integer operations,
+and edge_pattern reads a layer's terminals and weight off its masks;
+edge sets, point colours and coordinate steps are views.  A trail is
+only ever traced, and keeps its frame, its integer steps and its flip
+masks.  An image keeps its graph's frame, and graphs compare as frame
+and masks.  A zero-length path has no edge, so graph equality ignores
+it; its layer keeps it as a mark, and a recoloured graph keeps every
+mark no flipped edge reaches.  A graph built from families returns
+them, and any other reads each family off its layer, marks included, so
+its layers, families and JSON agree.
 
 Orientation vocabulary: ``forward`` means right-upwards (the paths' own
 direction), ``backward`` means left-downwards.
@@ -35,8 +37,8 @@ import math
 from dataclasses import dataclass
 
 from .partitions import Value
-from .polyring import x_var
-from .schur import EAST, NORTH, LatticePath, PathFamily
+from .polyring import monomial_mul, x_var
+from .schur import EAST, NORTH, LatticePath, PathFamily, enumerate_families, path_weight
 
 BLUE = "blue"
 GREEN = "green"
@@ -123,61 +125,33 @@ class _Layer:
 
     A family is vertex-disjoint, so each point has at most one in- and one
     out-edge of a colour, and trails are deterministic.  marked has the
-    marks' bits, points a bit at every edge end and mark, and span the bits
-    of the columns and rows a family's own edges touch.
+    marks' bits, and points a bit at every edge end and mark.
     """
 
-    __slots__ = ("frame", "east", "north", "marks", "marked", "points", "span")
+    __slots__ = ("frame", "east", "north", "marks", "marked", "points")
 
-    def __init__(self, frame, east, north, marks=frozenset(), marked=0, span=None):
-        self.frame, self.east, self.north, self.marks, self.marked, self.span = frame, east, north, marks, marked, span
+    def __init__(self, frame, east, north, marks=frozenset(), marked=0):
+        self.frame, self.east, self.north, self.marks, self.marked = frame, east, north, marks, marked
         self.points = east | north | east << frame.n | north << 1 | marked
 
     @classmethod
     def of(cls, family, frame):
-        n, east, north, marked, cols, rows, marks = frame.n, 0, 0, 0, 0, 0, []
+        n, east, north, marked, marks = frame.n, 0, 0, 0, []
         for path in family:
             v = frame.index(path.start)
             if not path.steps:
                 marks.append(path.start)
                 marked |= 0 if v is None else 1 << v
                 continue
-            c0, r0 = divmod(v, n)
             for step in path.steps:
                 if step == EAST:
                     east, v = east | 1 << v, v + n
                 else:
                     north, v = north | 1 << v, v + 1
-            c1, r1 = divmod(v, n)
-            cols, rows = cols | (2 << c1) - (1 << c0), rows | (2 << r1) - (1 << r0)
-        return cls(frame, east, north, frozenset(marks), marked, (cols, rows))
+        return cls(frame, east, north, frozenset(marks), marked)
 
     def edges(self) -> frozenset:
         return frozenset(self.frame.edge(d, v) for d, mask in enumerate((self.east, self.north)) for v in _bits(mask))
-
-
-def _layers(blue, green) -> tuple:
-    """The two families' layers in the frame of their edges, cached on the families.
-
-    Cached layers whose shared frame their spans cover are reused.  Otherwise an
-    equal cached frame is adopted, so that later pairings share it, and the rest rebuilt.
-    """
-    cached = b, g = blue._layer, green._layer
-    if b is not None and g is not None and b.frame is g.frame:
-        full = (1 << len(b.frame.cols)) - 1, (1 << b.frame.n) - 1
-        if (b.span[0] | g.span[0], b.span[1] | g.span[1]) == full:
-            return cached
-    frame = _Frame.of(blue, green)
-    frame = next((layer.frame for layer in cached if layer is not None and layer.frame.same(frame)), frame)
-    for family, layer in zip((blue, green), cached):
-        if layer is None or layer.frame is not frame:
-            object.__setattr__(family, "_layer", _Layer.of(family, frame))
-    return blue._layer, green._layer
-
-
-def family_layer(family) -> _Layer:
-    """The family's layer in the frame of its own edges, kept on the family."""
-    return _layers(family, PathFamily())[0]
 
 
 def edge_pattern(layer):
@@ -229,25 +203,23 @@ class TwoColouredGraph(Value):
     __slots__ = ("layers", "_families")
 
     def __init__(self, blue, green):
-        if not isinstance(blue, PathFamily):
-            blue = PathFamily(blue)
-        if not isinstance(green, PathFamily):
-            green = PathFamily(green)
-        object.__setattr__(self, "_families", {BLUE: blue, GREEN: green})
-        object.__setattr__(self, "layers", _layers(blue, green))
+        families = tuple(f if isinstance(f, PathFamily) else PathFamily(f) for f in (blue, green))
+        frame = _Frame.of(*families)
+        object.__setattr__(self, "_families", dict(zip(_COLOURS, families)))
+        object.__setattr__(self, "layers", tuple(_Layer.of(family, frame) for family in families))
 
     @classmethod
-    def _of_layers(cls, blue, green) -> "TwoColouredGraph":
+    def _of_layers(cls, layers, families=()) -> "TwoColouredGraph":
         graph = object.__new__(cls)
-        object.__setattr__(graph, "_families", {})
-        object.__setattr__(graph, "layers", (blue, green))
+        object.__setattr__(graph, "_families", dict(zip(_COLOURS, families)))
+        object.__setattr__(graph, "layers", layers)
         return graph
 
     @classmethod
     def from_key(cls, key) -> "TwoColouredGraph":
         """The graph, without zero-length paths, whose _key() is key."""
         frame = _Frame(*key[:2])
-        return cls._of_layers(_Layer(frame, *key[2:4]), _Layer(frame, *key[4:]))
+        return cls._of_layers((_Layer(frame, *key[2:4]), _Layer(frame, *key[4:])))
 
     frame = property(lambda self: self.layers[0].frame)
 
@@ -293,6 +265,26 @@ class TwoColouredGraph(Value):
 def build_graph(blue, green) -> TwoColouredGraph:
     """Superpose two internally nonintersecting families (cross-colour sharing allowed)."""
     return TwoColouredGraph(blue, green)
+
+
+def pattern_objects(blue_spec, green_spec):
+    """(graph, weight) for every object of a (blue, green) TerminalSpec pair, blue families outer.
+
+    A frame reads only the starts and ends of the paths with edges, and
+    those are the pattern's, so its objects share one frame and each
+    family's layer and path weight are built once.  The weight is the
+    product of the two families' path weights.
+    """
+    blues, greens = (list(enumerate_families(spec)) for spec in (blue_spec, green_spec))
+    if not (blues and greens):
+        return
+    frame = _Frame.of(blues[0], greens[0])
+    greens = [(family, _Layer.of(family, frame), path_weight(family)) for family in greens]
+    for blue in blues:
+        blue_layer, blue_weight = _Layer.of(blue, frame), path_weight(blue)
+        for green, green_layer, green_weight in greens:
+            graph = TwoColouredGraph._of_layers((blue_layer, green_layer), (blue, green))
+            yield graph, monomial_mul(blue_weight, green_weight)
 
 
 @dataclass(frozen=True)
@@ -588,7 +580,7 @@ def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
         if marked & touched:
             marks, marked = marks.difference(frame.points(marked & touched)), marked & ~touched
         layers.append(_Layer(frame, east, north, marks, marked))
-    return TwoColouredGraph._of_layers(*layers)
+    return TwoColouredGraph._of_layers(tuple(layers))
 
 
 @dataclass(frozen=True)

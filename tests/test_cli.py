@@ -315,6 +315,12 @@ def test_audit_refuses_an_oversized_window_at_once(runner):
     assert "the audit has 3102772248576 objects, more than MAX_AUDIT_OBJECTS = 100000" in result.output
 
 
+def test_verify_dodgson_refuses_a_determinant_over_the_expansion_guard(runner):
+    result = runner.invoke(main, ["verify", "dodgson", "--k", "6"])
+    assert result.exit_code == 2
+    assert "dimension 7 exceeds the expansion guard (6)" in result.output
+
+
 def test_verify_refuses_an_identity_with_too_many_tableau_pairs(runner, monkeypatch):
     def expand(parts, N):
         raise AssertionError("expanded %r at N=%d before the guard" % (parts, N))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from schurtrails import identities
+from schurtrails import identities, trails
 from schurtrails.identities import (
     MAX_AUDIT_OBJECTS,
     MAX_PRODUCT_DIGITS,
@@ -44,7 +44,6 @@ from schurtrails.schur import PathFamily, TerminalSpec, enumerate_families, jaco
 from schurtrails.trails import (
     build_graph,
     edge_pattern,
-    family_layer,
     recolour,
     terminal_points,
     trail_at_terminal,
@@ -230,6 +229,38 @@ def test_pluecker_formal_counts_its_term_pairs_before_expanding(monkeypatch):
         pairs = (math.comb(6, len(r_list)) + 1) * math.factorial(6) ** 2
         with pytest.raises(ValueError, match="^the identity multiplies %d term pairs, more than MAX_PLUECKER" % pairs):
             verify_pluecker(6, r_list)
+
+
+@pytest.mark.parametrize(
+    "listing, refused, accepted, terms",
+    [
+        # C(2k, k) splits
+        ("partition_from_set", lambda: verify_ciucu(range(1, 17), 8), lambda: verify_ciucu(range(1, 15), 7), 12870),
+        # at most C(n + 1, k) terms with n corners
+        ("_nested_strip_pairs", lambda: verify_kleber(range(16, 0, -1), 8),
+         lambda: verify_kleber(range(14, 0, -1), 7), 24310),
+        # C(n, |r|) exchanges
+        ("_exchanges", lambda: verify_pluecker(16, range(1, 9), mode="schur", lam=(1,), sigma=(1,)),
+         lambda: verify_pluecker(14, range(1, 8), mode="schur", lam=(1,), sigma=(1,)), 12870),
+    ],
+    ids=["ciucu", "kleber", "pluecker"],
+)
+def test_schur_identities_count_their_terms_before_listing_them(monkeypatch, listing, refused, accepted, terms):
+    def listed(*args):
+        raise AssertionError("the terms were listed")
+
+    monkeypatch.setattr(identities, listing, listed)
+    assert identities.MAX_PRODUCT_TERMS == 10_000
+    with pytest.raises(ValueError, match="^the identity has %d product terms, more than MAX_PRODUCT_TERMS = 10000$" % terms):
+        refused()
+    with pytest.raises(AssertionError, match="the terms were listed"):
+        accepted()
+
+
+def test_kleber_has_at_most_a_binomial_count_of_terms():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            assert 1 + sum(1 for _ in identities._nested_strip_pairs(n, k)) == math.comb(n + 1, k)
 
 
 @pytest.mark.parametrize("schur_input", [{"lam": (3, 1)}, {"sigma": (9,)}, {"N": 7}])
@@ -579,7 +610,7 @@ def test_orbit_reads_the_reached_pattern_off_the_edges(data):
 
 def test_edge_pattern_reads_two_objects_of_one_layout_to_its_terminals():
     spec = TerminalSpec.from_shape(SkewShape(Partition((2, 1))), 2, 0)
-    first, second = (family_layer(f) for f in itertools.islice(enumerate_families(spec), 2))
+    first, second = (build_graph(f, PathFamily()).layers[0] for f in itertools.islice(enumerate_families(spec), 2))
     assert (first.east, first.north) != (second.east, second.north)
     assert edge_pattern(first)[0] == edge_pattern(second)[0] == (spec.starts, spec.ends)
 
@@ -646,8 +677,8 @@ def test_audit_refuses_more_images_than_a_layout_has(monkeypatch):
 
 
 def test_audit_refuses_a_changed_weight(monkeypatch):
-    # the left weight comes from path_weight, the image's from its east edges
-    monkeypatch.setattr(identities, "path_weight", lambda family: ())
+    # the left weight comes from the families' path_weight, the image's from its east edges
+    monkeypatch.setattr(trails, "path_weight", lambda family: ())
     with pytest.raises(RuntimeError, match=r"^recolouring changed the weight: 1 -> x"):
         bijection_audit((2, 1), N=2)
 

@@ -24,6 +24,7 @@ from schurtrails.trails import (
     all_trails,
     build_graph,
     count_noncrossing_matchings,
+    pattern_objects,
     recolour,
     terminal_matching,
     terminal_points,
@@ -604,38 +605,37 @@ def _picture(graph):
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
-def test_cached_layers_match_fresh_families(data):
+def test_pattern_objects_share_one_frame_and_match_built_graphs(data):
     n = data.draw(st.integers(min_value=1, max_value=3))
     t = data.draw(st.integers(min_value=-2, max_value=2))
-    blues = list(enumerate_families(TerminalSpec.from_shape(data.draw(skew_shapes_st()), n)))
-    greens = list(enumerate_families(TerminalSpec.from_shape(data.draw(skew_shapes_st()), n, offset=t)))
-    assume(blues and greens)
-    fb, fg = data.draw(st.sampled_from(blues)), data.draw(st.sampled_from(greens))
-    # trace other pairings first, so that both families' layers are cached
-    all_trails(build_graph(fb, data.draw(st.sampled_from(greens))))
-    all_trails(build_graph(data.draw(st.sampled_from(blues)), fg))
-    cached = build_graph(fb, fg)
-    fresh = build_graph(PathFamily(list(fb)), PathFamily(list(fg)))
-    # the cached layers are the families', for the graph's frame
-    assert cached.layers == (fb._layer, fg._layer) and fb._layer.frame is fg._layer.frame is cached.frame
-    assert fresh.layers[0] is not fb._layer
-    assert _picture(cached) == _picture(fresh)
-    marks = {path.start: colour for colour, f in ((BLUE, fb), (GREEN, fg)) for path in f if not path.steps}
-    for location in sorted({p.start for f in (fb, fg) for p in f} | {p.end for f in (fb, fg) for p in f}):
-        trail = _outcome(trail_at_terminal, cached, location)
-        assert trail == _outcome(trail_at_terminal, fresh, location)
-        if isinstance(trail, str):
-            continue
-        image = _outcome(recolour, cached, [trail])
-        again = _outcome(recolour, fresh, [trail])
-        assert image == again
-        if isinstance(image, str):
-            continue
-        assert _picture(image) == _picture(again)
-        ends = {v for edge, _, _ in trail.steps for v in edge}
-        for point, colour in marks.items():
-            if point not in ends:
-                assert colour in image.vertices[point]
+    specs = tuple(TerminalSpec.from_shape(data.draw(skew_shapes_st()), n, offset) for offset in (0, t))
+    blues, greens = (list(enumerate_families(spec)) for spec in specs)
+    objects = list(pattern_objects(*specs))
+    assert len(objects) == len(blues) * len(greens)
+    assert len({id(layer.frame) for graph, _ in objects for layer in graph.layers}) <= 1
+    terminals = sorted({point for spec in specs for point in spec.starts + spec.ends})
+    for (graph, weight), (fb, fg) in zip(objects, ((fb, fg) for fb in blues for fg in greens)):
+        built = build_graph(fb, fg)
+        assert (graph.frame.cols, graph.frame.rows) == (built.frame.cols, built.frame.rows)
+        assert graph._key() == built._key() and (graph.blue, graph.green) == (fb, fg)
+        assert [(layer.marks, layer.marked) for layer in graph.layers] == [(b.marks, b.marked) for b in built.layers]
+        assert _picture(graph) == _picture(built)
+        assert weight == monomial_mul(path_weight(fb), path_weight(fg))
+        marks = {path.start: colour for colour, f in ((BLUE, fb), (GREEN, fg)) for path in f if not path.steps}
+        for location in terminals:
+            trail = _outcome(trail_at_terminal, graph, location)
+            assert trail == _outcome(trail_at_terminal, built, location)
+            if isinstance(trail, str):
+                continue
+            image = _outcome(recolour, graph, [trail])
+            again = _outcome(recolour, built, [trail])
+            assert image == again
+            if isinstance(image, str):
+                continue
+            assert _picture(image) == _picture(again)
+            # a recoloured graph keeps every mark no flipped edge reaches
+            ends = {v for edge, _, _ in trail.steps for v in edge}
+            assert all(colour in image.vertices[point] for point, colour in marks.items() if point not in ends)
 
 
 @pytest.mark.parametrize(

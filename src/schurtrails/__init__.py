@@ -4,6 +4,7 @@ the recolouring bijection proves.
 
 Every name comes from its module: schurtrails.partitions,
 schurtrails.polyring, schurtrails.schur, schurtrails.trails,
-schurtrails.identities, schurtrails.svg and schurtrails.cli."""
+schurtrails.identities, schurtrails.replay, schurtrails.svg and
+schurtrails.cli."""
 
 __version__ = "0.1.0"

@@ -10,24 +10,36 @@ identical bytes.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import os
+import sys
 
 import click
 
-from .identities import (
-    bijection_audit,
-    explore_orbit,
-    verify_ciucu,
-    verify_dodgson,
-    verify_general,
-    verify_kirillov,
-    verify_kleber,
-    verify_pluecker,
+
+def _lazy(name):
+    """The package module name, registered so that its code runs at its first attribute access.
+
+    A module already imported is reused.  The rest go into sys.modules
+    and onto the package as lazy modules, so a command runs only the
+    modules it reaches, while code that looks a module up in sys.modules
+    right after this import, as a tracer does, still finds it.
+    """
+    full = "%s.%s" % (__package__, name)
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# polyring and schur are registered too, though commands reach them only through the other modules
+identities, partitions, polyring, replay, schur, svg, trails = map(
+    _lazy, ("identities", "partitions", "polyring", "replay", "schur", "svg", "trails")
 )
-from .partitions import Partition, SkewShape
-from .svg import render_svg
-from .trails import TwoColouredGraph, count_noncrossing_matchings, trail_at_terminal
 
 #: Schema for every verifier report the CLI prints in JSON format.
 REPORT_SCHEMA = {
@@ -49,13 +61,15 @@ REPORT_SCHEMA = {
 
 
 def _ints(text):
-    """None -> None, '' -> (), '5,4,3' -> (5, 4, 3)."""
+    """None -> None, '' -> (), '5,4,3' -> (5, 4, 3); any other text is a ValueError that quotes it."""
     if text is None:
         return None
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
-    return tuple(int(bit) for bit in text.split(","))
+    try:
+        return tuple(int(bit) for bit in text.split(","))
+    except ValueError:
+        raise ValueError("expected comma-separated integers, got %r" % (text,)) from None
 
 
 def _usage_guard(fn):
@@ -152,7 +166,7 @@ def general(lam, n_vars, sweep, fmt, out):
             raise click.UsageError("--sweep names no part lists")
         all_equal = True
         for parts in shapes:
-            rep = verify_general(parts, n_vars)
+            rep = identities.verify_general(parts, n_vars)
             _write(out, "json", rep.to_json(), None)
             all_equal = all_equal and rep.equal
         if not all_equal:
@@ -160,7 +174,7 @@ def general(lam, n_vars, sweep, fmt, out):
         return
     if lam is None:
         raise click.UsageError("--lambda is required without --sweep")
-    _finish_report(verify_general(_ints(lam), n_vars), fmt, out)
+    _finish_report(identities.verify_general(_ints(lam), n_vars), fmt, out)
 
 
 @verify.command()
@@ -174,7 +188,7 @@ def kirillov(lam, n_vars, fmt, out):
     parts = _ints(lam)
     if not parts or len(set(parts)) != 1:
         raise click.UsageError("--lambda must repeat one part value, got %r" % (lam,))
-    _finish_report(verify_kirillov(parts[0], len(parts) - 1, n_vars), fmt, out)
+    _finish_report(identities.verify_kirillov(parts[0], len(parts) - 1, n_vars), fmt, out)
 
 
 @verify.command()
@@ -184,7 +198,7 @@ def kirillov(lam, n_vars, fmt, out):
 @_usage_guard
 def dodgson(k, fmt, out):
     """Condensation of a generic determinant into corner minors."""
-    _finish_report(verify_dodgson(k), fmt, out)
+    _finish_report(identities.verify_dodgson(k), fmt, out)
 
 
 @verify.command()
@@ -210,7 +224,7 @@ def pluecker(k, rlist, mode, lam, sigma, n_vars, fmt, out):
         raise click.UsageError("formal mode takes no --lambda, --sigma or --vars")
     if mode == "formal" and k is None:
         raise click.UsageError("formal mode needs --k")
-    rep = verify_pluecker(
+    rep = identities.verify_pluecker(
         k, _ints(rlist) or (), mode=mode, lam=_ints(lam), sigma=_ints(sigma), N=n_vars
     )
     _finish_report(rep, fmt, out)
@@ -225,7 +239,7 @@ def pluecker(k, rlist, mode, lam, sigma, n_vars, fmt, out):
 @_usage_guard
 def ciucu(index_set, k, n_vars, fmt, out):
     """Balanced splits of an index set against its alternating split."""
-    _finish_report(verify_ciucu(_ints(index_set), k, n_vars), fmt, out)
+    _finish_report(identities.verify_ciucu(_ints(index_set), k, n_vars), fmt, out)
 
 
 @verify.command()
@@ -237,7 +251,7 @@ def ciucu(index_set, k, n_vars, fmt, out):
 @_usage_guard
 def kleber(lam, k, n_vars, fmt, out):
     """Square expansion over nested border strips at one corner."""
-    _finish_report(verify_kleber(_ints(lam), k, n_vars), fmt, out)
+    _finish_report(identities.verify_kleber(_ints(lam), k, n_vars), fmt, out)
 
 
 @main.command()
@@ -248,7 +262,7 @@ def kleber(lam, k, n_vars, fmt, out):
 @_usage_guard
 def audit(lam, n_vars, fmt, out):
     """Replay the window-exchange bijection object by object."""
-    rep = bijection_audit(_ints(lam), n_vars)
+    rep = replay.bijection_audit(_ints(lam), n_vars)
     text = "lambda %s N %d: %d objects = %d A + %d B" % (
         ",".join(str(p) for p in rep.lam),
         rep.N,
@@ -272,9 +286,10 @@ def audit(lam, n_vars, fmt, out):
 @_usage_guard
 def orbit(lam, inner, sigma, tau, t, selected, n_vars, fmt, out):
     """Close the trail-recolouring move over families with fixed terminals."""
+    Partition, SkewShape = partitions.Partition, partitions.SkewShape
     blue = SkewShape(Partition(_ints(lam)), Partition(_ints(inner) or ()))
     green = SkewShape(Partition(_ints(sigma)), Partition(_ints(tau) or ()))
-    res = explore_orbit(blue, green, t=t, selected=_ints(selected) or (), N=n_vars)
+    res = replay.explore_orbit(blue, green, t=t, selected=_ints(selected) or (), N=n_vars)
     text = "initial %s N %d: side 0 has %d objects in %d patterns, side 1 has %d in %d%s" % (
         json.dumps([list(c) for c in res.initial]),
         res.N,
@@ -302,16 +317,16 @@ def render(config, trail_points, n_vars, out):
     """Draw a graph JSON file (or stdin) as a deterministic SVG."""
     try:
         with click.open_file(config) as fh:
-            graph = TwoColouredGraph.from_json(json.load(fh))
+            graph = trails.TwoColouredGraph.from_json(json.load(fh))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise click.UsageError("malformed graph config: %s" % exc)
-    trails = []
+    overlaid = []
     for spec in trail_points:
         location = _ints(spec)
         if len(location) != 2:
             raise click.UsageError("--trail wants x,y, got %r" % (spec,))
-        trails.append(trail_at_terminal(graph, location))
-    click.echo(render_svg(graph, tuple(trails), n_vars), file=out, nl=False)
+        overlaid.append(trails.trail_at_terminal(graph, location))
+    click.echo(svg.render_svg(graph, tuple(overlaid), n_vars), file=out, nl=False)
 
 
 @main.command()
@@ -321,5 +336,5 @@ def render(config, trail_points, n_vars, out):
 @_usage_guard
 def catalan(points, fmt, out):
     """Count perfect noncrossing matchings on cyclically arranged points."""
-    count = count_noncrossing_matchings(points)
+    count = trails.count_noncrossing_matchings(points)
     _write(out, fmt, {"matchings": count, "points": points}, str(count))

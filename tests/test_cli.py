@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from jsonschema import validate
 
 import schurtrails
-from schurtrails import cli, identities
+from schurtrails import identities, replay
 from schurtrails.cli import REPORT_SCHEMA, main
 from schurtrails.identities import IdentityReport
 from schurtrails.partitions import Partition, SkewShape
@@ -50,6 +50,23 @@ def test_validation_error_bubbles_as_usage(runner):
 def test_non_integer_parts_are_usage_error(runner):
     result = runner.invoke(main, ["verify", "general", "--lambda", "3,x", "--vars", "2"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["verify", "general", "--lambda", ",,"], ",,"),
+        (["verify", "general", "--lambda", "a"], "a"),
+        (["verify", "ciucu", "--set", ",", "--k", "0"], ","),
+        (["verify", "pluecker", "--k", "2", "--rlist", "1,,2"], "1,,2"),
+        (["render", "--trail", "1,x"], "1,x"),
+    ],
+    ids=["lambda-commas", "lambda-letter", "set", "rlist", "trail"],
+)
+def test_malformed_integer_list_is_a_usage_error_quoting_it(runner, argv, text):
+    result = runner.invoke(main, argv, input='{"blue": [], "green": []}')
+    assert result.exit_code == 2
+    assert "Error: expected comma-separated integers, got %r\n" % (text,) in result.output
 
 
 @pytest.mark.parametrize("n_vars", ["0", "-1"])
@@ -114,7 +131,7 @@ def test_unequal_report_exits_1_after_writing_it(runner, monkeypatch, argv, expe
         x1 = Polynomial.variable(x_var(1))
         return IdentityReport("general", {"lambda": list(parts), "N": 2}, x1, Polynomial.zero())
 
-    monkeypatch.setattr(cli, "verify_general", unequal)
+    monkeypatch.setattr(identities, "verify_general", unequal)
     result = runner.invoke(main, ["verify", "general"] + argv)
     assert result.exit_code == 1
     assert expected(result.stdout)
@@ -212,11 +229,11 @@ def test_verify_out_writes_file(runner, tmp_path, argv, exit_code, check):
 @pytest.mark.parametrize(
     "argv, work",
     [
-        (["verify", "general", "--lambda", "2,1"], "verify_general"),
-        (["verify", "general", "--sweep", "2,1;3,2"], "verify_general"),
-        (["audit", "--lambda", "2,1"], "bijection_audit"),
-        (["render", "GRAPH"], "render_svg"),
-        (["catalan", "--points", "8"], "count_noncrossing_matchings"),
+        (["verify", "general", "--lambda", "2,1"], "identities.verify_general"),
+        (["verify", "general", "--sweep", "2,1;3,2"], "identities.verify_general"),
+        (["audit", "--lambda", "2,1"], "replay.bijection_audit"),
+        (["render", "GRAPH"], "svg.render_svg"),
+        (["catalan", "--points", "8"], "trails.count_noncrossing_matchings"),
     ],
     ids=["verify", "sweep", "audit", "render", "catalan"],
 )
@@ -225,7 +242,7 @@ def test_unopenable_out_is_refused_before_the_work(runner, monkeypatch, tmp_path
     def refuse(*args, **kwargs):
         raise AssertionError("%s ran before --out was checked" % work)
 
-    monkeypatch.setattr(cli, work, refuse)
+    monkeypatch.setattr("schurtrails." + work, refuse)
     config = tmp_path / "graph.json"
     config.write_text(graph_json())
     argv = [str(config) if bit == "GRAPH" else bit for bit in argv]
@@ -346,7 +363,7 @@ def test_verify_refuses_an_identity_with_too_many_tableau_pairs(runner, monkeypa
 )
 def test_failed_check_exits_1_naming_its_command(runner, monkeypatch, argv, message):
     # a recolouring that changes nothing maps every object to itself, which neither check accepts
-    monkeypatch.setattr(identities, "recolour", lambda graph, trails: graph)
+    monkeypatch.setattr(replay, "recolour", lambda graph, trails: graph)
     result = runner.invoke(main, argv)
     assert result.exit_code == 1
     assert result.stdout == ""
@@ -515,3 +532,74 @@ def test_python_dash_m_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "5\n"
+
+
+# ---------------------------------------------------------------- module loading
+
+#: Prints the package files compiled while the CLI runs argv, as a last line of its own on stdout.
+LOAD_PROBE = """
+import json, os, sys
+compiled = []
+sys.addaudithook(lambda event, args: compiled.append(args[1]) if event == "compile" else None)
+from schurtrails import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+package = os.path.dirname(cli.__file__)
+names = sorted(os.path.basename(f) for f in compiled if isinstance(f, str) and os.path.dirname(f) == package)
+print("\\n" + json.dumps(names))
+"""
+
+
+@pytest.fixture(scope="module")
+def library_bytecode(tmp_path_factory):
+    """A bytecode cache that holds the interpreter's and click's modules but none of the package's."""
+    prefix = tmp_path_factory.mktemp("pycache")
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(prefix))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", "import click, dataclasses, importlib.util, json"], env=env, check=True, timeout=60)
+    return prefix
+
+
+CLI_BASE = ["__init__.py", "cli.py"]
+CHECKS = CLI_BASE + ["identities.py", "partitions.py", "polyring.py", "schur.py"]
+TRAILS = CLI_BASE + ["partitions.py", "polyring.py", "schur.py", "trails.py"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["verify", "general", "--lambda", "2,1"], CHECKS),
+        (["verify", "general", "--sweep", "2,1;3,2"], CHECKS),
+        (["verify", "kirillov", "--lambda", "2,2", "--vars", "3"], CHECKS),
+        (["verify", "dodgson", "--k", "2"], CHECKS),
+        (["verify", "pluecker", "--k", "2", "--rlist", "1"], CHECKS),
+        (["verify", "pluecker", "--mode", "schur", "--lambda", "4,2", "--sigma", "3,1", "--rlist", "1"], CHECKS),
+        (["verify", "ciucu", "--set", "1,2,3,4", "--k", "2"], CHECKS),
+        (["verify", "kleber", "--lambda", "3,2,1", "--k", "2"], CHECKS),
+        (["audit", "--lambda", "2,1", "--vars", "2"], CHECKS + ["replay.py", "trails.py"]),
+        (["orbit", "--lambda", "2", "--sigma", "1", "--offset", "-1", "--rlist", "1", "--vars", "2"],
+         CHECKS + ["replay.py", "trails.py"]),
+        (["catalan", "--points", "8"], TRAILS),
+        (["render"], TRAILS + ["svg.py"]),
+        (["--help"], CLI_BASE),
+    ],
+    ids=["general", "sweep", "kirillov", "dodgson", "pluecker", "pluecker-schur", "ciucu", "kleber",
+         "audit", "orbit", "catalan", "render", "help"],
+)
+def test_each_command_compiles_only_the_modules_it_runs(library_bytecode, argv, modules):
+    # the cache is never written, so every package module the call loads is compiled from source
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(schurtrails.__file__)))
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(library_bytecode), PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE] + argv,
+        input='{"blue": ["(-1,1):EN"], "green": ["(0,1):EEN"]}',
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == sorted(modules)

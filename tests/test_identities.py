@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from schurtrails import identities, trails
+from schurtrails import identities, replay, trails
 from schurtrails.identities import (
     MAX_AUDIT_OBJECTS,
     MAX_PRODUCT_DIGITS,
@@ -641,13 +641,13 @@ def test_audit_four_part_window():
 
 
 def test_audit_refuses_an_image_outside_the_layouts(monkeypatch):
-    monkeypatch.setattr(identities, "recolour", lambda graph, trails: graph)
+    monkeypatch.setattr(replay, "recolour", lambda graph, trails: graph)
     with pytest.raises(RuntimeError, match=r"image \(\('\(.*is not an object of either layout"):
         bijection_audit((2, 1), N=2)
 
 
 def test_audit_refuses_a_repeated_image(monkeypatch):
-    move = identities.recolour
+    move = replay.recolour
     first = []
 
     def to_the_first_image(graph, trails):
@@ -655,23 +655,23 @@ def test_audit_refuses_a_repeated_image(monkeypatch):
             first.append(move(graph, trails))
         return first[0]
 
-    monkeypatch.setattr(identities, "recolour", to_the_first_image)
+    monkeypatch.setattr(replay, "recolour", to_the_first_image)
     with pytest.raises(RuntimeError, match=r"two objects recoloured to the same image \(\('\("):
         bijection_audit((2, 1), N=2)
 
 
 def test_audit_refuses_a_layout_never_reached(monkeypatch):
     # one more tableau per factor: layout A of (2,1) at N = 2 counts 2 * 3 objects, and 2 images land in it
-    count = identities.ssyt_count
-    monkeypatch.setattr(identities, "ssyt_count", lambda parts, N: count(parts, N) + 1)
+    count = replay.ssyt_count
+    monkeypatch.setattr(replay, "ssyt_count", lambda parts, N: count(parts, N) + 1)
     with pytest.raises(RuntimeError, match="^4 layout objects were never reached$"):
         bijection_audit((2, 1), N=2)
 
 
 def test_audit_refuses_more_images_than_a_layout_has(monkeypatch):
     # one tableau fewer for each factor with more than one: layout A counts 1 * 1 objects
-    count = identities.ssyt_count
-    monkeypatch.setattr(identities, "ssyt_count", lambda parts, N: count(parts, N) - (count(parts, N) > 1))
+    count = replay.ssyt_count
+    monkeypatch.setattr(replay, "ssyt_count", lambda parts, N: count(parts, N) - (count(parts, N) > 1))
     with pytest.raises(RuntimeError, match="^2 images land in layout A, more than the 1 it has$"):
         bijection_audit((2, 1), N=2)
 

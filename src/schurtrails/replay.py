@@ -9,15 +9,18 @@ explore_orbit runs that step on every pattern it reaches and closes the
 move, tallying both sides of the resulting object bijection;
 bijection_audit runs it once, on the left side of the window exchange
 with one selected point, and checks the images by counting them into the
-right-side layouts, which it never enumerates.  The window exchange and
-the rule that sets N are identities' _window_exchange and _alphabet.
+right-side layouts, which it never enumerates.  Both are bounded by
+MAX_AUDIT_OBJECTS: the audit counts its objects before it starts, and
+the orbit stops once it has moved more.  The window exchange and the
+rule that sets N are identities' _window_exchange and _alphabet.
 
 Objects compare as graph keys: the frame's columns and rows and each
 colour's east and north edge masks over it.  A pattern is a (blue,
 green) pair of (starts, ends) tuples, read off a layer's masks by
 trails.edge_pattern; TerminalSpecs are built only to enumerate a
 pattern's families.  Zero-length paths carry no edges, so they are part
-of neither.
+of neither.  A graph holds only its two layers, so a family is spelled
+out only for a message.
 """
 
 from __future__ import annotations
@@ -102,6 +105,8 @@ def _moved_objects(specs, locations, read):
 #: 42 us per object ((7,4,1) at N = 4, 75600 objects in 3.2 s, best of
 #: three; 2-vCPU VM, CPython 3.11.7), so the limit is about 4 s.  The
 #: r = 2 Dodgson audit, (7,5,3) at N = 4 with 264,600 objects, stays over it.
+#: explore_orbit moves each object by the same step, so it stops once it
+#: has moved more objects than this.
 MAX_AUDIT_OBJECTS = 100_000
 
 @dataclass(frozen=True)
@@ -310,7 +315,9 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     the same summed weight, and with uniform parities on the Q-sequence
     the original side must consist of the input pattern alone.  With no
     selected points the move is the identity and the result is flagged
-    degenerate.
+    degenerate.  The number of objects is not known before the walk, so
+    the orbit is refused after bounded work, not up front: once more than
+    MAX_AUDIT_OBJECTS objects are moved it raises ValueError.
 
     Every pattern reached is moved by one shared step, the one
     bijection_audit runs on its left side, and the reached pattern, a pair
@@ -338,7 +345,7 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     cap = 2 ** len(q_points) if q_points else 1
     pending = deque([initial])
     queued = {tuple((spec.starts, spec.ends) for spec in initial)}
-    processed = 0
+    processed = moved = 0
     counts = ({}, {})
     weights = (Counter(), Counter())
     image_of = {}
@@ -353,6 +360,9 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
         objects = 0
         for key, weight, _, image_key, reached, _ in _moved_objects(pattern, sel_locations, read):
             objects += 1
+            moved += 1
+            if moved > MAX_AUDIT_OBJECTS:
+                raise ValueError("the orbit moves more than MAX_AUDIT_OBJECTS = %d objects" % (MAX_AUDIT_OBJECTS,))
             weights[side][weight] += 1
             if degenerate:
                 continue

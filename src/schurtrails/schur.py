@@ -15,7 +15,8 @@ the horizontal strip of the cells that hold n, which is the branching
 rule of Schur polynomials.  It shares no code with the determinant, so
 each route checks the other.  Both are exact polynomials at a fixed
 variable count N.  enumerate_ssyt still lists single tableaux, for the
-path families and for tests.
+path families and for tests, in one loop over the cells: it does not
+recurse, and each cell's column cap keeps it off dead ends.
 """
 
 import itertools
@@ -82,43 +83,48 @@ class Tableau(Value):
 
 
 def enumerate_ssyt(shape, N):
-    """All semistandard fillings, in lexicographic order of the reading word."""
+    """All semistandard fillings, in lexicographic order of the reading word.
+
+    One loop fills the cells in reading order, odometer style.  A cell
+    starts at the least entry its left and upper neighbours allow and, each
+    time the loop comes back to it, steps up by one; past its cap, N less
+    the cells below it in its column, it resets and the loop backs up one
+    cell.  A column's cells are consecutive rows, and a cell's cap is at
+    least its left neighbour's and one more than its upper neighbour's, so
+    every start is within the cap and no filled prefix is a dead end.  A
+    board with a column of more than N cells has no filling.
+    """
     if not isinstance(shape, SkewShape):
         shape = SkewShape(shape)
     if N < 1:
         raise ValueError("alphabet bound must be >= 1")
     bounds = shape.row_bounds()
-    n_rows = shape.n_rows
-    inner = shape.inner.parts
-    rows = [[0] * (hi - lo) for lo, hi in bounds]
-
-    cells = [(i, c) for i in range(n_rows) for c in range(bounds[i][0], bounds[i][1])]
-
-    def entry_at(i, col):
-        # value at 0-based column col of row i, or None outside the board
-        lo, hi = bounds[i]
-        if lo <= col < hi:
-            return rows[i][col - lo]
-        return None
-
-    def fill(pos):
-        if pos == len(cells):
-            yield Tableau(shape, [list(r) for r in rows], N)
-            return
-        i, col = cells[pos]
-        lo = 1
-        if col > inner[i] and col - 1 >= bounds[i][0]:
-            lo = max(lo, rows[i][col - 1 - bounds[i][0]])
-        if i > 0:
-            above = entry_at(i - 1, col)
-            if above is not None:
-                lo = max(lo, above + 1)
-        for v in range(lo, N + 1):
-            rows[i][col - bounds[i][0]] = v
-            yield from fill(pos + 1)
-        rows[i][col - bounds[i][0]] = 0
-
-    yield from fill(0)
+    # per cell in reading order; a missing neighbour is -1, the entry kept 0 past the last cell
+    left, above, cap, first = [], [], [], [0]  # first: each row's first cell, then the cell count
+    for i, (lo, hi) in enumerate(bounds):
+        up_lo, up_hi = bounds[i - 1] if i else (0, 0)
+        lower = bounds[i + 1 :]  # these rows start at or left of lo: one reaching past c has a cell below (i, c)
+        for c in range(lo, hi):
+            left.append(len(left) - 1 if c > lo else -1)
+            above.append(first[i - 1] + c - up_lo if up_lo <= c < up_hi else -1)
+            cap.append(N - sum(1 for _, h in lower if h > c))
+        first.append(len(left))
+    if min(cap, default=1) < 1:
+        return
+    entries, k, last = [0] * (len(left) + 1), 0, len(left)
+    while k >= 0:
+        if k == last:
+            yield Tableau(shape, [entries[a:b] for a, b in zip(first, first[1:])], N)
+            k -= 1
+        elif not entries[k]:
+            entries[k] = max(entries[left[k]], entries[above[k]] + 1)
+            k += 1
+        elif entries[k] < cap[k]:
+            entries[k] += 1
+            k += 1
+        else:
+            entries[k] = 0
+            k -= 1
 
 
 def tableau_weight(t):

@@ -23,9 +23,9 @@ only ever traced, and keeps its frame, its integer steps and its flip
 masks.  An image keeps its graph's frame, and graphs compare as frame
 and masks.  A zero-length path has no edge, so graph equality ignores
 it; its layer keeps it as a mark, and a recoloured graph keeps every
-mark no flipped edge reaches.  A graph built from families returns
-them, and any other reads each family off its layer, marks included, so
-its layers, families and JSON agree.
+mark no flipped edge reaches.  A graph holds its two layers and nothing
+else: its families, its JSON and its terminals are read off them, marks
+included, by one reader of a layer's starts and ends, so they agree.
 
 Orientation vocabulary: ``forward`` means right-upwards (the paths' own
 direction), ``backward`` means left-downwards.
@@ -154,17 +154,22 @@ class _Layer:
         return frozenset(self.frame.edge(d, v) for d, mask in enumerate((self.east, self.north)) for v in _bits(mask))
 
 
+def _ends(layer) -> tuple:
+    """(starts, ends) masks of a layer: an edge's tail and no edge's head, and the reverse; marks are in neither."""
+    tails, heads = layer.east | layer.north, layer.east << layer.frame.n | layer.north << 1
+    return tails & ~heads, heads & ~tails
+
+
 def edge_pattern(layer):
     """((starts, ends), weight) of one colour's layer, each terminal tuple rightmost first.
 
-    A start is the tail of an edge and the head of none, an end the reverse, so
-    a zero-length path is not read.  The weight is x_y per east edge in row y.
+    The terminals are _ends', so a zero-length path is not read.  The weight
+    is x_y per east edge in row y.
     """
-    frame, east, north, n = layer.frame, layer.east, layer.north, layer.frame.n
-    tails, heads = east | north, east << n | north << 1
+    frame, east, n = layer.frame, layer.east, layer.frame.n
     row = ((1 << n * len(frame.cols)) - 1) // ((1 << n) - 1) if n else 0  # the bottom row's bits
     counts = ((y, (east >> r & row).bit_count()) for r, y in enumerate(frame.rows))
-    return (frame.points(tails & ~heads), frame.points(heads & ~tails)), tuple((x_var(y), k) for y, k in counts if k)
+    return tuple(map(frame.points, _ends(layer))), tuple((x_var(y), k) for y, k in counts if k)
 
 
 def _family_of(layer) -> PathFamily:
@@ -174,7 +179,7 @@ def _family_of(layer) -> PathFamily:
     """
     frame, east, north, n = layer.frame, layer.east, layer.north, layer.frame.n
     paths = [LatticePath(mark) for mark in layer.marks]
-    for v in _bits((east | north) & ~(east << n | north << 1)):
+    for v in _bits(_ends(layer)[0]):
         start, steps = frame.point(v), []
         while (east | north) >> v & 1:
             up = north >> v & 1
@@ -190,28 +195,25 @@ def _by_colour(blue, green):
 
 
 class TwoColouredGraph(Value):
-    """Superposition of a blue and a green path family, held as one layer per colour.
+    """Superposition of a blue and a green path family, held as its two layers and nothing else.
 
-    blue and green are the families the graph was built from, or, after a
-    recolour or from a key, read off the layers on first use.  Equality
-    and hashing use the frame and the four edge masks only.  edge_colours
-    (each unit edge to its colours), vertices (each point to its colours)
-    and instances are views.  Graphs are immutable: recolour returns a new
-    one.
+    blue and green are read off the layers each time, rightmost path first,
+    so equal graphs list their families alike.  Equality and hashing use
+    the frame and the four edge masks only.  edge_colours (each unit edge
+    to its colours), vertices (each point to its colours) and instances
+    are views.  Graphs are immutable: recolour returns a new one.
     """
 
-    __slots__ = ("layers", "_families")
+    __slots__ = ("layers",)
 
     def __init__(self, blue, green):
         families = tuple(f if isinstance(f, PathFamily) else PathFamily(f) for f in (blue, green))
         frame = _Frame.of(*families)
-        object.__setattr__(self, "_families", dict(zip(_COLOURS, families)))
         object.__setattr__(self, "layers", tuple(_Layer.of(family, frame) for family in families))
 
     @classmethod
-    def _of_layers(cls, layers, families=()) -> "TwoColouredGraph":
+    def _of_layers(cls, layers) -> "TwoColouredGraph":
         graph = object.__new__(cls)
-        object.__setattr__(graph, "_families", dict(zip(_COLOURS, families)))
         object.__setattr__(graph, "layers", layers)
         return graph
 
@@ -222,15 +224,8 @@ class TwoColouredGraph(Value):
         return cls._of_layers((_Layer(frame, *key[2:4]), _Layer(frame, *key[4:])))
 
     frame = property(lambda self: self.layers[0].frame)
-
-    def family(self, colour: str) -> PathFamily:
-        """The colour's path family: as built, or read off its layer once."""
-        if colour not in self._families:
-            self._families[colour] = _family_of(self.layers[_INDEX[colour]])
-        return self._families[colour]
-
-    blue = property(lambda self: self.family(BLUE))
-    green = property(lambda self: self.family(GREEN))
+    blue = property(lambda self: _family_of(self.layers[0]))
+    green = property(lambda self: _family_of(self.layers[1]))
 
     def _key(self):
         blue, green = self.layers
@@ -279,12 +274,11 @@ def pattern_objects(blue_spec, green_spec):
     if not (blues and greens):
         return
     frame = _Frame.of(blues[0], greens[0])
-    greens = [(family, _Layer.of(family, frame), path_weight(family)) for family in greens]
+    greens = [(_Layer.of(family, frame), path_weight(family)) for family in greens]
     for blue in blues:
         blue_layer, blue_weight = _Layer.of(blue, frame), path_weight(blue)
-        for green, green_layer, green_weight in greens:
-            graph = TwoColouredGraph._of_layers((blue_layer, green_layer), (blue, green))
-            yield graph, monomial_mul(blue_weight, green_weight)
+        for green_layer, green_weight in greens:
+            yield TwoColouredGraph._of_layers((blue_layer, green_layer)), monomial_mul(blue_weight, green_weight)
 
 
 @dataclass(frozen=True)
@@ -314,13 +308,11 @@ def terminal_points(graph: TwoColouredGraph) -> tuple:
 
     A lattice point where both a blue and a green path end (or both
     start) is coincident and excluded; trails pass straight through such
-    points, so they never terminate a trail.
+    points, so they never terminate a trail.  The terminals are read off
+    the layers: _ends' masks, and each mark as both a start and an end.
     """
     return terminal_points_from_sets(
-        {p.start for p in graph.blue},
-        {p.end for p in graph.blue},
-        {p.start for p in graph.green},
-        {p.end for p in graph.green},
+        *(layer.marks.union(layer.frame.points(mask)) for layer in graph.layers for mask in _ends(layer))
     )
 
 

@@ -332,6 +332,24 @@ def test_audit_refuses_an_oversized_window_at_once(runner):
     assert "the audit has 3102772248576 objects, more than MAX_AUDIT_OBJECTS = 100000" in result.output
 
 
+def test_audit_of_a_window_with_more_cells_than_the_recursion_limit(runner):
+    # 2,400 cells at N = 1: the tableau loop does not recurse per cell
+    result = runner.invoke(main, ["audit", "--lambda", "1200,1200", "--vars", "1"])
+    assert result.exit_code == 0
+    assert result.output == "lambda 1200,1200 N 1: 1 objects = 0 A + 1 B\n"
+
+
+def test_orbit_is_refused_once_it_moves_more_objects_than_the_limit(runner, monkeypatch):
+    # the orbit moves 12 objects, 6 of them in its initial pattern
+    monkeypatch.setattr(replay, "MAX_AUDIT_OBJECTS", 5)
+    argv = ["orbit", "--lambda", "2", "--sigma", "1", "--offset", "-1", "--rlist", "1", "--vars", "2"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert "the orbit moves more than MAX_AUDIT_OBJECTS = 5 objects" in result.output
+    monkeypatch.setattr(replay, "MAX_AUDIT_OBJECTS", 12)
+    assert runner.invoke(main, argv).exit_code == 0
+
+
 def test_verify_dodgson_refuses_a_determinant_over_the_expansion_guard(runner):
     result = runner.invoke(main, ["verify", "dodgson", "--k", "6"])
     assert result.exit_code == 2

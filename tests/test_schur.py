@@ -77,12 +77,6 @@ def test_ssyt_rejects_bad_fillings():
         Tableau(shape, [(1, 1)], 3)  # wrong row count
 
 
-def test_ssyt_lex_order_and_distinct():
-    words = [t.reading_word() for t in enumerate_ssyt(Partition((2, 1)), 3)]
-    assert words == sorted(words)
-    assert len(set(words)) == len(words)
-
-
 def fig_skew_tableau():
     return Tableau(SkewShape(Partition((4, 3, 2)), Partition((1,))), [(3, 5, 6), (3, 4, 6), (4, 5)], 6)
 
@@ -149,6 +143,30 @@ def wide_skew_shapes_st(draw):
     for part in outer:
         inner.append(draw(st.integers(0, min([part] + inner[-1:]))))
     return SkewShape(Partition(outer), Partition(inner))
+
+
+@given(wide_skew_shapes_st(), st.integers(min_value=1, max_value=5))
+@example(SkewShape(Partition((2, 1))), 3)
+@example(SkewShape(Partition((3, 3, 2, 1)), Partition((2, 1))), 3)  # columns of N cells
+@settings(max_examples=80, deadline=None)
+def test_ssyt_lex_order_and_distinct(shape, n):
+    words = [t.reading_word() for t in enumerate_ssyt(shape, n)]
+    assert all(a < b for a, b in zip(words, words[1:]))
+    assert len(words) == sum(schur_poly(shape, n).coeffs.values())
+
+
+def test_ssyt_lists_a_row_longer_than_the_recursion_limit():
+    (only,) = enumerate_ssyt(Partition((1500,)), 1)
+    assert only.rows == ((1,) * 1500,)
+
+
+def test_ssyt_meets_no_dead_end_in_a_column_of_n_cells():
+    # the column of 22 cells has one filling; an uncapped cell would try
+    # every entry past 22 - (cells below) before backing up
+    start = time.perf_counter()
+    (only,) = enumerate_ssyt(Partition((1,) * 22), 22)
+    assert time.perf_counter() - start < 1.0
+    assert only.reading_word() == tuple(range(1, 23))
 
 
 @given(wide_skew_shapes_st(), st.integers(min_value=1, max_value=5))

@@ -6,6 +6,7 @@ import pytest
 from schurtrails.partitions import Partition, SkewShape
 from schurtrails.polyring import monomial_mul
 from schurtrails.schur import EAST, NORTH, LatticePath, PathFamily, TerminalSpec, enumerate_families, path_weight
+from schurtrails.svg import render_svg
 from schurtrails.trails import (
     MAX_MATCHING_POINTS,
     BACKWARD,
@@ -69,6 +70,17 @@ def test_build_graph_empty():
 def test_graph_json_roundtrip():
     g = fig3()
     assert TwoColouredGraph.from_json(g.to_json()) == g
+
+
+def test_a_family_in_any_order_gives_the_canonical_graph():
+    # a graph holds only its layers, so its families read back rightmost start first
+    canonical = {"blue": ["(-1,1):EENN", "(-3,1):ENEN"], "green": ["(3,1):", "(0,1):ENN"]}
+    listed = {colour: paths[::-1] for colour, paths in canonical.items()}
+    graph, built = (TwoColouredGraph.from_json(document) for document in (canonical, listed))
+    assert built == graph
+    assert built.to_json() == graph.to_json() == canonical
+    assert repr(built) == repr(graph)
+    assert render_svg(built) == render_svg(graph)
 
 
 # ---------------------------------------------------------------- terminal points

@@ -17,10 +17,10 @@ rule that sets N are identities' _window_exchange and _alphabet.
 Objects compare as graph keys: the frame's columns and rows and each
 colour's east and north edge masks over it.  A pattern is a (blue,
 green) pair of (starts, ends) tuples, read off a layer's masks by
-trails.edge_pattern; TerminalSpecs are built only to enumerate a
-pattern's families.  Zero-length paths carry no edges, so they are part
-of neither.  A graph holds only its two layers, so a family is spelled
-out only for a message.
+trails.edge_pattern; its TerminalSpecs feed trails.pattern_objects,
+which writes the objects straight from tableaux.  Zero-length paths
+carry no edges, so they are part of neither.  No path family is built:
+one is spelled out only for a message.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ from dataclasses import dataclass
 from .identities import _alphabet, _window_exchange
 from .partitions import Partition, SkewShape
 from .polyring import Polynomial, monomial_mul, monomial_str
-from .schur import TerminalSpec, enumerate_families, ssyt_count
+from .schur import TerminalSpec, ssyt_count
 from .trails import (
     BLACK,
     BLUE,
     GREEN,
     WHITE,
     TwoColouredGraph,
-    build_graph,
     edge_pattern,
     pattern_objects,
     recolour,
@@ -181,7 +180,7 @@ def bijection_audit(lam, N=None) -> AuditReport:
         size[kind] = objects(term)
         if size[kind]:
             # read off the layout's first object, as an image is read
-            first = build_graph(*(next(enumerate_families(spec)) for spec in layout(term)))
+            first, _ = next(pattern_objects(*layout(term)))
             kind_of[tuple(edge_pattern(layer)[0] for layer in first.layers)] = kind
 
     images = {}  # each image to its layout

@@ -14,9 +14,9 @@ one by one: it runs once over the letters 1..N and adds, at letter n,
 the horizontal strip of the cells that hold n, which is the branching
 rule of Schur polynomials.  It shares no code with the determinant, so
 each route checks the other.  Both are exact polynomials at a fixed
-variable count N.  enumerate_ssyt still lists single tableaux, for the
-path families and for tests, in one loop over the cells: it does not
-recurse, and each cell's column cap keeps it off dead ends.
+variable count N.  enumerate_ssyt lists single tableaux in one loop
+that never recurses; spec_tableaux gives those of a TerminalSpec, which
+trails writes into graphs and enumerate_families into path families.
 """
 
 import itertools
@@ -412,18 +412,11 @@ class TerminalSpec(Value):
 
 
 def tableau_to_paths(t, offset=0):
-    """Path i starts at (inner_i - i + offset, 1), east steps at the heights of row i."""
-    shape = t.shape
-    paths = []
-    for i in range(shape.n_rows):
-        heights = t.rows[i]
-        steps = []
-        for k in range(1, t.N + 1):
-            steps.append(EAST * sum(1 for v in heights if v == k))
-            if k < t.N:
-                steps.append(NORTH)
-        paths.append(LatticePath((shape.inner.parts[i] - (i + 1) + offset, 1), "".join(steps)))
-    return PathFamily(paths)
+    """Path i starts at (inner_i - i + offset, 1), east steps at the heights of row i, and ends at height N."""
+    return PathFamily(
+        LatticePath((m - i - 1 + offset, 1), NORTH.join(EAST * row.count(k) for k in range(1, t.N + 1)))
+        for i, (m, row) in enumerate(zip(t.shape.inner.parts, t.rows))
+    )
 
 
 def paths_to_tableau(f, offset=0, N=None):
@@ -438,11 +431,8 @@ def paths_to_tableau(f, offset=0, N=None):
     if {p.start[1] for p in f} != {1} or len(n_level) != 1:
         raise ValueError("family not of tableau type: terminals off the y=1 / y=N lines")
     N = n_level.pop()
-    inner = []
-    outer = []
-    for idx, p in enumerate(f, start=1):
-        inner.append(p.start[0] + idx - offset)
-        outer.append(p.end[0] + idx - offset)
+    inner = [p.start[0] + i - offset for i, p in enumerate(f, start=1)]
+    outer = [p.end[0] + i - offset for i, p in enumerate(f, start=1)]
     try:
         shape = SkewShape(Partition(outer), Partition(inner))
     except ValueError as exc:
@@ -464,20 +454,20 @@ def family_generating_function(families):
     return Polynomial(Counter(path_weight(f) for f in families))
 
 
-def enumerate_families(spec):
-    """All nonintersecting families with the given terminals, via the tableau bijection.
+def spec_tableaux(spec):
+    """The tableaux of the spec's normal form, row i the east-step heights of the path from starts[i].
 
-    Emits nothing when the terminals are incompatible with any monotone
-    nonintersecting family.
+    No tableau when outer does not contain inner, and one empty tableau for no paths.
     """
+    outer, inner, _ = spec.normal_form()
+    if all(o >= m for o, m in zip(outer, inner)):
+        yield from enumerate_ssyt(SkewShape(Partition(outer), Partition(inner)), spec.N)
+
+
+def enumerate_families(spec):
+    """Every nonintersecting family with the spec's terminals: tableau_to_paths of spec_tableaux."""
     if not isinstance(spec, TerminalSpec):
         raise TypeError("enumerate_families takes a TerminalSpec")
-    if not spec.starts:
-        yield PathFamily()
-        return
-    outer, inner, shift = spec.normal_form()
-    if any(o < m for o, m in zip(outer, inner)):
-        return
-    shape = SkewShape(Partition(outer), Partition(inner))
-    for t in enumerate_ssyt(shape, spec.N):
+    shift = spec.normal_form()[2]
+    for t in spec_tableaux(spec):
         yield tableau_to_paths(t, offset=shift)

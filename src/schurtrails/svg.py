@@ -40,8 +40,10 @@ def _polyline(points, n_vars, style) -> str:
 def render_svg(graph, trails=(), n_vars=None) -> str:
     """Render the graph, with the given changing trails overlaid.
 
-    Raises ValueError when the bounding box needs more than MAX_GRID_LINES grid lines.
+    Raises ValueError when n_vars < 1 or the bounding box needs more than MAX_GRID_LINES grid lines.
     """
+    if n_vars is not None and n_vars < 1:
+        raise ValueError("alphabet bound must be >= 1")
     vertices = sorted(graph.vertices)
     ys = [v[1] for v in vertices]
     if n_vars is None:

@@ -10,22 +10,23 @@ through a terminal point and flipping the colours along it is the local
 move behind the exchange identities in this package.
 
 A graph numbers only the columns and rows its edges touch, its frame:
-point (x, y) is bit v = column * rows + row, so along a path an east
-step adds the number of rows to v and a north step adds 1.  Each colour
-is a layer: east and north masks with a bit at each edge's tail, the
-points its zero-length paths mark, and a mask of all its points.  Every
-object of one terminal pattern touches the same columns and rows, so
-pattern_objects lists a pattern's objects in one frame and builds each
-family's layer once.  Tracing and recolouring are integer operations,
-and edge_pattern reads a layer's terminals and weight off its masks;
-edge sets, point colours and coordinate steps are views.  A trail is
-only ever traced, and keeps its frame, its integer steps and its flip
-masks.  An image keeps its graph's frame, and graphs compare as frame
-and masks.  A zero-length path has no edge, so graph equality ignores
-it; its layer keeps it as a mark, and a recoloured graph keeps every
-mark no flipped edge reaches.  A graph holds its two layers and nothing
-else: its families, its JSON and its terminals are read off them, marks
-included, by one reader of a layer's starts and ends, so they agree.
+point (x, y) is bit v = column * rows + row, so an east step adds the
+number of rows to v and a north step adds 1.  Each colour is a layer:
+east and north masks with a bit at each edge's tail, the points its
+zero-length paths mark, and a mask of all its points.  One builder,
+_Layer.of, writes a layer from paths given as (start, east-step heights,
+end height), which a LatticePath gives through east_heights and a
+tableau row already is; so pattern_objects writes a terminal pattern's
+objects straight from its tableaux, in the one frame its terminals fix.
+Tracing and recolouring are integer operations, and edge_pattern reads
+a layer's terminals and weight off its masks; edge sets, point colours
+and coordinate steps are views.  A trail keeps its frame, its integer
+steps and its flip masks.  Graphs compare as frame and masks, so a
+zero-length path, which has no edge, is kept only as its layer's mark,
+and a recoloured graph keeps every mark no flipped edge reaches.  A
+graph holds its two layers and nothing else: its families, its JSON and
+its terminals are read off them, marks included, by one reader of a
+layer's starts and ends, so they agree.
 
 Orientation vocabulary: ``forward`` means right-upwards (the paths' own
 direction), ``backward`` means left-downwards.
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 from .partitions import Value
 from .polyring import monomial_mul, x_var
-from .schur import EAST, NORTH, LatticePath, PathFamily, enumerate_families, path_weight
+from .schur import EAST, NORTH, LatticePath, PathFamily, spec_tableaux, tableau_weight
 
 BLUE = "blue"
 GREEN = "green"
@@ -83,12 +84,13 @@ class _Frame:
         self._row = {y: r for r, y in enumerate(rows)}
 
     @classmethod
-    def of(cls, *families):
+    def of(cls, ends):
+        """The frame of paths given as (start, end) pairs; a path whose start is its end has no edge."""
         cols, rows = set(), set()
-        for path in (path for family in families for path in family if path.steps):
-            (x, y), (u, w) = path.start, path.end
-            cols.update(range(x, u + 1))
-            rows.update(range(y, w + 1))
+        for (x, y), (u, w) in ends:
+            if (x, y) != (u, w):
+                cols.update(range(x, u + 1))
+                rows.update(range(y, w + 1))
         return cls(tuple(sorted(cols)), tuple(sorted(rows)))
 
     def same(self, other) -> bool:
@@ -135,19 +137,19 @@ class _Layer:
         self.points = east | north | east << frame.n | north << 1 | marked
 
     @classmethod
-    def of(cls, family, frame):
+    def of(cls, paths, frame):
+        """The layer of paths given as (start, east-step heights, end height); a path with no step is a mark."""
         n, east, north, marked, marks = frame.n, 0, 0, 0, []
-        for path in family:
-            v = frame.index(path.start)
-            if not path.steps:
-                marks.append(path.start)
+        for start, heights, top in paths:
+            v, y = frame.index(start), start[1]
+            if not heights and y == top:
+                marks.append(start)
                 marked |= 0 if v is None else 1 << v
                 continue
-            for step in path.steps:
-                if step == EAST:
-                    east, v = east | 1 << v, v + n
-                else:
-                    north, v = north | 1 << v, v + 1
+            for h in heights:  # a path's rows are consecutive: k north steps from v set bits v..v+k-1
+                north, v = north | ((1 << h - y) - 1) << v, v + h - y
+                east, v, y = east | 1 << v, v + n, h
+            north |= ((1 << top - y) - 1) << v
         return cls(frame, east, north, frozenset(marks), marked)
 
     def edges(self) -> frozenset:
@@ -208,8 +210,9 @@ class TwoColouredGraph(Value):
 
     def __init__(self, blue, green):
         families = tuple(f if isinstance(f, PathFamily) else PathFamily(f) for f in (blue, green))
-        frame = _Frame.of(*families)
-        object.__setattr__(self, "layers", tuple(_Layer.of(family, frame) for family in families))
+        frame = _Frame.of((path.start, path.end) for family in families for path in family)
+        paths = (((path.start, path.east_heights(), path.end[1]) for path in family) for family in families)
+        object.__setattr__(self, "layers", tuple(_Layer.of(family, frame) for family in paths))
 
     @classmethod
     def _of_layers(cls, layers) -> "TwoColouredGraph":
@@ -254,7 +257,9 @@ class TwoColouredGraph(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "TwoColouredGraph":
-        return cls(PathFamily.from_text(data["blue"]), PathFamily.from_text(data["green"]))
+        if not all(isinstance(data[colour], list) for colour in _COLOURS):
+            raise TypeError("blue and green must each be a list of path texts")
+        return cls(*(PathFamily.from_text(data[colour]) for colour in _COLOURS))
 
 
 def build_graph(blue, green) -> TwoColouredGraph:
@@ -265,18 +270,22 @@ def build_graph(blue, green) -> TwoColouredGraph:
 def pattern_objects(blue_spec, green_spec):
     """(graph, weight) for every object of a (blue, green) TerminalSpec pair, blue families outer.
 
-    A frame reads only the starts and ends of the paths with edges, and
-    those are the pattern's, so its objects share one frame and each
-    family's layer and path weight are built once.  The weight is the
-    product of the two families' path weights.
+    A family is a tableau of schur.spec_tableaux: path i runs from
+    starts[i] up to height N, east at the heights in row i.  The frame
+    reads the specs' starts and ends, so the objects share it.  Each
+    layer and tableau weight is built once, the green ones listed and the
+    blue ones streamed; an object's weight is the product of its two.
     """
-    blues, greens = (list(enumerate_families(spec)) for spec in (blue_spec, green_spec))
-    if not (blues and greens):
+    frame = _Frame.of(pair for spec in (blue_spec, green_spec) for pair in zip(spec.starts, spec.ends))
+
+    def read(spec):
+        for t in spec_tableaux(spec):
+            yield _Layer.of(((s, row, spec.N) for s, row in zip(spec.starts, t.rows)), frame), tableau_weight(t)
+
+    greens = list(read(green_spec))
+    if not greens:
         return
-    frame = _Frame.of(blues[0], greens[0])
-    greens = [(_Layer.of(family, frame), path_weight(family)) for family in greens]
-    for blue in blues:
-        blue_layer, blue_weight = _Layer.of(blue, frame), path_weight(blue)
+    for blue_layer, blue_weight in read(blue_spec):
         for green_layer, green_weight in greens:
             yield TwoColouredGraph._of_layers((blue_layer, green_layer)), monomial_mul(blue_weight, green_weight)
 

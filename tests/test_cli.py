@@ -80,10 +80,12 @@ def test_malformed_integer_list_is_a_usage_error_quoting_it(runner, argv, text):
          "--rlist", "1", "--k", "2"],
         ["audit", "--lambda", "2,1"],
         ["orbit", "--lambda", "2", "--sigma", "1", "--offset", "-1", "--rlist", "1"],
+        ["render"],
     ],
 )
 def test_empty_alphabet_is_usage_error(runner, argv, n_vars):
-    result = runner.invoke(main, argv + ["--vars", n_vars])
+    # render reads the empty graph from stdin; the other commands ignore it
+    result = runner.invoke(main, argv + ["--vars", n_vars], input='{"blue": [], "green": []}')
     assert result.exit_code == 2
     assert "alphabet bound must be >= 1" in result.output
 
@@ -473,9 +475,10 @@ def test_render_empty_graph_draws_grid(runner):
 
 
 def test_render_rejects_malformed_config(runner):
-    result = runner.invoke(main, ["render"], input='{"blue": 3}')
-    assert result.exit_code == 2
-    assert "malformed graph config" in result.output
+    for document in ('{"blue": 3}', '{"blue": "(-1,1):EN", "green": []}'):
+        result = runner.invoke(main, ["render"], input=document)
+        assert result.exit_code == 2
+        assert "malformed graph config" in result.output
     result = runner.invoke(main, ["render", "--trail", "1"], input='{"blue": [], "green": []}')
     assert result.exit_code == 2
     assert "--trail wants x,y, got '1'" in result.output

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from schurtrails import identities, replay, trails
+from schurtrails import identities, replay, schur, trails
 from schurtrails.identities import (
     MAX_AUDIT_OBJECTS,
     MAX_PRODUCT_DIGITS,
@@ -677,10 +677,31 @@ def test_audit_refuses_more_images_than_a_layout_has(monkeypatch):
 
 
 def test_audit_refuses_a_changed_weight(monkeypatch):
-    # the left weight comes from the families' path_weight, the image's from its east edges
-    monkeypatch.setattr(trails, "path_weight", lambda family: ())
+    # the left weight comes from the tableaux' tableau_weight, the image's from its east edges
+    monkeypatch.setattr(trails, "tableau_weight", lambda t: ())
     with pytest.raises(RuntimeError, match=r"^recolouring changed the weight: 1 -> x"):
         bijection_audit((2, 1), N=2)
+
+
+def test_audit_and_orbit_build_no_paths_on_passing_inputs(monkeypatch):
+    # objects are written straight from tableaux; paths are spelled out only for messages
+    calls = [
+        lambda: bijection_audit((2, 1), N=2),
+        lambda: bijection_audit((3, 2, 1), N=3),
+        lambda: bijection_audit((1, 1), N=1),
+        lambda: bijection_audit((0, 0), N=1),
+        lambda: explore_orbit((2,), (1,), t=-1, selected=(1,), N=2),
+        lambda: explore_orbit((5, 4, 3), (4, 3, 2), t=-1, selected=(1,), N=3),
+        lambda: explore_orbit((2, 1), (2, 1), t=1, selected=(2,), N=2),
+    ]
+    expected = [call().to_json() for call in calls]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built a %s" % type(self).__name__)
+
+    monkeypatch.setattr(schur.LatticePath, "__init__", refuse)
+    monkeypatch.setattr(schur.PathFamily, "__init__", refuse)
+    assert [call().to_json() for call in calls] == expected
 
 
 def test_audit_refuses_more_objects_than_the_limit():

@@ -25,6 +25,14 @@ class Value:
 
     __slots__ = ()
 
+    @classmethod
+    def _unchecked(cls, *fields):
+        """One field per slot, in __slots__ order, set without __init__'s checks: only for fields already checked."""
+        value = object.__new__(cls)
+        for name, field in zip(cls.__slots__, fields):
+            object.__setattr__(value, name, field)
+        return value
+
     def __setattr__(self, *_):
         raise AttributeError("%s is immutable" % type(self).__name__)
 

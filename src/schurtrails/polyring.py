@@ -356,7 +356,7 @@ def complete_homogeneous(m, n_vars):
     one of degree d - e in x_1..x_(i-1) times x_i^e, for e = 0..d.
     """
     if n_vars < 1:
-        raise ValueError("need at least one variable")
+        raise ValueError("alphabet bound must be >= 1")
     if m < 0:
         return Polynomial.zero()
     keys = [[((x_var(1), d),) if d else ONE] for d in range(m + 1)]

@@ -17,10 +17,10 @@ each route checks the other.  Both are exact polynomials at a fixed
 variable count N.  enumerate_ssyt lists single tableaux in one loop
 that never recurses; spec_tableaux gives those of a TerminalSpec, which
 trails writes into graphs and enumerate_families into path families.
+Listed tableaux and their families are built through Value._unchecked.
 """
 
 import itertools
-from collections import Counter
 
 from .partitions import Partition, SkewShape, Value
 from .polyring import (
@@ -92,11 +92,12 @@ def enumerate_ssyt(shape, N):
     cell.  A column's cells are consecutive rows, and a cell's cap is at
     least its left neighbour's and one more than its upper neighbour's, so
     every start is within the cap and no filled prefix is a dead end.  A
-    board with a column of more than N cells has no filling.
+    board with a column of more than N cells has no filling.  Each filling
+    is a tableau, so Tableau._unchecked builds it without a second check.
     """
     if not isinstance(shape, SkewShape):
         shape = SkewShape(shape)
-    if N < 1:
+    if (N := int(N)) < 1:
         raise ValueError("alphabet bound must be >= 1")
     bounds = shape.row_bounds()
     # per cell in reading order; a missing neighbour is -1, the entry kept 0 past the last cell
@@ -114,7 +115,7 @@ def enumerate_ssyt(shape, N):
     entries, k, last = [0] * (len(left) + 1), 0, len(left)
     while k >= 0:
         if k == last:
-            yield Tableau(shape, [entries[a:b] for a, b in zip(first, first[1:])], N)
+            yield Tableau._unchecked(shape, tuple(tuple(entries[a:b]) for a, b in zip(first, first[1:])), N)
             k -= 1
         elif not entries[k]:
             entries[k] = max(entries[left[k]], entries[above[k]] + 1)
@@ -225,9 +226,9 @@ def schur_poly(shape, N, method="tableaux"):
         shape = SkewShape(shape)
     elif not isinstance(shape, SkewShape):
         shape = SkewShape(Partition(shape))
+    if N is None and method == "tableaux" or N is not None and N < 1:
+        raise ValueError("alphabet bound must be >= 1")
     if method == "tableaux":
-        if N < 1:
-            raise ValueError("alphabet bound must be >= 1")
         return Polynomial(_strip_sum(shape.outer.parts, shape.inner.parts, N))
     if method == "jacobi_trudi":
         return determinant(jacobi_trudi_matrix(shape.outer, shape.inner.parts, N=N))
@@ -412,11 +413,13 @@ class TerminalSpec(Value):
 
 
 def tableau_to_paths(t, offset=0):
-    """Path i starts at (inner_i - i + offset, 1), east steps at the heights of row i, and ends at height N."""
-    return PathFamily(
-        LatticePath((m - i - 1 + offset, 1), NORTH.join(EAST * row.count(k) for k in range(1, t.N + 1)))
+    """Path i from (inner_i - i + offset, 1) up to height N, east at row i's heights; disjoint, so built unchecked."""
+    offset = int(offset)
+    paths = (
+        LatticePath._unchecked((m - i - 1 + offset, 1), NORTH.join(EAST * row.count(k) for k in range(1, t.N + 1)))
         for i, (m, row) in enumerate(zip(t.shape.inner.parts, t.rows))
     )
+    return PathFamily._unchecked(tuple(paths))
 
 
 def paths_to_tableau(f, offset=0, N=None):
@@ -447,11 +450,6 @@ def paths_to_tableau(f, offset=0, N=None):
 def path_weight(f):
     """prod over paths and east steps of x_height."""
     return x_monomial(k for p in f for k in p.east_heights())
-
-
-def family_generating_function(families):
-    """Sum of path weights as a polynomial."""
-    return Polynomial(Counter(path_weight(f) for f in families))
 
 
 def spec_tableaux(spec):

@@ -215,16 +215,10 @@ class TwoColouredGraph(Value):
         object.__setattr__(self, "layers", tuple(_Layer.of(family, frame) for family in paths))
 
     @classmethod
-    def _of_layers(cls, layers) -> "TwoColouredGraph":
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "layers", layers)
-        return graph
-
-    @classmethod
     def from_key(cls, key) -> "TwoColouredGraph":
         """The graph, without zero-length paths, whose _key() is key."""
         frame = _Frame(*key[:2])
-        return cls._of_layers((_Layer(frame, *key[2:4]), _Layer(frame, *key[4:])))
+        return cls._unchecked((_Layer(frame, *key[2:4]), _Layer(frame, *key[4:])))
 
     frame = property(lambda self: self.layers[0].frame)
     blue = property(lambda self: _family_of(self.layers[0]))
@@ -271,10 +265,11 @@ def pattern_objects(blue_spec, green_spec):
     """(graph, weight) for every object of a (blue, green) TerminalSpec pair, blue families outer.
 
     A family is a tableau of schur.spec_tableaux: path i runs from
-    starts[i] up to height N, east at the heights in row i.  The frame
-    reads the specs' starts and ends, so the objects share it.  Each
-    layer and tableau weight is built once, the green ones listed and the
-    blue ones streamed; an object's weight is the product of its two.
+    starts[i] up to height N, east at the heights in row i.  The objects
+    share the frame of the specs' starts and ends.  Each layer and
+    tableau weight is built once, the green ones listed and the blue ones
+    streamed; an object is TwoColouredGraph._unchecked of its two layers,
+    each a tableau's family, and its weight is the product of theirs.
     """
     frame = _Frame.of(pair for spec in (blue_spec, green_spec) for pair in zip(spec.starts, spec.ends))
 
@@ -287,7 +282,7 @@ def pattern_objects(blue_spec, green_spec):
         return
     for blue_layer, blue_weight in read(blue_spec):
         for green_layer, green_weight in greens:
-            yield TwoColouredGraph._of_layers((blue_layer, green_layer)), monomial_mul(blue_weight, green_weight)
+            yield TwoColouredGraph._unchecked((blue_layer, green_layer)), monomial_mul(blue_weight, green_weight)
 
 
 @dataclass(frozen=True)
@@ -363,9 +358,7 @@ class ChangingTrail(Value):
 
     @classmethod
     def _traced(cls, kind, frame, ints, flips) -> "ChangingTrail":
-        trail = object.__new__(cls)
-        for name, value in (("kind", kind), ("_frame", frame), ("_ints", ints), ("_flips", flips), ("_steps", None)):
-            object.__setattr__(trail, name, value)
+        trail = cls._unchecked(kind, frame, ints, flips, None)
         # colour and orientation change together, so all steps share colour ^ orientation
         if len({(step ^ step >> 1) & 1 for step in ints}) > 1:
             a, b = next((a, b) for a, b in zip(ints, ints[1:]) if (a ^ a >> 1 ^ b ^ b >> 1) & 1)
@@ -581,7 +574,7 @@ def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
         if marked & touched:
             marks, marked = marks.difference(frame.points(marked & touched)), marked & ~touched
         layers.append(_Layer(frame, east, north, marks, marked))
-    return TwoColouredGraph._of_layers(tuple(layers))
+    return TwoColouredGraph._unchecked(tuple(layers))
 
 
 @dataclass(frozen=True)

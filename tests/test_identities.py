@@ -684,7 +684,8 @@ def test_audit_refuses_a_changed_weight(monkeypatch):
 
 
 def test_audit_and_orbit_build_no_paths_on_passing_inputs(monkeypatch):
-    # objects are written straight from tableaux; paths are spelled out only for messages
+    # objects are written straight from tableaux; paths are spelled out only for messages,
+    # and the library's own tableaux and families are built without the checking constructors
     calls = [
         lambda: bijection_audit((2, 1), N=2),
         lambda: bijection_audit((3, 2, 1), N=3),
@@ -695,13 +696,17 @@ def test_audit_and_orbit_build_no_paths_on_passing_inputs(monkeypatch):
         lambda: explore_orbit((2, 1), (2, 1), t=1, selected=(2,), N=2),
     ]
     expected = [call().to_json() for call in calls]
+    specs = [TerminalSpec.from_shape(SkewShape((4, 3, 2), (1,)), 4, -1), TerminalSpec.from_shape((3, 0), 1)]
+    families = [list(enumerate_families(spec)) for spec in specs]
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("built a %s" % type(self).__name__)
 
     monkeypatch.setattr(schur.LatticePath, "__init__", refuse)
     monkeypatch.setattr(schur.PathFamily, "__init__", refuse)
+    monkeypatch.setattr(schur.Tableau, "__init__", refuse)
     assert [call().to_json() for call in calls] == expected
+    assert [list(enumerate_families(spec)) for spec in specs] == families
 
 
 def test_audit_refuses_more_objects_than_the_limit():

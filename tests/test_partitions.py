@@ -280,12 +280,16 @@ def test_value_types_compare_by_value_and_are_immutable(kind):
     for other_kind, (other_make, _) in VALUES.items():
         if other_kind is not kind:
             assert value != other_make()
-    for name in kind.__slots__ + ("colour",):
-        with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
-            setattr(value, name, None)
-        with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
-            delattr(value, name)
-    assert value == copy
+    # the library's own values are built from their fields without __init__'s checks
+    unchecked = kind._unchecked(*(getattr(value, name) for name in kind.__slots__))
+    assert type(unchecked) is kind and unchecked == value and hash(unchecked) == hash(value)
+    for target in (value, unchecked):
+        for name in kind.__slots__ + ("colour",):
+            with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
+                setattr(target, name, None)
+            with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
+                delattr(target, name)
+    assert value == copy == unchecked
     if kind is PathFamily:
         assert PathFamily.__slots__ == ("paths",)  # a family keeps nothing beside its paths
 

@@ -17,7 +17,6 @@ from schurtrails.schur import (
     TerminalSpec,
     enumerate_families,
     enumerate_ssyt,
-    family_generating_function,
     path_weight,
     paths_to_tableau,
     schur_poly,
@@ -29,6 +28,11 @@ from schurtrails.schur import (
 
 def mono(*pairs):
     return monomial({x_var(k): e for k, e in pairs})
+
+
+def family_generating_function(families):
+    """Sum of path weights as a polynomial."""
+    return Polynomial(Counter(path_weight(f) for f in families))
 
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=4), max_size=3).map(
@@ -150,9 +154,16 @@ def wide_skew_shapes_st(draw):
 @example(SkewShape(Partition((3, 3, 2, 1)), Partition((2, 1))), 3)  # columns of N cells
 @settings(max_examples=80, deadline=None)
 def test_ssyt_lex_order_and_distinct(shape, n):
-    words = [t.reading_word() for t in enumerate_ssyt(shape, n)]
+    tableaux = list(enumerate_ssyt(shape, n))
+    words = [t.reading_word() for t in tableaux]
     assert all(a < b for a, b in zip(words, words[1:]))
     assert len(words) == sum(schur_poly(shape, n).coeffs.values())
+    # built unchecked, each is the tableau the checking constructor makes of its fields
+    for t in tableaux:
+        rebuilt = Tableau(t.shape, t.rows, t.N)
+        assert t == rebuilt and repr(t) == repr(rebuilt)
+        assert type(t.rows) is tuple and all(type(row) is tuple for row in t.rows)
+        assert all(type(v) is int for v in t.reading_word()) and type(t.N) is int
 
 
 def test_ssyt_lists_a_row_longer_than_the_recursion_limit():
@@ -209,11 +220,15 @@ def test_spreading_to_more_letters_is_linear_in_the_output():
 
 
 def test_tableau_route_rejects_an_empty_alphabet():
-    for n in (0, -1):
+    # both routes refuse N < 1 alike; N = None is the formal determinant on the JT route only
+    routes = [(0, "tableaux"), (-1, "tableaux"), (None, "tableaux"), (0, "jacobi_trudi"), (-1, "jacobi_trudi")]
+    for n, method in routes:
         with pytest.raises(ValueError, match="alphabet bound must be >= 1"):
-            schur_poly(Partition((2, 1)), n)
+            schur_poly(Partition((2, 1)), n, method=method)
         with pytest.raises(ValueError, match="alphabet bound must be >= 1"):
-            schur_poly(Partition(()), n)
+            schur_poly(Partition(()), n, method=method)
+    with pytest.raises(ValueError, match="alphabet bound must be >= 1"):
+        complete_homogeneous(1, 0)
 
 
 # ---------------------------------------------------------------- lattice paths
@@ -369,6 +384,9 @@ def test_families_read_back_to_their_spec(shape, n, offset):
         assert back == spec
         assert hash(back) == hash(spec)
         assert TerminalSpec.from_family(PathFamily(reversed(fam.paths)), n) == spec
+        # built unchecked, each is the family the checking constructors make of its fields
+        rebuilt = PathFamily(LatticePath(p.start, p.steps) for p in fam)
+        assert fam == rebuilt and repr(fam) == repr(rebuilt)
 
 
 @given(partitions_st, st.integers(min_value=2, max_value=3))

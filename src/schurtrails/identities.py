@@ -455,7 +455,7 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
 
 
 def __getattr__(name):
-    """The recolouring replay's names, read from schurtrails.replay, which is loaded on first access."""
+    """The recolouring replay's names, read from schurtrails.replay on first access: only the benchmark uses these."""
     if name in ("MAX_AUDIT_OBJECTS", "AuditReport", "bijection_audit", "OrbitResult", "explore_orbit"):
         from . import replay
 

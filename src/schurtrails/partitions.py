@@ -21,13 +21,17 @@ class Value:
 
     A subclass declares its __slots__, sets them in __init__ through
     object.__setattr__, and returns the fields it compares from _key().
+    Polynomial also equals integer constants, through its own __eq__.
     """
 
     __slots__ = ()
 
     @classmethod
     def _unchecked(cls, *fields):
-        """One field per slot, in __slots__ order, set without __init__'s checks: only for fields already checked."""
+        """One field per slot, in __slots__ order, set without __init__'s checks: only for fields already checked.
+
+        Every value the library builds from values it has checked goes through here, polynomials and matrices too.
+        """
         value = object.__new__(cls)
         for name, field in zip(cls.__slots__, fields):
             object.__setattr__(value, name, field)

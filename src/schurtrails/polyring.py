@@ -11,12 +11,17 @@ base 1 + the sum of the factors' top exponents, so no digit carries and a
 product of keys is one addition.  A determinant sums its products in place
 and decodes only its full minor.  A polynomial maps canonical keys to
 (arbitrary precision) integer coefficients and never stores zeros.
+Polynomials and matrices are immutable partitions.Value's.  Their
+public constructors check outside input; the ring's own sums, products,
+determinants and minors are built through Value._unchecked.
 Term order everywhere is graded lexicographic, largest first, so text
 output and term listings are canonical.
 """
 
 from collections import Counter
 from math import comb
+
+from .partitions import Value
 
 
 def x_var(i):
@@ -189,12 +194,13 @@ def _packed_product(a, b):
     return _unpack(acc, base, place)
 
 
-class Polynomial:
+class Polynomial(Value):
     """Mapping canonical monomial key -> nonzero integer coefficient.
 
     The constructor takes (key, coefficient) pairs or a dict whose keys
     are already canonical (see monomial()); it sums repeated keys and
-    drops zeros.
+    drops zeros; _unchecked takes such a dict as it is.  A polynomial
+    equals an integer constant and hashes like it.
     """
 
     __slots__ = ("coeffs",)
@@ -211,10 +217,12 @@ class Polynomial:
                     del acc[m]
         object.__setattr__(self, "coeffs", acc)
 
-    def __setattr__(self, *_):
-        raise AttributeError("Polynomial is immutable")
-
-    __delattr__ = __setattr__
+    def _key(self):
+        """The term frozenset; a constant's integer, so that the two hash alike."""
+        c = self.coeffs
+        if c.keys() <= {ONE}:
+            return c.get(ONE, 0)
+        return frozenset(c.items())
 
     @classmethod
     def zero(cls):
@@ -246,12 +254,12 @@ class Polynomial:
                 acc[m] = s
             elif m in acc:
                 del acc[m]
-        return _of(acc)
+        return Polynomial._unchecked(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _of({m: -c for m, c in self.coeffs.items()})
+        return Polynomial._unchecked({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (int, Polynomial)):
@@ -265,10 +273,10 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _of({m: c * other for m, c in self.coeffs.items()} if other else {})
+            return Polynomial._unchecked({m: c * other for m, c in self.coeffs.items()} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return _of(_packed_product(self.coeffs, other.coeffs))
+        return Polynomial._unchecked(_packed_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -282,13 +290,12 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Polynomial.const(other)
+            return self._key() == other
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+    __hash__ = Value.__hash__  # defining __eq__ clears the inherited hash
 
     def terms(self):
         """(monomial, coefficient) pairs in descending graded-lex order."""
@@ -342,13 +349,6 @@ class Polynomial:
         return " ".join(bits)
 
 
-def _of(coeffs):
-    """The polynomial of a dict with canonical keys and no zero coefficients, taken as is."""
-    out = Polynomial.__new__(Polynomial)
-    object.__setattr__(out, "coeffs", coeffs)
-    return out
-
-
 def complete_homogeneous(m, n_vars):
     """Sum of all monomials of degree m in x_1..x_n; 1 for m=0, 0 for m<0.
 
@@ -364,7 +364,7 @@ def complete_homogeneous(m, n_vars):
         keys = [keys[d] + [k + ((v, e),) for e in range(1, d + 1) for k in keys[d - e]] for d in range(m + 1)]
     coeffs = dict.fromkeys(keys[m], 1)
     assert len(coeffs) == comb(m + n_vars - 1, n_vars - 1)
-    return _of(coeffs)
+    return Polynomial._unchecked(coeffs)
 
 
 def formal_h(m):
@@ -376,23 +376,19 @@ def formal_h(m):
     return Polynomial.variable(h_var(m))
 
 
-class FormalMatrix:
-    """Rectangular matrix of polynomials, 1-based access."""
+class FormalMatrix(Value):
+    """Rectangular matrix of polynomials, 1-based access, compared by its entries."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
         entries = tuple(tuple(self._as_poly(e) for e in row) for row in entries)
-        if entries:
-            width = len(entries[0])
-            if any(len(row) != width for row in entries):
-                raise ValueError("ragged matrix")
+        if len({len(row) for row in entries}) > 1:
+            raise ValueError("ragged matrix")
         object.__setattr__(self, "entries", entries)
 
-    def __setattr__(self, *_):
-        raise AttributeError("FormalMatrix is immutable")
-
-    __delattr__ = __setattr__
+    def _key(self):
+        return self.entries
 
     @staticmethod
     def _as_poly(e):
@@ -405,7 +401,8 @@ class FormalMatrix:
     @classmethod
     def generic(cls, n_rows, n_cols):
         """Matrix of independent variables a_var(i, j)."""
-        return cls([[Polynomial.variable(a_var(i, j)) for j in range(1, n_cols + 1)] for i in range(1, n_rows + 1)])
+        rows, cols = range(1, n_rows + 1), range(1, n_cols + 1)
+        return cls._unchecked(tuple(tuple(Polynomial.variable(a_var(i, j)) for j in cols) for i in rows))
 
     @property
     def n_rows(self):
@@ -422,11 +419,6 @@ class FormalMatrix:
         if not 1 <= j <= self.n_cols:
             raise ValueError("column %d out of range" % j)
         return self.entries[i - 1][j - 1]
-
-    def __eq__(self, other):
-        if isinstance(other, FormalMatrix):
-            return self.entries == other.entries
-        return NotImplemented
 
 
 #: Largest determinant expanded.  verify_dodgson(5), a 6 x 6 determinant
@@ -476,7 +468,7 @@ def determinant(matrix):
                         p = p1 + p2
                         acc[p] = get(p, 0) + c1 * c2
         minors = {mask: kept for mask, acc in grown.items() if (kept := {p: c for p, c in acc.items() if c})}
-    return _of(_unpack(minors.get((1 << d) - 1, {}), base, place))
+    return Polynomial._unchecked(_unpack(minors.get((1 << d) - 1, {}), base, place))
 
 
 def minor(matrix, rows, cols):
@@ -487,5 +479,4 @@ def minor(matrix, rows, cols):
     a row twice gives the zero polynomial, as a determinant should.
     """
     cols = tuple(cols)
-    sub = FormalMatrix([[matrix.entry(i, j) for j in cols] for i in rows])
-    return determinant(sub)
+    return determinant(FormalMatrix._unchecked(tuple(tuple(matrix.entry(i, j) for j in cols) for i in rows)))

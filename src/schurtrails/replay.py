@@ -384,8 +384,8 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
         N=N,
         counts0=counts[0],
         counts1=counts[1],
-        weight0=Polynomial(weights[0]),
-        weight1=Polynomial(weights[1]),
+        weight0=Polynomial._unchecked(dict(weights[0])),
+        weight1=Polynomial._unchecked(dict(weights[1])),
         parity_uniform=parity_uniform,
     )
     if not degenerate:

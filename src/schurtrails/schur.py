@@ -146,7 +146,7 @@ def jacobi_trudi_matrix(outer, inner=None, N=None):
     index = [[outer.parts[i] - inner_parts[j] - i + j for j in range(d)] for i in range(d)]
     # each distinct h_m is built once and shared by the entries that carry it
     h = {m: formal_h(m) if N is None else complete_homogeneous(m, N) for m in set().union(*index)}
-    return FormalMatrix([[h[m] for m in row] for row in index])
+    return FormalMatrix._unchecked(tuple(tuple(h[m] for m in row) for row in index))
 
 
 def _strip_sum(outer, inner, N):
@@ -229,7 +229,7 @@ def schur_poly(shape, N, method="tableaux"):
     if N is None and method == "tableaux" or N is not None and N < 1:
         raise ValueError("alphabet bound must be >= 1")
     if method == "tableaux":
-        return Polynomial(_strip_sum(shape.outer.parts, shape.inner.parts, N))
+        return Polynomial._unchecked(_strip_sum(shape.outer.parts, shape.inner.parts, N))
     if method == "jacobi_trudi":
         return determinant(jacobi_trudi_matrix(shape.outer, shape.inner.parts, N=N))
     raise ValueError("unknown method %r" % (method,))

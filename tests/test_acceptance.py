@@ -12,7 +12,6 @@ import time
 import pytest
 
 from schurtrails.identities import (
-    bijection_audit,
     verify_ciucu,
     verify_dodgson,
     verify_general,
@@ -21,6 +20,7 @@ from schurtrails.identities import (
     verify_pluecker,
 )
 from schurtrails.partitions import Partition, SkewShape
+from schurtrails.replay import bijection_audit
 from schurtrails.schur import (
     TerminalSpec,
     enumerate_families,

@@ -12,14 +12,9 @@ import pytest
 
 from schurtrails import identities, replay, schur, trails
 from schurtrails.identities import (
-    MAX_AUDIT_OBJECTS,
     MAX_PRODUCT_DIGITS,
-    AuditReport,
     IdentityReport,
-    OrbitResult,
     _witness,
-    bijection_audit,
-    explore_orbit,
     schur_of,
     verify_ciucu,
     verify_dodgson,
@@ -40,6 +35,7 @@ from schurtrails.polyring import (
     monomial,
     x_var,
 )
+from schurtrails.replay import MAX_AUDIT_OBJECTS, AuditReport, OrbitResult, bijection_audit, explore_orbit
 from schurtrails.schur import PathFamily, TerminalSpec, enumerate_families, jacobi_trudi_matrix, path_weight, ssyt_count
 from schurtrails.trails import (
     build_graph,

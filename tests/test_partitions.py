@@ -16,6 +16,7 @@ from schurtrails.partitions import (
     partition_from_corners,
     partition_from_set,
 )
+from schurtrails.polyring import ONE, FormalMatrix, Polynomial, x_var
 from schurtrails.schur import LatticePath, PathFamily, Tableau, TerminalSpec
 from schurtrails.trails import TwoColouredGraph
 
@@ -264,6 +265,11 @@ VALUES = {
             TwoColouredGraph(_family(((1, 1), "EN")), _family(((0, 1), "EN"))),
         ],
     ),
+    Polynomial: (
+        lambda: Polynomial({((x_var(1), 1),): 2, ONE: 1}),
+        [Polynomial({((x_var(1), 1),): 3, ONE: 1}), Polynomial({((x_var(2), 1),): 2, ONE: 1})],
+    ),
+    FormalMatrix: (lambda: FormalMatrix([[1, 2]]), [FormalMatrix([[1, 3]]), FormalMatrix([[1], [2]])]),
 }
 
 

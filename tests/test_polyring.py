@@ -25,7 +25,8 @@ from schurtrails.polyring import (
     _packed_product,
 )
 from schurtrails.partitions import Partition
-from schurtrails.schur import enumerate_ssyt, path_weight, tableau_to_paths, tableau_weight
+from schurtrails.identities import verify_dodgson, verify_pluecker
+from schurtrails.schur import enumerate_ssyt, path_weight, schur_poly, tableau_to_paths, tableau_weight
 
 
 def P(text_terms):
@@ -93,6 +94,8 @@ def test_polynomial_arithmetic_and_zero_pruning():
     assert (p - p).is_zero()
     assert p * 0 == Polynomial.zero()
     assert (p * q).n_terms() == 2
+    # the constructor sums repeated keys and keeps no zero coefficient
+    assert Polynomial([(monomial({x1: 1}), 0), (monomial({x2: 1}), 2), (monomial({x2: 1}), -2)]).coeffs == {}
 
 
 def test_big_integers_survive():
@@ -175,12 +178,16 @@ def test_product_with_the_zero_polynomial_packs_nothing(monkeypatch):
         assert (p * Polynomial.zero()).is_zero()
 
 
-@pytest.mark.parametrize("scale", [0, -1, 10**30])
+@pytest.mark.parametrize("scale", [0, -1, 5, -3, 10**30])
 def test_int_scaling(scale):
     for p in (TOP, Polynomial.zero(), Polynomial.const(4)):
         expected = merged_product(p, Polynomial.const(scale))
         assert p * scale == scale * p == expected
         assert all((p * scale).coeffs.values())
+    # a constant equals its integer and hashes like it, so a set holds the two once
+    const = Polynomial.const(scale)
+    assert const == scale and hash(const) == hash(scale) and len({scale, const}) == 1
+    assert len({scale, TOP * 0 + scale}) == 1
 
 
 @pytest.mark.parametrize(
@@ -265,6 +272,8 @@ def test_determinant_basics():
         determinant(FormalMatrix.generic(7, 7))
     with pytest.raises(ValueError):
         determinant(FormalMatrix.generic(2, 3))
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        FormalMatrix([[1, 2], [3]])
 
 
 def test_minor_sign_and_selection():
@@ -288,6 +297,25 @@ def test_polynomials_and_matrices_are_immutable(kind):
         with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
             delattr(value, name)
     assert value == make()
+
+
+def test_the_library_builds_its_matrices_unchecked(monkeypatch):
+    """Generic matrices, minors' sub-matrices and Jacobi-Trudi matrices are built without the constructor."""
+
+    def run():
+        jt = schur_poly((3, 2, 1), 3, method="jacobi_trudi")
+        return verify_dodgson(3), verify_pluecker(2, (1,)), jt
+
+    expected = run()
+    assert expected[0].equal and expected[1].equal and expected[2] == schur_poly((3, 2, 1), 3)
+
+    def refuse(self, entries):
+        raise AssertionError("FormalMatrix constructor called")
+
+    monkeypatch.setattr(FormalMatrix, "__init__", refuse)
+    assert run() == expected
+    with pytest.raises(AssertionError, match="constructor called"):
+        FormalMatrix([[1]])
 
 
 def test_generic_matrix_entries():

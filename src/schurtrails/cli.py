@@ -2,20 +2,26 @@
 
 Exit codes: 0 verified/passed, 1 an identity, audit or orbit check
 failed (a failed audit or orbit writes "<command> failed: <message>" to
-stderr), 2 usage error.  Reports are deterministic: JSON is emitted with
-sorted keys, and reports carry no timing, so identical invocations give
-identical bytes.
+stderr), 2 usage error (the usage line and "Error: <message>" go to
+stderr).  Reports are deterministic: JSON is emitted with sorted keys,
+and reports carry no timing, so identical invocations give identical
+bytes.
+
+The front end is the standard library's argparse, so the package has no
+third-party dependency.  Each command is a function registered in its
+group by _command with its options; main walks the groups to the
+command, builds that command's parser alone, reads the option texts
+through it, converts and checks them, and calls the function.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import importlib.util
 import json
 import os
 import sys
-
-import click
 
 
 def _lazy(name):
@@ -60,6 +66,10 @@ REPORT_SCHEMA = {
 }
 
 
+class UsageError(Exception):
+    """A call the command line refuses: main writes its message as "Error: <message>" and exits 2."""
+
+
 def _ints(text):
     """None -> None, '' -> (), '5,4,3' -> (5, 4, 3); any other text is a ValueError that quotes it."""
     if text is None:
@@ -80,9 +90,9 @@ def _usage_guard(fn):
         try:
             return fn(*args, **kwargs)
         except ValueError as exc:
-            raise click.UsageError(str(exc))
+            raise UsageError(str(exc))
         except RuntimeError as exc:
-            click.echo("%s failed: %s" % (click.get_current_context().info_name, exc), err=True)
+            sys.stderr.write("%s failed: %s\n" % (fn.__name__, exc))
             raise SystemExit(1)
 
     return wrapped
@@ -90,7 +100,7 @@ def _usage_guard(fn):
 
 def _write(out, fmt, payload, text):
     """Write one report line: the payload as JSON with sorted keys, or the text."""
-    click.echo(json.dumps(payload, sort_keys=True) if fmt == "json" else text, file=out)
+    out.write((json.dumps(payload, sort_keys=True) if fmt == "json" else text) + "\n")
 
 
 def _finish_report(rep, fmt, out):
@@ -101,69 +111,232 @@ def _finish_report(rep, fmt, out):
         raise SystemExit(1)
 
 
-def _checked_out(ctx, param, out):
-    """Refuse an --out path that is a directory or lies in a missing one, before any work; the file opens lazily."""
-    if out.name != "-":
-        if os.path.isdir(out.name):
-            raise click.BadParameter("%r is a directory" % out.name)
-        if not os.path.isdir(os.path.dirname(os.path.abspath(out.name))):
-            raise click.BadParameter("the directory of %r does not exist" % out.name)
-    return out
+# ---------------------------------------------------------------- option texts
+# Each conversion takes an option's text and returns its value, or raises a
+# ValueError that main reports as "Invalid value for '<option>': <message>".
+
+def _integer(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%r is not a valid integer." % (text,)) from None
 
 
-fmt_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "text"]),
-    default="text",
-    show_default=True,
-    help="Report format.",
+def _choice(*choices):
+    def convert(text):
+        if text not in choices:
+            raise ValueError("%r is not one of %s." % (text, ", ".join(map(repr, choices))))
+        return text
+
+    return convert
+
+
+def _config(path):
+    """A readable file, or '-' for stdin."""
+    if path != "-":
+        if not os.path.exists(path):
+            raise ValueError("File %r does not exist." % path)
+        if os.path.isdir(path):
+            raise ValueError("File %r is a directory." % path)
+        if not os.access(path, os.R_OK):
+            raise ValueError("File %r is not readable." % path)
+    return path
+
+
+class _Out:
+    """The --out target, '-' for stdout; a file opens at its first write, so a call refused before it writes makes none.
+
+    A path that is a directory or lies in a missing one is refused when the options are read, before any work.
+    """
+
+    def __init__(self, path):
+        if path != "-":
+            if os.path.isdir(path):
+                raise ValueError("%r is a directory" % path)
+            if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise ValueError("the directory of %r does not exist" % path)
+        self.path, self.file = path, None
+
+    def write(self, text):
+        if self.file is None:
+            try:
+                self.file = sys.stdout if self.path == "-" else open(self.path, "w")
+            except OSError as exc:
+                sys.stderr.write("Error: Could not open file %r: %s\n" % (self.path, exc.strerror))
+                raise SystemExit(1)
+        self.file.write(text)
+        self.file.flush()
+
+    def close(self):
+        if self.file not in (None, sys.stdout):
+            self.file.close()
+
+
+def _option(flag, help=None, dest=None, convert=None, required=False, **kwargs):
+    """An option as (flag, conversion, required, argparse keywords); every option takes one value."""
+    metavar = "INTEGER" if convert is _integer else "TEXT"
+    return flag, convert, required, dict({"metavar": metavar}, dest=dest or flag[2:], help=help, **kwargs)
+
+
+FORMAT = _option("--format", "Report format.  [default: text]", "fmt", _choice("json", "text"), metavar="[json|text]")
+OUT = _option("--out", "Write output to PATH instead of stdout.", convert=_Out, default="-", metavar="FILE")
+VARS = _option("--vars", "Number of variables N.", "n_vars", _integer)
+
+
+# ---------------------------------------------------------------- parsing
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that reports a usage error as its usage, a hint and "Error: <message>" on stderr, with exit 2."""
+
+    def __init__(self, prog, usage, doc, epilog=None):
+        super().__init__(
+            prog=prog,
+            usage="%(prog)s " + usage,
+            description=doc,
+            epilog=epilog,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            add_help=False,
+            allow_abbrev=False,
+        )
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        self.exit(2, "%sTry '%s --help' for help.\n\nError: %s\n" % (self.format_usage(), self.prog, message))
+
+
+class _Group(dict):
+    """Commands by name, each a _Group or a (function, options) pair, and the group's own help text."""
+
+    def __init__(self, doc):
+        super().__init__()
+        self.doc = doc
+
+    def parser(self, prog):
+        width = max(map(len, self))
+        lines = ["  %-*s  %s" % (width, name, command.doc if isinstance(command, _Group) else command[0].__doc__)
+                 for name, command in sorted(self.items())]
+        return _Parser(prog, "[OPTIONS] COMMAND [ARGS]...", self.doc, "commands:\n" + "\n".join(lines))
+
+
+ROOT = _Group("Exact checks and pictures for the lattice-path Schur calculus.")
+VERIFY = ROOT["verify"] = _Group("Run one of the identity verifiers.")
+
+
+def _command(group, *options):
+    """Register the decorated function in the group, under its own name, with its options."""
+
+    def register(fn):
+        group[fn.__name__] = fn, options
+        return fn
+
+    return register
+
+
+def _joined(args, flags):
+    """The arguments with each option joined to the value after it, so a value starting with '-' stays a value.
+
+    Without the join argparse reads '-1,1' in `--trail -1,1` as an unknown option.
+    """
+    joined, rest = [], iter(args)
+    for arg in rest:
+        if arg in flags:
+            value = next(rest, None)
+            if value is None:
+                raise UsageError("Option %r requires an argument." % arg)
+            arg = "%s=%s" % (arg, value)
+        joined.append(arg)
+    return joined
+
+
+def _no_such_option(arg, flags):
+    """The refusal of an unknown option, naming the options of the command it is close to."""
+    if not arg.startswith("--"):
+        return "No such option %r." % arg[:2]
+    import difflib  # here, so that only this refusal pays for it
+
+    name = arg.split("=", 1)[0]
+    close = sorted(difflib.get_close_matches(name, flags + ["--help"]))
+    message = "No such option %r." % name
+    if len(close) > 1:
+        return "%s (Did you mean one of: %s?)" % (message, ", ".join(map(repr, close)))
+    return "%s Did you mean %r?" % (message, close[0]) if close else message
+
+
+def main(argv=None):
+    """Run the command that argv (by default sys.argv[1:]) names; exit 2 on a usage error and 1 on a failed check."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    prog, command = "schurtrails", ROOT
+    while isinstance(command, _Group):
+        name = args.pop(0) if args else None
+        if name in command:
+            prog, command = "%s %s" % (prog, name), command[name]
+            continue
+        parser = command.parser(prog)
+        if name == "--help":
+            parser.print_help()
+            parser.exit()
+        if name is None:
+            parser.error("Missing command.")
+        if name.startswith("-") and name != "-":
+            parser.error(_no_such_option(name, []))
+        parser.error("No such command %r." % name)
+    fn, options = command
+    flags = [flag for flag, _, _, _ in options if flag.startswith("-")]
+    arguments = "".join(" [%s]" % kwargs["metavar"] for flag, _, _, kwargs in options if flag not in flags)
+    parser = _Parser(prog, "[OPTIONS]" + arguments, fn.__doc__)
+    for flag, _, _, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    values = {}
+    try:
+        namespace, extra = parser.parse_known_args(_joined(args, flags))
+        unknown = [arg for arg in extra if arg.startswith("-") and arg != "-"]
+        if unknown:
+            raise UsageError(_no_such_option(unknown[0], flags))
+        if extra:
+            raise UsageError("Got unexpected extra argument%s (%s)" % ("s" * (len(extra) > 1), " ".join(extra)))
+        for flag, convert, required, kwargs in options:
+            name = kwargs.get("dest", flag)
+            value = getattr(namespace, name)
+            if value is None:
+                if required:
+                    raise UsageError("Missing option %r." % flag)
+            elif convert is not None:
+                try:
+                    value = convert(value)
+                except ValueError as exc:
+                    label = flag if flag in flags else "[%s]" % kwargs["metavar"]
+                    raise UsageError("Invalid value for %r: %s" % (label, exc)) from None
+            values[name] = value
+        fn(**values)
+    except UsageError as exc:
+        parser.error(str(exc))
+    finally:
+        if "out" in values:
+            values["out"].close()
+
+
+# ---------------------------------------------------------------- commands
+
+@_command(
+    VERIFY,
+    _option("--lambda", "Comma-separated weakly decreasing parts.", "lam"),
+    VARS,
+    _option("--sweep", "Semicolon-separated part lists; one JSON report per entry, in order."),
+    FORMAT,
+    OUT,
 )
-out_option = click.option(
-    "--out",
-    type=click.File("w", lazy=True),
-    default="-",
-    callback=_checked_out,
-    metavar="FILE",
-    help="Write output to PATH instead of stdout.",
-)
-vars_option = click.option(
-    "--vars", "n_vars", type=int, default=None, help="Number of variables N."
-)
-
-
-@click.group(no_args_is_help=False)
-def main():
-    """Exact checks and pictures for the lattice-path Schur calculus."""
-
-
-@main.group()
-def verify():
-    """Run one of the identity verifiers."""
-
-
-@verify.command()
-@click.option("--lambda", "lam", default=None, help="Comma-separated weakly decreasing parts.")
-@vars_option
-@click.option(
-    "--sweep",
-    default=None,
-    help="Semicolon-separated part lists; one JSON report per entry, in order.",
-)
-@fmt_option
-@out_option
 @_usage_guard
 def general(lam, n_vars, sweep, fmt, out):
     """Exchange the first and last parts between consecutive windows."""
     if sweep is not None:
         if lam is not None:
-            raise click.UsageError("--lambda and --sweep cannot be combined")
-        source = click.get_current_context().get_parameter_source("fmt")
-        if fmt == "text" and source == click.core.ParameterSource.COMMANDLINE:
-            raise click.UsageError("--sweep writes JSON reports and takes no --format text")
+            raise UsageError("--lambda and --sweep cannot be combined")
+        # only a typed --format has a value: the default text is None
+        if fmt == "text":
+            raise UsageError("--sweep writes JSON reports and takes no --format text")
         shapes = [_ints(bit) for bit in sweep.split(";") if bit.strip()]
         if not shapes:
-            raise click.UsageError("--sweep names no part lists")
+            raise UsageError("--sweep names no part lists")
         all_equal = True
         for parts in shapes:
             rep = identities.verify_general(parts, n_vars)
@@ -173,92 +346,84 @@ def general(lam, n_vars, sweep, fmt, out):
             raise SystemExit(1)
         return
     if lam is None:
-        raise click.UsageError("--lambda is required without --sweep")
+        raise UsageError("--lambda is required without --sweep")
     _finish_report(identities.verify_general(_ints(lam), n_vars), fmt, out)
 
 
-@verify.command()
-@click.option("--lambda", "lam", required=True, help="The constant window, e.g. 2,2,2.")
-@vars_option
-@fmt_option
-@out_option
+@_command(VERIFY, _option("--lambda", "The constant window, e.g. 2,2,2.", "lam", required=True), VARS, FORMAT, OUT)
 @_usage_guard
 def kirillov(lam, n_vars, fmt, out):
     """Square of a rectangle against its widened and narrowed neighbours."""
     parts = _ints(lam)
     if not parts or len(set(parts)) != 1:
-        raise click.UsageError("--lambda must repeat one part value, got %r" % (lam,))
+        raise UsageError("--lambda must repeat one part value, got %r" % (lam,))
     _finish_report(identities.verify_kirillov(parts[0], len(parts) - 1, n_vars), fmt, out)
 
 
-@verify.command()
-@click.option("--k", type=int, required=True, help="Window length; matrices are (k+1) x (k+1).")
-@fmt_option
-@out_option
+@_command(VERIFY, _option("--k", "Window length; matrices are (k+1) x (k+1).", convert=_integer, required=True),
+          FORMAT, OUT)
 @_usage_guard
 def dodgson(k, fmt, out):
     """Condensation of a generic determinant into corner minors."""
     _finish_report(identities.verify_dodgson(k), fmt, out)
 
 
-@verify.command()
-@click.option("--k", type=int, default=None, help="Minor size; the generic matrix is 2k x k.")
-@click.option("--rlist", default="", help="Comma-separated row indices to exchange.")
-@click.option(
-    "--mode",
-    type=click.Choice(["formal", "schur"]),
-    default="formal",
-    show_default=True,
+@_command(
+    VERIFY,
+    _option("--k", "Minor size; the generic matrix is 2k x k.", convert=_integer),
+    _option("--rlist", "Comma-separated row indices to exchange.", default=""),
+    _option("--mode", "[default: formal]", convert=_choice("formal", "schur"), default="formal",
+            metavar="[formal|schur]"),
+    _option("--lambda", "First shape (schur mode).", "lam"),
+    _option("--sigma", "Second shape (schur mode)."),
+    VARS,
+    FORMAT,
+    OUT,
 )
-@click.option("--lambda", "lam", default=None, help="First shape (schur mode).")
-@click.option("--sigma", default=None, help="Second shape (schur mode).")
-@vars_option
-@fmt_option
-@out_option
 @_usage_guard
 def pluecker(k, rlist, mode, lam, sigma, n_vars, fmt, out):
     """Minor exchange on a generic tall matrix, formal or through Schur factors."""
     if mode == "schur" and (lam is None or sigma is None):
-        raise click.UsageError("--mode schur needs --lambda and --sigma")
+        raise UsageError("--mode schur needs --lambda and --sigma")
     if mode == "formal" and (lam is not None or sigma is not None or n_vars is not None):
-        raise click.UsageError("formal mode takes no --lambda, --sigma or --vars")
+        raise UsageError("formal mode takes no --lambda, --sigma or --vars")
     if mode == "formal" and k is None:
-        raise click.UsageError("formal mode needs --k")
+        raise UsageError("formal mode needs --k")
     rep = identities.verify_pluecker(
         k, _ints(rlist) or (), mode=mode, lam=_ints(lam), sigma=_ints(sigma), N=n_vars
     )
     _finish_report(rep, fmt, out)
 
 
-@verify.command()
-@click.option("--set", "index_set", required=True, help="Comma-separated index set T.")
-@click.option("--k", type=int, required=True, help="Subset size; T needs 2k elements.")
-@vars_option
-@fmt_option
-@out_option
+@_command(
+    VERIFY,
+    _option("--set", "Comma-separated index set T.", "index_set", required=True),
+    _option("--k", "Subset size; T needs 2k elements.", convert=_integer, required=True),
+    VARS,
+    FORMAT,
+    OUT,
+)
 @_usage_guard
 def ciucu(index_set, k, n_vars, fmt, out):
     """Balanced splits of an index set against its alternating split."""
     _finish_report(identities.verify_ciucu(_ints(index_set), k, n_vars), fmt, out)
 
 
-@verify.command()
-@click.option("--lambda", "lam", required=True, help="Comma-separated parts.")
-@click.option("--k", type=int, required=True, help="Corner index, counted from the top.")
-@vars_option
-@fmt_option
-@out_option
+@_command(
+    VERIFY,
+    _option("--lambda", "Comma-separated parts.", "lam", required=True),
+    _option("--k", "Corner index, counted from the top.", convert=_integer, required=True),
+    VARS,
+    FORMAT,
+    OUT,
+)
 @_usage_guard
 def kleber(lam, k, n_vars, fmt, out):
     """Square expansion over nested border strips at one corner."""
     _finish_report(identities.verify_kleber(_ints(lam), k, n_vars), fmt, out)
 
 
-@main.command()
-@click.option("--lambda", "lam", required=True, help="Comma-separated parts (r+1 of them).")
-@vars_option
-@fmt_option
-@out_option
+@_command(ROOT, _option("--lambda", "Comma-separated parts (r+1 of them).", "lam", required=True), VARS, FORMAT, OUT)
 @_usage_guard
 def audit(lam, n_vars, fmt, out):
     """Replay the window-exchange bijection object by object."""
@@ -273,16 +438,18 @@ def audit(lam, n_vars, fmt, out):
     _write(out, fmt, rep.to_json(), text)
 
 
-@main.command()
-@click.option("--lambda", "lam", required=True, help="Blue outer parts (offset 0).")
-@click.option("--inner", default=None, help="Blue inner parts, for a skew layout.")
-@click.option("--sigma", required=True, help="Green outer parts.")
-@click.option("--tau", default=None, help="Green inner parts, for a skew layout.")
-@click.option("--offset", "t", type=int, default=0, show_default=True, help="Green layout offset.")
-@click.option("--rlist", "selected", default="", help="Selected Q-sequence indices, comma-separated.")
-@vars_option
-@fmt_option
-@out_option
+@_command(
+    ROOT,
+    _option("--lambda", "Blue outer parts (offset 0).", "lam", required=True),
+    _option("--inner", "Blue inner parts, for a skew layout."),
+    _option("--sigma", "Green outer parts.", required=True),
+    _option("--tau", "Green inner parts, for a skew layout."),
+    _option("--offset", "Green layout offset.  [default: 0]", "t", _integer, default="0"),
+    _option("--rlist", "Selected Q-sequence indices, comma-separated.", "selected", default=""),
+    VARS,
+    FORMAT,
+    OUT,
+)
 @_usage_guard
 def orbit(lam, inner, sigma, tau, t, selected, n_vars, fmt, out):
     """Close the trail-recolouring move over families with fixed terminals."""
@@ -302,37 +469,37 @@ def orbit(lam, inner, sigma, tau, t, selected, n_vars, fmt, out):
     _write(out, fmt, res.to_json(), text)
 
 
-@main.command()
-@click.argument("config", type=click.Path(exists=True, dir_okay=False, allow_dash=True), default="-")
-@click.option(
-    "--trail",
-    "trail_points",
-    multiple=True,
-    help="x,y of a terminal whose changing trail is overlaid; repeatable.",
+@_command(
+    ROOT,
+    ("config", _config, False, {"nargs": "?", "default": "-", "metavar": "CONFIG",
+                                "help": "Graph JSON file; - (the default) reads stdin."}),
+    _option("--trail", "x,y of a terminal whose changing trail is overlaid; repeatable.", "trail_points",
+            action="append", default=[]),
+    VARS,
+    OUT,
 )
-@vars_option
-@out_option
 @_usage_guard
 def render(config, trail_points, n_vars, out):
     """Draw a graph JSON file (or stdin) as a deterministic SVG."""
     try:
-        with click.open_file(config) as fh:
-            graph = trails.TwoColouredGraph.from_json(json.load(fh))
+        if config == "-":
+            document = json.load(sys.stdin)
+        else:
+            with open(config) as fh:
+                document = json.load(fh)
+        graph = trails.TwoColouredGraph.from_json(document)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise click.UsageError("malformed graph config: %s" % exc)
+        raise UsageError("malformed graph config: %s" % exc)
     overlaid = []
     for spec in trail_points:
         location = _ints(spec)
         if len(location) != 2:
-            raise click.UsageError("--trail wants x,y, got %r" % (spec,))
+            raise UsageError("--trail wants x,y, got %r" % (spec,))
         overlaid.append(trails.trail_at_terminal(graph, location))
-    click.echo(svg.render_svg(graph, tuple(overlaid), n_vars), file=out, nl=False)
+    out.write(svg.render_svg(graph, tuple(overlaid), n_vars))
 
 
-@main.command()
-@click.option("--points", type=int, required=True, help="Number of matched points (even).")
-@fmt_option
-@out_option
+@_command(ROOT, _option("--points", "Number of matched points (even).", convert=_integer, required=True), FORMAT, OUT)
 @_usage_guard
 def catalan(points, fmt, out):
     """Count perfect noncrossing matchings on cyclically arranged points."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import (
@@ -39,6 +38,7 @@ from .partitions import (
     BorderStripSpec,
     Partition,
     SkewShape,
+    Value,
     apply_nested,
     apply_omega,
     corner_encoding,
@@ -68,14 +68,16 @@ def schur_of(parts, N: int) -> Polynomial:
     return _schur_cached(tuple(int(p) for p in parts), int(N))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one identity check: both sides, with the verdict derived from them."""
+class IdentityReport(Value):
+    """Outcome of one identity check: both sides, with the verdict derived from them.
 
-    identity: str
-    params: dict
-    lhs: Polynomial
-    rhs: Polynomial
+    Fields: identity (its name), params (a dict of its parameters), lhs and rhs (Polynomials).
+    """
+
+    __slots__ = ("identity", "params", "lhs", "rhs")
+
+    def _key(self):
+        return self.identity, self.params, self.lhs, self.rhs
 
     @property
     def equal(self) -> bool:

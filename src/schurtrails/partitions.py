@@ -19,18 +19,28 @@ BORDER_REMOVE = "remove"
 class Value:
     """Immutable value, equal to another of its own type with an equal _key() and hashed by it.
 
-    A subclass declares its __slots__, sets them in __init__ through
-    object.__setattr__, and returns the fields it compares from _key().
-    Polynomial also equals integer constants, through its own __eq__.
+    A subclass declares its __slots__ and returns the fields it compares
+    from _key().  A subclass whose fields need checks sets them in its
+    own __init__ through object.__setattr__; one whose fields need none,
+    such as a report, keeps Value's __init__, which takes one field per
+    slot.  Polynomial also equals integer constants, through its own
+    __eq__.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError("%s takes %d fields, got %d" % (type(self).__name__, len(self.__slots__), len(fields)))
+        for name, field in zip(self.__slots__, fields):
+            object.__setattr__(self, name, field)
 
     @classmethod
     def _unchecked(cls, *fields):
         """One field per slot, in __slots__ order, set without __init__'s checks: only for fields already checked.
 
-        Every value the library builds from values it has checked goes through here, polynomials and matrices too.
+        Every value the library builds from values it has checked goes through here, polynomials and matrices too,
+        except the records that keep Value's own __init__, which has no checks to skip.
         """
         value = object.__new__(cls)
         for name, field in zip(cls.__slots__, fields):
@@ -49,6 +59,9 @@ class Value:
 
     def __hash__(self):
         return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
 class Partition(Value):

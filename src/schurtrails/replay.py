@@ -26,10 +26,9 @@ one is spelled out only for a message.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 
 from .identities import _alphabet, _window_exchange
-from .partitions import Partition, SkewShape
+from .partitions import Partition, SkewShape, Value
 from .polyring import Polynomial, monomial_mul, monomial_str
 from .schur import TerminalSpec, ssyt_count
 from .trails import (
@@ -108,14 +107,13 @@ def _moved_objects(specs, locations, read):
 #: has moved more objects than this.
 MAX_AUDIT_OBJECTS = 100_000
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Tallies from replaying the window-exchange bijection object by object."""
+class AuditReport(Value):
+    """Tallies from replaying the window-exchange bijection object by object: lam, N, case_a and case_b."""
 
-    lam: tuple
-    N: int
-    case_a: int
-    case_b: int
+    __slots__ = ("lam", "N", "case_a", "case_b")
+
+    def _key(self):
+        return self.lam, self.N, self.case_a, self.case_b
 
     @property
     def objects(self) -> int:
@@ -215,7 +213,7 @@ def bijection_audit(lam, N=None) -> AuditReport:
             raise RuntimeError("%d layout objects were never reached" % (count - tally[kind],))
         if tally[kind] > count:
             raise RuntimeError("%d images land in layout %s, more than the %d it has" % (tally[kind], kind, count))
-    return AuditReport(lam=parts, N=N, case_a=tally["A"], case_b=tally["B"])
+    return AuditReport(parts, N, tally["A"], tally["B"])
 
 
 def _canonical_pattern(pattern) -> tuple:
@@ -250,8 +248,7 @@ def _parity_uniform(points) -> bool:
     return len(blacks) <= 1 and len(whites) <= 1
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitResult:
+class OrbitResult(Value):
     """Terminal patterns reachable under the recolouring move, with object counts.
 
     Patterns are reported canonically as (blue outer, blue inner, green
@@ -261,16 +258,11 @@ class OrbitResult:
     point flipped.  weight0/weight1 are the summed path weights of the
     two sides.  The pattern sets S0/S1, the side sizes O0_size/O1_size
     and the degenerate flag (no point selected) are derived from these.
+    Results compare by identity: two walks are not compared.
     """
 
-    initial: tuple
-    selected: tuple
-    N: int
-    counts0: dict
-    counts1: dict
-    weight0: Polynomial
-    weight1: Polynomial
-    parity_uniform: bool
+    __slots__ = ("initial", "selected", "N", "counts0", "counts1", "weight0", "weight1", "parity_uniform")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     S0 = property(lambda self: frozenset(self.counts0))
     S1 = property(lambda self: frozenset(self.counts1))
@@ -379,14 +371,14 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
                 "recolouring from the selected points is not an involution at %r" % (_path_texts(key),)
             )
     res = OrbitResult(
-        initial=_canonical_pattern(initial),
-        selected=sel_locations,
-        N=N,
-        counts0=counts[0],
-        counts1=counts[1],
-        weight0=Polynomial._unchecked(dict(weights[0])),
-        weight1=Polynomial._unchecked(dict(weights[1])),
-        parity_uniform=parity_uniform,
+        _canonical_pattern(initial),
+        sel_locations,
+        N,
+        counts[0],
+        counts[1],
+        Polynomial._unchecked(dict(weights[0])),
+        Polynomial._unchecked(dict(weights[1])),
+        parity_uniform,
     )
     if not degenerate:
         if res.O0_size != res.O1_size:

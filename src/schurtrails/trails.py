@@ -35,7 +35,6 @@ direction), ``backward`` means left-downwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .partitions import Value
 from .polyring import monomial_mul, x_var
@@ -285,8 +284,7 @@ def pattern_objects(blue_spec, green_spec):
             yield TwoColouredGraph._unchecked((blue_layer, green_layer)), monomial_mul(blue_weight, green_weight)
 
 
-@dataclass(frozen=True)
-class TerminalPoint:
+class TerminalPoint(Value):
     """Entry of the Q-sequence of non-coincident path terminals.
 
     Endpoints come first, right to left, then starting points, left to
@@ -294,11 +292,10 @@ class TerminalPoint:
     white; among starting points blue is white and green is black.
     """
 
-    index: int
-    location: tuple
-    path_colour: str
-    matching_colour: str
-    parity: str
+    __slots__ = ("index", "location", "path_colour", "matching_colour", "parity")
+
+    def _key(self):
+        return self.index, self.location, self.path_colour, self.matching_colour, self.parity
 
     @property
     def kind(self) -> str:
@@ -577,15 +574,13 @@ def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
     return TwoColouredGraph._unchecked(tuple(layers))
 
 
-@dataclass(frozen=True)
-class NoncrossingMatching:
+class NoncrossingMatching(Value):
     """Set of chords on 1..2k indices, no two interleaving."""
 
-    pairs: frozenset
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
-        pairs = frozenset((min(a, b), max(a, b)) for a, b in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(self, pairs):
+        pairs = frozenset((min(a, b), max(a, b)) for a, b in pairs)
         used = [i for pair in pairs for i in pair]
         if len(used) != len(set(used)):
             raise ValueError("matching repeats an index")
@@ -594,6 +589,10 @@ class NoncrossingMatching:
             for c, d in pl[i + 1 :]:
                 if a < c < b < d:
                     raise ValueError("chords %r and %r cross" % ((a, b), (c, d)))
+        object.__setattr__(self, "pairs", pairs)
+
+    def _key(self):
+        return self.pairs
 
 
 def terminal_matching(graph: TwoColouredGraph) -> NoncrossingMatching:

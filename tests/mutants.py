@@ -149,6 +149,25 @@ MUTANTS = [
         "        if False:\n",
         ("tests/test_trails.py::test_recolour_keeps_a_point_only_a_zero_length_path_marks",),
     ),
+    Mutant(
+        "walk_keeps_colour_at_doubly_coloured_points",
+        "trails.py",
+        """        if both >> v & 1:
+            colour, backward = colour ^ 1, backward ^ 1
+""",
+        "",
+        (
+            "tests/test_trails.py::test_trace_fig3_case_a",
+            "tests/test_trails.py::test_doubly_coloured_edge_is_a_two_cycle",
+        ),
+    ),
+    Mutant(
+        "usage_guard_fails_a_value_error",
+        "cli.py",
+        "            raise UsageError(str(exc))\n",
+        "            raise SystemExit(1)\n",
+        ("tests/test_cli.py::test_validation_error_bubbles_as_usage",),
+    ),
 ]
 
 

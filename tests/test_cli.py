@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -5,7 +6,6 @@ import sys
 import time
 
 import pytest
-from click.testing import CliRunner
 from jsonschema import validate
 
 import schurtrails
@@ -18,9 +18,35 @@ from schurtrails.schur import TerminalSpec, enumerate_families
 from schurtrails.trails import build_graph
 
 
+class Result:
+    """One finished call: its exit code, what it wrote to stdout and stderr, and the two together."""
+
+    def __init__(self, exit_code, stdout, stderr):
+        self.exit_code, self.stdout, self.stderr = exit_code, stdout, stderr
+        self.output = stdout + stderr
+
+
+class Runner:
+    """Calls a command line's main(argv) with stdin, stdout and stderr captured and SystemExit caught."""
+
+    @staticmethod
+    def invoke(cli, argv, input=None):
+        saved = sys.stdin, sys.stdout, sys.stderr
+        sys.stdin, sys.stdout, sys.stderr = io.StringIO(input or ""), io.StringIO(), io.StringIO()
+        try:
+            try:
+                cli(argv)
+                exit_code = 0
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+            return Result(exit_code, sys.stdout.getvalue(), sys.stderr.getvalue())
+        finally:
+            sys.stdin, sys.stdout, sys.stderr = saved
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def graph_json():
@@ -34,11 +60,76 @@ def graph_json():
 def test_no_command_is_usage_error(runner):
     result = runner.invoke(main, [])
     assert result.exit_code == 2
+    assert "Error: Missing command.\n" in result.stderr
 
 
 def test_unknown_flag_is_usage_error(runner):
     result = runner.invoke(main, ["catalan", "--points", "4", "--frobnicate"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["catalan", "--points", "8", "--format", "xml"], "Invalid value for '--format': 'xml' is not one of 'json', 'text'."),
+        (["verify", "dodgson", "--k", "x"], "Invalid value for '--k': 'x' is not a valid integer."),
+        (["render", "/no/such/file"], "Invalid value for '[CONFIG]': File '/no/such/file' does not exist."),
+        (["render", "DIRECTORY"], "Invalid value for '[CONFIG]': File 'DIRECTORY' is a directory."),
+    ],
+    ids=["format", "k", "render-missing", "render-directory"],
+)
+def test_usage_error_names_its_cause(runner, tmp_path, argv, error):
+    argv = [str(tmp_path) if bit == "DIRECTORY" else bit for bit in argv]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Error: %s\n" % error.replace("DIRECTORY", str(tmp_path)) in result.stderr
+
+
+FORMAT_HELP = ("--format", "Report format.")
+OUT_HELP = ("--out", "Write output to PATH instead of stdout.")
+VARS_HELP = ("--vars", "Number of variables N.")
+
+
+@pytest.mark.parametrize(
+    "argv, entries",
+    [
+        ([], ["audit", "catalan", "orbit", "render", "verify"]),
+        (["verify"], ["ciucu", "dodgson", "general", "kirillov", "kleber", "pluecker"]),
+        (["verify", "general"], [("--lambda", "Comma-separated weakly decreasing parts."), VARS_HELP,
+                                 ("--sweep", "Semicolon-separated part lists; one JSON report per entry, in order."),
+                                 FORMAT_HELP, OUT_HELP]),
+        (["verify", "kirillov"], [("--lambda", "The constant window, e.g. 2,2,2."), VARS_HELP, FORMAT_HELP, OUT_HELP]),
+        (["verify", "dodgson"], [("--k", "Window length; matrices are (k+1) x (k+1)."), FORMAT_HELP, OUT_HELP]),
+        (["verify", "pluecker"], [("--k", "Minor size; the generic matrix is 2k x k."),
+                                  ("--rlist", "Comma-separated row indices to exchange."), "--mode",
+                                  ("--lambda", "First shape (schur mode)."), ("--sigma", "Second shape (schur mode)."),
+                                  VARS_HELP, FORMAT_HELP, OUT_HELP]),
+        (["verify", "ciucu"], [("--set", "Comma-separated index set T."), ("--k", "Subset size; T needs 2k elements."),
+                               VARS_HELP, FORMAT_HELP, OUT_HELP]),
+        (["verify", "kleber"], [("--lambda", "Comma-separated parts."), ("--k", "Corner index, counted from the top."),
+                                VARS_HELP, FORMAT_HELP, OUT_HELP]),
+        (["audit"], [("--lambda", "Comma-separated parts (r+1 of them)."), VARS_HELP, FORMAT_HELP, OUT_HELP]),
+        (["orbit"], [("--lambda", "Blue outer parts (offset 0)."), ("--inner", "Blue inner parts, for a skew layout."),
+                     ("--sigma", "Green outer parts."), ("--tau", "Green inner parts, for a skew layout."),
+                     ("--offset", "Green layout offset."), ("--rlist", "Selected Q-sequence indices, comma-separated."),
+                     VARS_HELP, FORMAT_HELP, OUT_HELP]),
+        (["render"], ["CONFIG", ("--trail", "x,y of a terminal whose changing trail is overlaid; repeatable."),
+                      VARS_HELP, OUT_HELP]),
+        (["catalan"], [("--points", "Number of matched points (even)."), FORMAT_HELP, OUT_HELP]),
+    ],
+    ids=["root", "verify", "general", "kirillov", "dodgson", "pluecker", "ciucu", "kleber", "audit", "orbit", "render",
+         "catalan"],
+)
+def test_help_lists_every_option_with_its_help_text(runner, monkeypatch, argv, entries):
+    # one width for every terminal; a help text may still wrap, so whitespace runs count as one space
+    monkeypatch.setenv("COLUMNS", "80")
+    result = runner.invoke(main, argv + ["--help"])
+    assert result.exit_code == 0
+    text = " ".join(result.stdout.split())
+    for entry in entries + [("--help", "Show this message and exit.")]:
+        for word in (entry,) if isinstance(entry, str) else entry:
+            assert word in text, (argv, word)
 
 
 def test_validation_error_bubbles_as_usage(runner):
@@ -253,6 +344,15 @@ def test_unopenable_out_is_refused_before_the_work(runner, monkeypatch, tmp_path
     assert result.exit_code == 2
     assert "Invalid value for '--out'" in result.output
     assert not (tmp_path / "no").exists()
+
+
+def test_out_file_that_cannot_be_opened_fails_at_the_first_write(runner, tmp_path):
+    # the path passes the checks made when the options are read, but no file of that name can exist
+    out = str(tmp_path / ("x" * 300))
+    result = runner.invoke(main, ["catalan", "--points", "8", "--out", out])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.endswith("Error: Could not open file %r: File name too long\n" % out)
 
 
 # ---------------------------------------------------------------- sweep
@@ -575,11 +675,11 @@ print("\\n" + json.dumps(names))
 
 @pytest.fixture(scope="module")
 def library_bytecode(tmp_path_factory):
-    """A bytecode cache that holds the interpreter's and click's modules but none of the package's."""
+    """A bytecode cache that holds the interpreter's and argparse's modules but none of the package's."""
     prefix = tmp_path_factory.mktemp("pycache")
     env = dict(os.environ, PYTHONPYCACHEPREFIX=str(prefix))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    subprocess.run([sys.executable, "-c", "import click, dataclasses, importlib.util, json"], env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", "import argparse, importlib.util, json"], env=env, check=True, timeout=60)
     return prefix
 
 
@@ -624,3 +724,35 @@ def test_each_command_compiles_only_the_modules_it_runs(library_bytecode, argv, 
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == sorted(modules)
+
+
+#: Prints which of click, dataclasses and inspect the CLI call on argv loads, as a last line of its own on stdout.
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+from schurtrails import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print("\\n" + json.dumps(sorted({"click", "dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "general", "--lambda", "2,1", "--format", "json"],
+        ["audit", "--lambda", "2,1", "--vars", "2"],
+        ["catalan", "--points", "8"],
+    ],
+    ids=["general", "audit", "catalan"],
+)
+def test_a_call_loads_neither_click_nor_dataclasses_nor_inspect(argv):
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(schurtrails.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE] + argv, capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []

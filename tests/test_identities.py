@@ -67,6 +67,23 @@ def test_report_round_trip():
     assert payload["lhs_terms"] == rep.lhs.n_terms()
 
 
+def test_reports_are_immutable_values():
+    x1, zero = Polynomial.variable(x_var(1)), Polynomial.zero()
+    report = IdentityReport("t", {"N": 1}, x1, zero)
+    assert report == IdentityReport("t", {"N": 1}, x1, zero)
+    assert report != IdentityReport("t", {"N": 2}, x1, zero) and report != IdentityReport("t", {"N": 1}, x1, x1)
+    assert repr(report) == "IdentityReport(identity='t', params={'N': 1}, lhs=%r, rhs=%r)" % (x1, zero)
+    # an orbit's result is equal only to itself
+    fields = ((((2,), (0,), (1,), (0,)),), (), 1, {}, {}, zero, zero, True)
+    result = OrbitResult(*fields)
+    assert result == result and result != OrbitResult(*fields) and len({result, OrbitResult(*fields)}) == 2
+    for value in (report, result, AuditReport((2, 1), 2, 2, 4)):
+        with pytest.raises(AttributeError, match="%s is immutable" % type(value).__name__):
+            value.N = 3
+    with pytest.raises(TypeError, match="AuditReport takes 4 fields, got 3"):
+        AuditReport((2, 1), 2, 2)
+
+
 def test_witness_names_first_differing_monomial():
     lhs = Polynomial({monomial({x_var(1): 2}): 3, monomial({x_var(2): 1}): 1})
     rhs = Polynomial({monomial({x_var(1): 2}): 1, monomial({x_var(2): 1}): 1})

@@ -17,8 +17,9 @@ from schurtrails.partitions import (
     partition_from_set,
 )
 from schurtrails.polyring import ONE, FormalMatrix, Polynomial, x_var
+from schurtrails.replay import AuditReport
 from schurtrails.schur import LatticePath, PathFamily, Tableau, TerminalSpec
-from schurtrails.trails import TwoColouredGraph
+from schurtrails.trails import BLACK, BLUE, EVEN, GREEN, ODD, WHITE, NoncrossingMatching, TerminalPoint, TwoColouredGraph
 
 
 def cells(p):
@@ -270,6 +271,25 @@ VALUES = {
         [Polynomial({((x_var(1), 1),): 3, ONE: 1}), Polynomial({((x_var(2), 1),): 2, ONE: 1})],
     ),
     FormalMatrix: (lambda: FormalMatrix([[1, 2]]), [FormalMatrix([[1, 3]]), FormalMatrix([[1], [2]])]),
+    TerminalPoint: (
+        lambda: TerminalPoint(1, (4, 5), GREEN, WHITE, ODD),
+        [
+            TerminalPoint(3, (4, 5), GREEN, WHITE, ODD),
+            TerminalPoint(1, (4, 6), GREEN, WHITE, ODD),
+            TerminalPoint(1, (4, 5), BLUE, WHITE, ODD),
+            TerminalPoint(1, (4, 5), GREEN, BLACK, ODD),
+            TerminalPoint(1, (4, 5), GREEN, WHITE, EVEN),
+        ],
+    ),
+    NoncrossingMatching: (
+        lambda: NoncrossingMatching({(4, 1), (2, 3)}),
+        [NoncrossingMatching({(1, 2), (3, 4)})],
+    ),
+    AuditReport: (
+        lambda: AuditReport((2, 1), 2, 2, 4),
+        [AuditReport((2, 2), 2, 2, 4), AuditReport((2, 1), 3, 2, 4), AuditReport((2, 1), 2, 3, 4),
+         AuditReport((2, 1), 2, 2, 5)],
+    ),
 }
 
 

@@ -76,9 +76,6 @@ class IdentityReport(Value):
 
     __slots__ = ("identity", "params", "lhs", "rhs")
 
-    def _key(self):
-        return self.identity, self.params, self.lhs, self.rhs
-
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs

@@ -19,12 +19,13 @@ BORDER_REMOVE = "remove"
 class Value:
     """Immutable value, equal to another of its own type with an equal _key() and hashed by it.
 
-    A subclass declares its __slots__ and returns the fields it compares
-    from _key().  A subclass whose fields need checks sets them in its
-    own __init__ through object.__setattr__; one whose fields need none,
-    such as a report, keeps Value's __init__, which takes one field per
-    slot.  Polynomial also equals integer constants, through its own
-    __eq__.
+    A subclass names its fields once, in __slots__.  _key() is the tuple
+    of those fields in __slots__ order, unless the subclass compares
+    other data and overrides it.  Value's __init__ takes one field per
+    slot: a subclass whose fields need checks checks them in its own
+    __init__ and hands them to Value's; one whose fields need none, such
+    as a report, keeps Value's.  Polynomial also equals integer
+    constants, through its own __eq__.
     """
 
     __slots__ = ()
@@ -52,6 +53,9 @@ class Value:
 
     __delattr__ = __setattr__
 
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
     def __eq__(self, other):
         if type(other) is type(self):
             return self._key() == other._key()
@@ -77,10 +81,7 @@ class Partition(Value):
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError("parts must be weakly decreasing, got %r" % (parts,))
-        object.__setattr__(self, "parts", parts)
-
-    def _key(self):
-        return self.parts
+        super().__init__(parts)
 
     def __iter__(self):
         return iter(self.parts)
@@ -122,11 +123,7 @@ class SkewShape(Value):
         for l, m in zip(outer.parts, inner.parts):
             if m > l:
                 raise ValueError("inner shape sticks out of outer: %r / %r" % (outer, inner))
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-
-    def _key(self):
-        return self.outer, self.inner
+        super().__init__(outer, inner)
 
     def __repr__(self):
         return "SkewShape(%r, %r)" % (self.outer.parts, self.inner.parts)
@@ -158,18 +155,11 @@ class CornerEncoding(Value):
         y = tuple(int(v) for v in y)
         if len(x) != len(y):
             raise ValueError("corner coordinate lengths differ: %d vs %d" % (len(x), len(y)))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def _key(self):
-        return self.x, self.y
+        super().__init__(x, y)
 
     @property
     def n(self):
         return len(self.x)
-
-    def __repr__(self):
-        return "CornerEncoding(x=%r, y=%r)" % (self.x, self.y)
 
 
 class BorderStripSpec(Value):
@@ -197,11 +187,7 @@ class BorderStripSpec(Value):
                 raise ValueError("j indices must weakly decrease: %r" % (pairs,))
         if pairs and pairs[-1][0] > pairs[-1][1]:
             raise ValueError("innermost pair must satisfy i <= j: %r" % (pairs,))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "direction", direction)
-
-    def _key(self):
-        return self.pairs, self.direction
+        super().__init__(pairs, direction)
 
     def __repr__(self):
         return "BorderStripSpec(%r, %r)" % (self.pairs, self.direction)

@@ -215,7 +215,7 @@ class Polynomial(Value):
                 acc[m] = acc.get(m, 0) + c
                 if not acc[m]:
                     del acc[m]
-        object.__setattr__(self, "coeffs", acc)
+        super().__init__(acc)
 
     def _key(self):
         """The term frozenset; a constant's integer, so that the two hash alike."""
@@ -385,10 +385,7 @@ class FormalMatrix(Value):
         entries = tuple(tuple(self._as_poly(e) for e in row) for row in entries)
         if len({len(row) for row in entries}) > 1:
             raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", entries)
-
-    def _key(self):
-        return self.entries
+        super().__init__(entries)
 
     @staticmethod
     def _as_poly(e):

@@ -112,9 +112,6 @@ class AuditReport(Value):
 
     __slots__ = ("lam", "N", "case_a", "case_b")
 
-    def _key(self):
-        return self.lam, self.N, self.case_a, self.case_b
-
     @property
     def objects(self) -> int:
         return self.case_a + self.case_b

@@ -68,12 +68,7 @@ class Tableau(Value):
                     here = rows[i][col - inner[i]]
                     if above >= here:
                         raise ValueError("column %d not strictly increasing" % (col + 1,))
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "N", int(N))
-
-    def _key(self):
-        return self.shape, self.rows, self.N
+        super().__init__(shape, rows, int(N))
 
     def __repr__(self):
         return "Tableau(%r, %r, N=%d)" % (self.shape, self.rows, self.N)
@@ -246,11 +241,7 @@ class LatticePath(Value):
         for ch in steps:
             if ch not in (EAST, NORTH):
                 raise ValueError("steps must be over {E, N}, got %r" % (ch,))
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "steps", steps)
-
-    def _key(self):
-        return self.start, self.steps
+        super().__init__(start, steps)
 
     @property
     def end(self):
@@ -323,10 +314,7 @@ class PathFamily(Value):
                         "paths %d and %d share the lattice point %r" % (seen[v] + 1, idx + 1, v)
                     )
                 seen[v] = idx
-        object.__setattr__(self, "paths", paths)
-
-    def _key(self):
-        return self.paths
+        super().__init__(paths)
 
     def __iter__(self):
         return iter(self.paths)
@@ -374,12 +362,7 @@ class TerminalSpec(Value):
         for (a, _), (b, _) in zip(ends, ends[1:]):
             if a <= b:
                 raise ValueError("end x-coordinates must strictly decrease")
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "N", N)
-
-    def _key(self):
-        return self.starts, self.ends, self.N
+        super().__init__(starts, ends, N)
 
     @classmethod
     def from_shape(cls, shape, N, offset=0):
@@ -407,9 +390,6 @@ class TerminalSpec(Value):
         inner = tuple(x + i - shift for i, (x, _) in enumerate(self.starts, start=1))
         outer = tuple(x + i - shift for i, (x, _) in enumerate(self.ends, start=1))
         return outer, inner, shift
-
-    def __repr__(self):
-        return "TerminalSpec(starts=%r, ends=%r, N=%d)" % (self.starts, self.ends, self.N)
 
 
 def tableau_to_paths(t, offset=0):

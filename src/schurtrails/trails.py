@@ -211,7 +211,7 @@ class TwoColouredGraph(Value):
         families = tuple(f if isinstance(f, PathFamily) else PathFamily(f) for f in (blue, green))
         frame = _Frame.of((path.start, path.end) for family in families for path in family)
         paths = (((path.start, path.east_heights(), path.end[1]) for path in family) for family in families)
-        object.__setattr__(self, "layers", tuple(_Layer.of(family, frame) for family in paths))
+        super().__init__(tuple(_Layer.of(family, frame) for family in paths))
 
     @classmethod
     def from_key(cls, key) -> "TwoColouredGraph":
@@ -293,9 +293,6 @@ class TerminalPoint(Value):
     """
 
     __slots__ = ("index", "location", "path_colour", "matching_colour", "parity")
-
-    def _key(self):
-        return self.index, self.location, self.path_colour, self.matching_colour, self.parity
 
     @property
     def kind(self) -> str:
@@ -589,19 +586,19 @@ class NoncrossingMatching(Value):
             for c, d in pl[i + 1 :]:
                 if a < c < b < d:
                     raise ValueError("chords %r and %r cross" % ((a, b), (c, d)))
-        object.__setattr__(self, "pairs", pairs)
-
-    def _key(self):
-        return self.pairs
+        super().__init__(pairs)
 
 
 def terminal_matching(graph: TwoColouredGraph) -> NoncrossingMatching:
     """Matching on the Q-sequence induced by the path_like changing trails.
 
-    Every chord joins a black to a white point and an odd to an even
-    index, and no two chords cross.  A trail traced from a terminal starts
-    at a step with no predecessor, so it is path_like, and its far end is
-    a terminal of one colour, so on the Q-sequence too.
+    A trail traced from a terminal starts at a step with no predecessor,
+    so it is path_like, and its far end is a terminal of one colour, so on
+    the Q-sequence too.  The theorem's hypotheses (families of tableau
+    type) make every chord join a black to a white point and an odd to an
+    even index, with no two chords crossing; a graph where a trail joins
+    two points of one matching colour or one parity is outside them, and
+    is refused with ValueError.
     """
     points = terminal_points(graph)
     by_location = {q.location: q for q in points}
@@ -611,8 +608,10 @@ def terminal_matching(graph: TwoColouredGraph) -> NoncrossingMatching:
         qa, qb = by_location[a], by_location[b]
         pair = (min(qa.index, qb.index), max(qa.index, qb.index))
         pairs.add(pair)
-        assert qa.matching_colour != qb.matching_colour, "trail joined two %s points" % qa.matching_colour
-        assert qa.parity != qb.parity, "trail joined two %s-indexed points" % qa.parity
+        if qa.matching_colour == qb.matching_colour:
+            raise ValueError("trail joined two %s points" % qa.matching_colour)
+        if qa.parity == qb.parity:
+            raise ValueError("trail joined two %s-indexed points" % qa.parity)
     return NoncrossingMatching(frozenset(pairs))
 
 

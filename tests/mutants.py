@@ -93,10 +93,31 @@ MUTANTS = [
     ),
     Mutant(
         "terminal_spec_key_without_alphabet",
-        "schur.py",
-        "        return self.starts, self.ends, self.N\n",
-        "        return self.starts, self.ends\n",
-        ("tests/test_schur.py::test_terminal_spec_equality",),
+        "partitions.py",
+        "        return tuple(getattr(self, name) for name in self.__slots__)\n",
+        "        return tuple(getattr(self, name) for name in self.__slots__[:-1])\n",
+        (
+            "tests/test_schur.py::test_terminal_spec_equality",
+            "tests/test_partitions.py::test_value_types_compare_by_value_and_are_immutable[BorderStripSpec]",
+        ),
+    ),
+    Mutant(
+        "value_takes_any_field_count",
+        "partitions.py",
+        """        if len(fields) != len(self.__slots__):
+            raise TypeError(""",
+        """        if False:
+            raise TypeError(""",
+        ("tests/test_identities.py::test_reports_are_immutable_values",),
+    ),
+    Mutant(
+        "terminal_matching_takes_one_parity",
+        "trails.py",
+        """        if qa.parity == qb.parity:
+            raise ValueError(""",
+        """        if False:
+            raise ValueError(""",
+        ("tests/test_trails.py::test_terminal_matching_refuses_a_graph_outside_the_hypotheses[parity]",),
     ),
     Mutant(
         "graph_frame_from_blue_alone",

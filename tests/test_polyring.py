@@ -287,18 +287,6 @@ def test_minor_sign_and_selection():
         minor(g, (4,), (1,))
 
 
-@pytest.mark.parametrize("kind", [Polynomial, FormalMatrix], ids=lambda kind: kind.__name__)
-def test_polynomials_and_matrices_are_immutable(kind):
-    make = {Polynomial: lambda: P([(1, {x1: 1})]), FormalMatrix: lambda: FormalMatrix([[1, 2]])}[kind]
-    value = make()
-    for name in kind.__slots__ + ("other",):
-        with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
-            setattr(value, name, None)
-        with pytest.raises(AttributeError, match="%s is immutable" % kind.__name__):
-            delattr(value, name)
-    assert value == make()
-
-
 def test_the_library_builds_its_matrices_unchecked(monkeypatch):
     """Generic matrices, minors' sub-matrices and Jacobi-Trudi matrices are built without the constructor."""
 

@@ -708,6 +708,21 @@ def test_terminal_matching_empty_for_identical_families():
     assert terminal_matching(build_graph(fam, fam)).pairs == frozenset()
 
 
+@pytest.mark.parametrize(
+    "blue, green, message",
+    [
+        (["(0,1):EEE"], ["(1,1):"], "trail joined two black points"),
+        (["(2,1):", "(-1,0):NNENN", "(0,0):EEE"], [], "trail joined two odd-indexed points"),
+    ],
+    ids=["colour", "parity"],
+)
+def test_terminal_matching_refuses_a_graph_outside_the_hypotheses(blue, green, message):
+    """A trail between two points of one matching colour or one parity is refused with ValueError."""
+    graph = TwoColouredGraph(PathFamily.from_text(blue), PathFamily.from_text(green))
+    with pytest.raises(ValueError, match="^%s$" % message):
+        terminal_matching(graph)
+
+
 def test_noncrossing_matching_validation():
     NoncrossingMatching(frozenset({(1, 4), (2, 3)}))
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Entry point for ``python -m schurtrails``: the argparse command line of schurtrails.cli."""
+"""Entry point for ``python -m schurtrails``: the command line of schurtrails.cli."""
 
 from .cli import main
 

@@ -7,21 +7,21 @@ stderr).  Reports are deterministic: JSON is emitted with sorted keys,
 and reports carry no timing, so identical invocations give identical
 bytes.
 
-The front end is the standard library's argparse, so the package has no
+The command line reads its own options, so the package has no
 third-party dependency.  Each command is a function registered in its
 group by _command with its options; main walks the groups to the
-command, builds that command's parser alone, reads the option texts
-through it, converts and checks them, and calls the function.
+command, _read reads and converts its options, and main calls it and
+maps a UsageError or ValueError to exit 2 and a RuntimeError to exit 1.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import importlib.util
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 
 def _lazy(name):
@@ -80,22 +80,6 @@ def _ints(text):
         return tuple(int(bit) for bit in text.split(","))
     except ValueError:
         raise ValueError("expected comma-separated integers, got %r" % (text,)) from None
-
-
-def _usage_guard(fn):
-    """Turn a ValueError into a usage error (exit 2) and a RuntimeError into a failed check (exit 1)."""
-
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        except RuntimeError as exc:
-            sys.stderr.write("%s failed: %s\n" % (fn.__name__, exc))
-            raise SystemExit(1)
-
-    return wrapped
 
 
 def _write(out, fmt, payload, text):
@@ -172,10 +156,11 @@ class _Out:
             self.file.close()
 
 
-def _option(flag, help=None, dest=None, convert=None, required=False, **kwargs):
-    """An option as (flag, conversion, required, argparse keywords); every option takes one value."""
-    metavar = "INTEGER" if convert is _integer else "TEXT"
-    return flag, convert, required, dict({"metavar": metavar}, dest=dest or flag[2:], help=help, **kwargs)
+def _option(flag, help, dest=None, convert=None, required=False, default=None, metavar=None):
+    """An option of one value; one with a list default collects its values, and a flag without dashes is an argument."""
+    metavar = metavar or ("INTEGER" if convert is _integer else "TEXT")
+    return SimpleNamespace(flag=flag, help=help, dest=dest or flag.lstrip("-"), convert=convert, required=required,
+                           default=default, metavar=metavar)
 
 
 FORMAT = _option("--format", "Report format.  [default: text]", "fmt", _choice("json", "text"), metavar="[json|text]")
@@ -185,25 +170,6 @@ VARS = _option("--vars", "Number of variables N.", "n_vars", _integer)
 
 # ---------------------------------------------------------------- parsing
 
-class _Parser(argparse.ArgumentParser):
-    """A parser that reports a usage error as its usage, a hint and "Error: <message>" on stderr, with exit 2."""
-
-    def __init__(self, prog, usage, doc, epilog=None):
-        super().__init__(
-            prog=prog,
-            usage="%(prog)s " + usage,
-            description=doc,
-            epilog=epilog,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-            add_help=False,
-            allow_abbrev=False,
-        )
-        self.add_argument("--help", action="help", help="Show this message and exit.")
-
-    def error(self, message):
-        self.exit(2, "%sTry '%s --help' for help.\n\nError: %s\n" % (self.format_usage(), self.prog, message))
-
-
 class _Group(dict):
     """Commands by name, each a _Group or a (function, options) pair, and the group's own help text."""
 
@@ -211,41 +177,19 @@ class _Group(dict):
         super().__init__()
         self.doc = doc
 
-    def parser(self, prog):
-        width = max(map(len, self))
-        lines = ["  %-*s  %s" % (width, name, command.doc if isinstance(command, _Group) else command[0].__doc__)
-                 for name, command in sorted(self.items())]
-        return _Parser(prog, "[OPTIONS] COMMAND [ARGS]...", self.doc, "commands:\n" + "\n".join(lines))
-
 
 ROOT = _Group("Exact checks and pictures for the lattice-path Schur calculus.")
 VERIFY = ROOT["verify"] = _Group("Run one of the identity verifiers.")
 
 
 def _command(group, *options):
-    """Register the decorated function in the group, under its own name, with its options."""
+    """Register the decorated function in the group, under its own name, with its options and --out."""
 
     def register(fn):
-        group[fn.__name__] = fn, options
+        group[fn.__name__] = fn, options + (OUT,)
         return fn
 
     return register
-
-
-def _joined(args, flags):
-    """The arguments with each option joined to the value after it, so a value starting with '-' stays a value.
-
-    Without the join argparse reads '-1,1' in `--trail -1,1` as an unknown option.
-    """
-    joined, rest = [], iter(args)
-    for arg in rest:
-        if arg in flags:
-            value = next(rest, None)
-            if value is None:
-                raise UsageError("Option %r requires an argument." % arg)
-            arg = "%s=%s" % (arg, value)
-        joined.append(arg)
-    return joined
 
 
 def _no_such_option(arg, flags):
@@ -262,56 +206,113 @@ def _no_such_option(arg, flags):
     return "%s Did you mean %r?" % (message, close[0]) if close else message
 
 
+def _read(options, args):
+    """The command's keyword arguments, each option's text in args converted; None when a bare --help asks for help.
+
+    A flag takes the next token as its value, even one that starts with
+    '-', or the text after '=' in --flag=value.  A flag without a value
+    is refused first; then the help wins over an unknown option, which
+    wins over an extra argument.
+    """
+    flags = {option.flag: option for option in options if option.flag.startswith("-")}
+    arguments = [option for option in options if option.flag not in flags]
+    values, rest = {}, []
+    tokens = iter(args)
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if token in flags:
+            flag, value = token, next(tokens, None)
+            if value is None:
+                raise UsageError("Option %r requires an argument." % token)
+        elif flag == "--help" and equals:
+            raise UsageError("argument --help: ignored explicit argument %r" % value)
+        elif not (equals and flag in flags):
+            # as in argparse, '-', a negative number or a text with a space is an argument, not an option
+            if arguments and (token[:1] != "-" or token == "-" or " " in token
+                              or re.fullmatch(r"-\d+|-\d*\.\d+", token)):
+                values[arguments.pop(0).dest] = token
+            else:
+                rest.append(token)
+            continue
+        option = flags[flag]
+        values[option.dest] = values.get(option.dest, []) + [value] if isinstance(option.default, list) else value
+    unknown = [token for token in rest if token.startswith("-") and token != "-"]
+    if "--help" in rest:
+        return None
+    if unknown:
+        raise UsageError(_no_such_option(unknown[0], list(flags)))
+    if rest:
+        raise UsageError("Got unexpected extra argument%s (%s)" % ("s" * (len(rest) > 1), " ".join(rest)))
+    for option in options:
+        value = values.get(option.dest, option.default)
+        if value is None:
+            if option.required:
+                raise UsageError("Missing option %r." % option.flag)
+        elif option.convert is not None:
+            try:
+                value = option.convert(value)
+            except ValueError as exc:
+                label = option.flag if option.flag in flags else "[%s]" % option.metavar
+                raise UsageError("Invalid value for %r: %s" % (label, exc)) from None
+        values[option.dest] = value
+    return values
+
+
+def _usage(prog, command):
+    """The usage line of a group or a command."""
+    if isinstance(command, _Group):
+        return "usage: %s [OPTIONS] COMMAND [ARGS]...\n" % prog
+    arguments = "".join(" [%s]" % option.metavar for option in command[1] if not option.flag.startswith("-"))
+    return "usage: %s [OPTIONS]%s\n" % (prog, arguments)
+
+
+def _help(prog, command):
+    """Print the usage line, the description, one row per option and a group's commands."""
+    rows, commands = [("--help", "Show this message and exit.")], []
+    if isinstance(command, _Group):
+        doc = command.doc
+        commands = [(name, sub.doc if isinstance(sub, _Group) else sub[0].__doc__)
+                    for name, sub in sorted(command.items())]
+    else:
+        doc = command[0].__doc__
+        rows += [(option.flag + " " + option.metavar if option.flag.startswith("-") else option.metavar, option.help)
+                 for option in command[1]]
+    lines = [_usage(prog, command), doc]
+    for title, entries in (("options", rows), ("commands", commands)):
+        if entries:
+            width = max(len(label) for label, _ in entries)
+            lines += ["", title + ":"] + ["  %-*s  %s" % (width, label, text) for label, text in entries]
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
 def main(argv=None):
     """Run the command that argv (by default sys.argv[1:]) names; exit 2 on a usage error and 1 on a failed check."""
     args = sys.argv[1:] if argv is None else list(argv)
-    prog, command = "schurtrails", ROOT
-    while isinstance(command, _Group):
-        name = args.pop(0) if args else None
-        if name in command:
-            prog, command = "%s %s" % (prog, name), command[name]
-            continue
-        parser = command.parser(prog)
-        if name == "--help":
-            parser.print_help()
-            parser.exit()
-        if name is None:
-            parser.error("Missing command.")
-        if name.startswith("-") and name != "-":
-            parser.error(_no_such_option(name, []))
-        parser.error("No such command %r." % name)
-    fn, options = command
-    flags = [flag for flag, _, _, _ in options if flag.startswith("-")]
-    arguments = "".join(" [%s]" % kwargs["metavar"] for flag, _, _, kwargs in options if flag not in flags)
-    parser = _Parser(prog, "[OPTIONS]" + arguments, fn.__doc__)
-    for flag, _, _, kwargs in options:
-        parser.add_argument(flag, **kwargs)
-    values = {}
+    prog, command, values = "schurtrails", ROOT, None
     try:
-        namespace, extra = parser.parse_known_args(_joined(args, flags))
-        unknown = [arg for arg in extra if arg.startswith("-") and arg != "-"]
-        if unknown:
-            raise UsageError(_no_such_option(unknown[0], flags))
-        if extra:
-            raise UsageError("Got unexpected extra argument%s (%s)" % ("s" * (len(extra) > 1), " ".join(extra)))
-        for flag, convert, required, kwargs in options:
-            name = kwargs.get("dest", flag)
-            value = getattr(namespace, name)
-            if value is None:
-                if required:
-                    raise UsageError("Missing option %r." % flag)
-            elif convert is not None:
-                try:
-                    value = convert(value)
-                except ValueError as exc:
-                    label = flag if flag in flags else "[%s]" % kwargs["metavar"]
-                    raise UsageError("Invalid value for %r: %s" % (label, exc)) from None
-            values[name] = value
+        while isinstance(command, _Group):
+            name = args.pop(0) if args else None
+            if name is None:
+                raise UsageError("Missing command.")
+            if name == "--help":
+                return _help(prog, command)
+            if name not in command:
+                raise UsageError(_no_such_option(name, []) if name.startswith("-") and name != "-"
+                                 else "No such command %r." % name)
+            prog, command = "%s %s" % (prog, name), command[name]
+        fn, options = command
+        values = _read(options, args)
+        if values is None:
+            return _help(prog, command)
         fn(**values)
-    except UsageError as exc:
-        parser.error(str(exc))
+    except RuntimeError as exc:
+        sys.stderr.write("%s failed: %s\n" % (fn.__name__, exc))
+        raise SystemExit(1)
+    except (UsageError, ValueError) as exc:
+        sys.stderr.write("%sTry '%s --help' for help.\n\nError: %s\n" % (_usage(prog, command), prog, exc))
+        raise SystemExit(2)
     finally:
-        if "out" in values:
+        if values:
             values["out"].close()
 
 
@@ -323,9 +324,7 @@ def main(argv=None):
     VARS,
     _option("--sweep", "Semicolon-separated part lists; one JSON report per entry, in order."),
     FORMAT,
-    OUT,
 )
-@_usage_guard
 def general(lam, n_vars, sweep, fmt, out):
     """Exchange the first and last parts between consecutive windows."""
     if sweep is not None:
@@ -350,8 +349,7 @@ def general(lam, n_vars, sweep, fmt, out):
     _finish_report(identities.verify_general(_ints(lam), n_vars), fmt, out)
 
 
-@_command(VERIFY, _option("--lambda", "The constant window, e.g. 2,2,2.", "lam", required=True), VARS, FORMAT, OUT)
-@_usage_guard
+@_command(VERIFY, _option("--lambda", "The constant window, e.g. 2,2,2.", "lam", required=True), VARS, FORMAT)
 def kirillov(lam, n_vars, fmt, out):
     """Square of a rectangle against its widened and narrowed neighbours."""
     parts = _ints(lam)
@@ -360,9 +358,7 @@ def kirillov(lam, n_vars, fmt, out):
     _finish_report(identities.verify_kirillov(parts[0], len(parts) - 1, n_vars), fmt, out)
 
 
-@_command(VERIFY, _option("--k", "Window length; matrices are (k+1) x (k+1).", convert=_integer, required=True),
-          FORMAT, OUT)
-@_usage_guard
+@_command(VERIFY, _option("--k", "Window length; matrices are (k+1) x (k+1).", convert=_integer, required=True), FORMAT)
 def dodgson(k, fmt, out):
     """Condensation of a generic determinant into corner minors."""
     _finish_report(identities.verify_dodgson(k), fmt, out)
@@ -378,9 +374,7 @@ def dodgson(k, fmt, out):
     _option("--sigma", "Second shape (schur mode)."),
     VARS,
     FORMAT,
-    OUT,
 )
-@_usage_guard
 def pluecker(k, rlist, mode, lam, sigma, n_vars, fmt, out):
     """Minor exchange on a generic tall matrix, formal or through Schur factors."""
     if mode == "schur" and (lam is None or sigma is None):
@@ -401,9 +395,7 @@ def pluecker(k, rlist, mode, lam, sigma, n_vars, fmt, out):
     _option("--k", "Subset size; T needs 2k elements.", convert=_integer, required=True),
     VARS,
     FORMAT,
-    OUT,
 )
-@_usage_guard
 def ciucu(index_set, k, n_vars, fmt, out):
     """Balanced splits of an index set against its alternating split."""
     _finish_report(identities.verify_ciucu(_ints(index_set), k, n_vars), fmt, out)
@@ -415,16 +407,13 @@ def ciucu(index_set, k, n_vars, fmt, out):
     _option("--k", "Corner index, counted from the top.", convert=_integer, required=True),
     VARS,
     FORMAT,
-    OUT,
 )
-@_usage_guard
 def kleber(lam, k, n_vars, fmt, out):
     """Square expansion over nested border strips at one corner."""
     _finish_report(identities.verify_kleber(_ints(lam), k, n_vars), fmt, out)
 
 
-@_command(ROOT, _option("--lambda", "Comma-separated parts (r+1 of them).", "lam", required=True), VARS, FORMAT, OUT)
-@_usage_guard
+@_command(ROOT, _option("--lambda", "Comma-separated parts (r+1 of them).", "lam", required=True), VARS, FORMAT)
 def audit(lam, n_vars, fmt, out):
     """Replay the window-exchange bijection object by object."""
     rep = replay.bijection_audit(_ints(lam), n_vars)
@@ -448,9 +437,7 @@ def audit(lam, n_vars, fmt, out):
     _option("--rlist", "Selected Q-sequence indices, comma-separated.", "selected", default=""),
     VARS,
     FORMAT,
-    OUT,
 )
-@_usage_guard
 def orbit(lam, inner, sigma, tau, t, selected, n_vars, fmt, out):
     """Close the trail-recolouring move over families with fixed terminals."""
     Partition, SkewShape = partitions.Partition, partitions.SkewShape
@@ -471,14 +458,10 @@ def orbit(lam, inner, sigma, tau, t, selected, n_vars, fmt, out):
 
 @_command(
     ROOT,
-    ("config", _config, False, {"nargs": "?", "default": "-", "metavar": "CONFIG",
-                                "help": "Graph JSON file; - (the default) reads stdin."}),
-    _option("--trail", "x,y of a terminal whose changing trail is overlaid; repeatable.", "trail_points",
-            action="append", default=[]),
+    _option("config", "Graph JSON file; - (the default) reads stdin.", convert=_config, default="-", metavar="CONFIG"),
+    _option("--trail", "x,y of a terminal whose changing trail is overlaid; repeatable.", "trail_points", default=[]),
     VARS,
-    OUT,
 )
-@_usage_guard
 def render(config, trail_points, n_vars, out):
     """Draw a graph JSON file (or stdin) as a deterministic SVG."""
     try:
@@ -499,8 +482,7 @@ def render(config, trail_points, n_vars, out):
     out.write(svg.render_svg(graph, tuple(overlaid), n_vars))
 
 
-@_command(ROOT, _option("--points", "Number of matched points (even).", convert=_integer, required=True), FORMAT, OUT)
-@_usage_guard
+@_command(ROOT, _option("--points", "Number of matched points (even).", convert=_integer, required=True), FORMAT)
 def catalan(points, fmt, out):
     """Count perfect noncrossing matchings on cyclically arranged points."""
     count = trails.count_noncrossing_matchings(points)

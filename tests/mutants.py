@@ -183,11 +183,35 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "usage_guard_fails_a_value_error",
+        "main_fails_a_value_error",
         "cli.py",
-        "            raise UsageError(str(exc))\n",
-        "            raise SystemExit(1)\n",
+        "    except RuntimeError as exc:\n",
+        "    except (RuntimeError, ValueError) as exc:\n",
         ("tests/test_cli.py::test_validation_error_bubbles_as_usage",),
+    ),
+    Mutant(
+        "reader_takes_a_dash_value_as_an_option",
+        "cli.py",
+        "            if value is None:\n",
+        "            if value is None or value.startswith(\"-\"):\n",
+        (
+            "tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[help-as-value]",
+            "tests/test_cli.py::test_orbit_json",
+        ),
+    ),
+    Mutant(
+        "argument_refuses_a_negative_number",
+        "cli.py",
+        r"""or re.fullmatch(r"-\d+|-\d*\.\d+", token)""",
+        "or False",
+        ("tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[negative-argument]",),
+    ),
+    Mutant(
+        "unknown_option_wins_over_help",
+        "cli.py",
+        "    if \"--help\" in rest:\n",
+        "    if \"--help\" in rest and not unknown:\n",
+        ("tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[help-after-unknown]",),
     ),
 ]
 

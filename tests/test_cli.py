@@ -132,6 +132,35 @@ def test_help_lists_every_option_with_its_help_text(runner, monkeypatch, argv, e
             assert word in text, (argv, word)
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code, expected",
+    [
+        (["catalan", "--points", "8", "--points", "10"], 0, "42"),
+        (["catalan", "--points=8"], 0, "14"),
+        (["catalan", "--points"], 2, "Error: Option '--points' requires an argument."),
+        (["catalan", "--poi", "8"], 2, "Error: No such option '--poi'. (Did you mean one of: '--out', '--points'?)"),
+        (["catalan", "-x", "8"], 2, "Error: No such option '-x'."),
+        (["catalan", "--points", "8", "a", "b"], 2, "Error: Got unexpected extra arguments (a b)"),
+        (["render", "-5"], 2, "Error: Invalid value for '[CONFIG]': File '-5' does not exist."),
+        (["catalan", "--frob", "--help"], 0, "usage: schurtrails catalan [OPTIONS]"),
+        (["verify", "nosuch"], 2, "Error: No such command 'nosuch'."),
+        (["verify", "general", "--lambda", "--help"], 2, "Error: expected comma-separated integers, got '--help'"),
+    ],
+    ids=["last-value-wins", "equals", "missing-value", "close-match", "short-option", "extra-arguments",
+         "negative-argument", "help-after-unknown", "no-such-command", "help-as-value"],
+)
+def test_each_token_is_read_as_an_option_a_value_or_an_argument(runner, argv, exit_code, expected):
+    # the first line of the output, or the error that ends the usage block
+    result = runner.invoke(main, argv)
+    assert result.exit_code == exit_code
+    if exit_code:
+        assert result.stdout == ""
+        assert result.stderr.endswith("\n\n%s\n" % expected)
+    else:
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[0] == expected
+
+
 def test_validation_error_bubbles_as_usage(runner):
     result = runner.invoke(main, ["verify", "general", "--lambda", "3,4", "--vars", "2"])
     assert result.exit_code == 2
@@ -675,11 +704,11 @@ print("\\n" + json.dumps(names))
 
 @pytest.fixture(scope="module")
 def library_bytecode(tmp_path_factory):
-    """A bytecode cache that holds the interpreter's and argparse's modules but none of the package's."""
+    """A bytecode cache that holds the interpreter's modules the CLI loads but none of the package's."""
     prefix = tmp_path_factory.mktemp("pycache")
     env = dict(os.environ, PYTHONPYCACHEPREFIX=str(prefix))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    subprocess.run([sys.executable, "-c", "import argparse, importlib.util, json"], env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", "import importlib.util, json"], env=env, check=True, timeout=60)
     return prefix
 
 
@@ -726,7 +755,7 @@ def test_each_command_compiles_only_the_modules_it_runs(library_bytecode, argv, 
     assert json.loads(result.stdout.splitlines()[-1]) == sorted(modules)
 
 
-#: Prints which of click, dataclasses and inspect the CLI call on argv loads, as a last line of its own on stdout.
+#: Prints which of argparse, click, dataclasses and inspect the CLI call on argv loads, as a last line of its own.
 IMPORT_PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -735,7 +764,7 @@ try:
     cli.main(sys.argv[1:])
 except SystemExit:
     pass
-print("\\n" + json.dumps(sorted({"click", "dataclasses", "inspect"} & (set(sys.modules) - before))))
+print("\\n" + json.dumps(sorted({"argparse", "click", "dataclasses", "inspect"} & (set(sys.modules) - before))))
 """
 
 
@@ -745,10 +774,11 @@ print("\\n" + json.dumps(sorted({"click", "dataclasses", "inspect"} & (set(sys.m
         ["verify", "general", "--lambda", "2,1", "--format", "json"],
         ["audit", "--lambda", "2,1", "--vars", "2"],
         ["catalan", "--points", "8"],
+        ["catalan", "--help"],
     ],
-    ids=["general", "audit", "catalan"],
+    ids=["general", "audit", "catalan", "help"],
 )
-def test_a_call_loads_neither_click_nor_dataclasses_nor_inspect(argv):
+def test_a_call_loads_neither_argparse_nor_click_nor_dataclasses_nor_inspect(argv):
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(schurtrails.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))

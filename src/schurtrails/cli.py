@@ -193,17 +193,24 @@ def _command(group, *options):
 
 
 def _no_such_option(arg, flags):
-    """The refusal of an unknown option, naming the options of the command it is close to."""
+    """The refusal of an unknown option, naming the options of the command it is close to, or of a value to --help."""
     if not arg.startswith("--"):
         return "No such option %r." % arg[:2]
+    name = arg.split("=", 1)[0]
+    if name == "--help":
+        return "Option '--help' does not take a value."
     import difflib  # here, so that only this refusal pays for it
 
-    name = arg.split("=", 1)[0]
     close = sorted(difflib.get_close_matches(name, flags + ["--help"]))
     message = "No such option %r." % name
     if len(close) > 1:
         return "%s (Did you mean one of: %s?)" % (message, ", ".join(map(repr, close)))
     return "%s Did you mean %r?" % (message, close[0]) if close else message
+
+
+def _negative(token):
+    """Whether the token is a negative number, which is an argument, not an option."""
+    return re.fullmatch(r"-\d+|-\d*\.\d+", token)
 
 
 def _read(options, args):
@@ -225,18 +232,17 @@ def _read(options, args):
             if value is None:
                 raise UsageError("Option %r requires an argument." % token)
         elif flag == "--help" and equals:
-            raise UsageError("argument --help: ignored explicit argument %r" % value)
+            raise UsageError(_no_such_option(token, []))
         elif not (equals and flag in flags):
             # as in argparse, '-', a negative number or a text with a space is an argument, not an option
-            if arguments and (token[:1] != "-" or token == "-" or " " in token
-                              or re.fullmatch(r"-\d+|-\d*\.\d+", token)):
+            if arguments and (token[:1] != "-" or token == "-" or " " in token or _negative(token)):
                 values[arguments.pop(0).dest] = token
             else:
                 rest.append(token)
             continue
         option = flags[flag]
         values[option.dest] = values.get(option.dest, []) + [value] if isinstance(option.default, list) else value
-    unknown = [token for token in rest if token.startswith("-") and token != "-"]
+    unknown = [token for token in rest if token.startswith("-") and token != "-" and not _negative(token)]
     if "--help" in rest:
         return None
     if unknown:

@@ -11,8 +11,10 @@ Every Schur identity here -- the window exchange and its kirillov
 preset, Schur-mode Plücker, the balanced split and the square expansion
 -- reads sum c * s_alpha * s_beta = sum c' * s_alpha' * s_beta'.  Each
 verifier states its two sides as lists of (c, alpha, beta) terms, and
-one function, _product_identity, expands them; it first bounds the key
-digits their products handle and refuses more than MAX_PRODUCT_DIGITS.
+one function, _product_identity, expands each side in one packed pass,
+polyring.sum_of_products, as Dodgson's right side and both sides of
+formal Plücker are expanded; it first bounds the key digits their
+products handle and refuses more than MAX_PRODUCT_DIGITS.
 Ciucu, Kleber and Schur-mode Plücker count their terms before they list
 them, and refuse more than MAX_PRODUCT_TERMS.  The window exchange is
 stated once, by _window_exchange, and verify_general, verify_kirillov
@@ -45,7 +47,7 @@ from .partitions import (
     partition_from_corners,
     partition_from_set,
 )
-from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_str
+from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_str, sum_of_products
 from .schur import schur_poly, ssyt_count
 
 
@@ -114,15 +116,6 @@ def _witness(lhs: Polynomial, rhs: Polynomial) -> str | None:
     return "%s: %d versus %d" % (monomial_str(m), lhs.coeffs.get(m, 0), rhs.coeffs.get(m, 0))
 
 
-def _sum(polys) -> Polynomial:
-    """Sum of the polynomials, starting from the first; zero when there are none."""
-    polys = iter(polys)
-    total = next(polys, Polynomial.zero())
-    for p in polys:
-        total = total + p
-    return total
-
-
 def _terms_at_most(parts, N: int) -> int:
     """Most terms s_parts(x_1..x_N) can have: its tableaux, and no more than the monomials of its degree."""
     tableaux = ssyt_count(parts, N)
@@ -168,12 +161,9 @@ def _product_identity(identity, params, lhs, rhs) -> IdentityReport:
             "the identity's products have %d key digits, more than MAX_PRODUCT_DIGITS = %d"
             % (digits, MAX_PRODUCT_DIGITS)
         )
-
-    def side(terms):
-        products = ((c, schur_of(alpha, N) * schur_of(beta, N)) for c, alpha, beta in terms)
-        return _sum(p if c == 1 else c * p for c, p in products)
-
-    return IdentityReport(identity, dict(params, N=N), side(lhs), side(rhs))
+    sides = [sum_of_products((c, schur_of(alpha, N), schur_of(beta, N)) for c, alpha, beta in terms)
+             for terms in (lhs, rhs)]
+    return IdentityReport(identity, dict(params, N=N), *sides)
 
 
 def _window_exchange(parts):
@@ -229,9 +219,8 @@ def verify_dodgson(r) -> IdentityReport:
     head = tuple(range(1, r + 1))
     tail = tuple(range(2, r + 2))
     lhs = determinant(matrix) * minor(matrix, central, central)
-    rhs = minor(matrix, head, head) * minor(matrix, tail, tail) - minor(
-        matrix, tail, head
-    ) * minor(matrix, head, tail)
+    rhs = sum_of_products([(1, minor(matrix, head, head), minor(matrix, tail, tail)),
+                           (-1, minor(matrix, tail, head), minor(matrix, head, tail))])
     return IdentityReport("dodgson", {"r": r}, lhs, rhs)
 
 
@@ -300,9 +289,10 @@ def _refuse_terms(count):
 #: C(n, |r|) + 1 bracket products pairs the n! terms of one maximal minor
 #: with the n! of the other, so it multiplies (C(n, |r|) + 1) * (n!)^2
 #: pairs in all.  Every n <= 5 is accepted (at most 158,400 pairs; n = 5
-#: with r = 1,2 took 1.2-1.3 s) and every n = 6 refused (at least
-#: 1,036,800; n = 6 with r = 1, 3,628,800 pairs, took 25.2-25.6 s, and
-#: with r = 1,2,3 98.1 s; whole CLI calls, 2-vCPU VM, CPython 3.11.7).
+#: with r = 1,2 took 0.14-0.15 s) and every n = 6 refused (at least
+#: 1,036,800; with the guard lifted, n = 6 with r = 1, 3,628,800 pairs,
+#: took 4.3-6.9 s, and with r = 1,2,3 10.4 s and 572 MB; whole CLI calls,
+#: 2-vCPU VM, CPython 3.11.7).
 MAX_PLUECKER_PAIRS = 400_000
 
 
@@ -356,12 +346,9 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
         matrix = FormalMatrix.generic(2 * n, n)
         top, bottom = tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))
 
-        def bracket(first, second):
-            return minor(matrix, first, top) * minor(matrix, second, top)
-
-        lhs = bracket(top, bottom)
-        rhs = _sum(bracket(*rows) for rows in _exchanges(top, bottom, r_list))
-        return IdentityReport("pluecker", {"mode": mode, "n": n, "r_list": list(r_list)}, lhs, rhs)
+        sides = [sum_of_products((1, minor(matrix, first, top), minor(matrix, second, top)) for first, second in rows)
+                 for rows in ([(top, bottom)], _exchanges(top, bottom, r_list))]
+        return IdentityReport("pluecker", {"mode": mode, "n": n, "r_list": list(r_list)}, *sides)
 
     top_parts, bottom_parts = _padded(lam, n), _padded(sigma, n)
     coords = ([v - p for p, v in enumerate(parts, start=1)] for parts in (top_parts, bottom_parts))

@@ -5,11 +5,13 @@ formal symbol h_2, ('a', 1, 2) is the generic matrix entry a_{1,2}.
 A monomial is a canonical tuple key ((var, exp), ...): variables strictly
 increasing, exponents positive, ONE = ().  Plain tuples give immutability,
 equality and hashing; monomial() is the one constructor that canonicalises
-and monomial_mul() keeps keys canonical.  Every product and every
+and monomial_mul() keeps keys canonical.  Every sum of products and every
 determinant packs each key into one integer: one digit per variable, of
 base 1 + the sum of the factors' top exponents, so no digit carries and a
-product of keys is one addition.  A determinant sums its products in place
-and decodes only its full minor.  A polynomial maps canonical keys to
+product of keys is one addition.  sum_of_products adds a whole list of
+products in place into one packed dict and decodes once; a product is
+its one-term case, and a determinant, adding its products by the same
+loop, decodes only its full minor.  A polynomial maps canonical keys to
 (arbitrary precision) integer coefficients and never stores zeros.
 Polynomials and matrices are immutable partitions.Value's.  Their
 public constructors check outside input; the ring's own sums, products,
@@ -173,25 +175,13 @@ def _unpack(acc, base, place):
     return out
 
 
-def _packed_product(a, b):
-    """Coefficient dict of a * b: every product packs, whatever its operands' size or variables.
-
-    A product of packed keys is an exact integer addition (see _places);
-    an empty operand gives {} before anything is scanned or packed.
-    """
-    if not a or not b:
-        return {}
-    base, place = _places(((a,), (b,)))
-    if len(a) > len(b):
-        a, b = b, a
-    packed_b = _pack(b, place)
-    acc = {}
+def _accumulate(acc, terms, others):
+    """Adds t * o into the packed dict acc for every packed (key, coefficient) term t of terms and o of others."""
     get = acc.get
-    for p1, c1 in _pack(a, place):
-        for p2, c2 in packed_b:
+    for p1, c1 in terms:
+        for p2, c2 in others:
             p = p1 + p2
             acc[p] = get(p, 0) + c1 * c2
-    return _unpack(acc, base, place)
 
 
 class Polynomial(Value):
@@ -276,7 +266,7 @@ class Polynomial(Value):
             return Polynomial._unchecked({m: c * other for m, c in self.coeffs.items()} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial._unchecked(_packed_product(self.coeffs, other.coeffs))
+        return sum_of_products([(1, self, other)])
 
     __rmul__ = __mul__
 
@@ -349,6 +339,25 @@ class Polynomial(Value):
         return " ".join(bits)
 
 
+def sum_of_products(terms):
+    """The sum of c * a * b over (c, a, b) triples of an int and two polynomials, in one packed pass.
+
+    The whole list packs in one base, 1 + the top exponent of every a plus
+    that of every b (see _places); the sum is decoded once, zeros dropped.
+    A triple with a zero coefficient or operand is dropped before anything is scanned.
+    """
+    terms = [(c, a.coeffs, b.coeffs) for c, a, b in terms if c and a and b]
+    if not terms:
+        return Polynomial._unchecked({})
+    base, place = _places(([a for _, a, _ in terms], [b for _, _, b in terms]))
+    acc = {}
+    for c, a, b in terms:
+        if len(a) > len(b):
+            a, b = b, a
+        _accumulate(acc, [(p, c * v) for p, v in _pack(a, place)], _pack(b, place))
+    return Polynomial._unchecked(_unpack(acc, base, place))
+
+
 def complete_homogeneous(m, n_vars):
     """Sum of all monomials of degree m in x_1..x_n; 1 for m=0, 0 for m<0.
 
@@ -419,9 +428,9 @@ class FormalMatrix(Value):
 
 
 #: Largest determinant expanded.  verify_dodgson(5), a 6 x 6 determinant
-#: and the largest it accepts, took 0.08-0.09 s in process and 0.33-0.49 s
-#: as a CLI call; verify_dodgson(6), with this guard lifted, took 4.2-4.6 s
-#: and a 361 MB peak, with 494,220 terms per side (2-vCPU VM, CPython 3.11.7).
+#: and the largest it accepts, took 0.05 s in process and 0.11-0.16 s as a
+#: CLI call; verify_dodgson(6), with this guard lifted, took 4.0-4.5 s and
+#: a 294 MB peak, with 494,220 terms per side (2-vCPU VM, CPython 3.11.7).
 MAX_EXPANSION_DIM = 6
 
 
@@ -458,12 +467,7 @@ def determinant(matrix):
                 # the sign of column j along this row counts the columns of mask to its left
                 if (mask & (bit - 1)).bit_count() & 1:
                     terms = negated
-                acc = grown.setdefault(mask | bit, {})
-                get = acc.get
-                for p1, c1 in terms:
-                    for p2, c2 in sub.items():
-                        p = p1 + p2
-                        acc[p] = get(p, 0) + c1 * c2
+                _accumulate(grown.setdefault(mask | bit, {}), terms, sub.items())
         minors = {mask: kept for mask, acc in grown.items() if (kept := {p: c for p, c in acc.items() if c})}
     return Polynomial._unchecked(_unpack(minors.get((1 << d) - 1, {}), base, place))
 

@@ -70,21 +70,20 @@ def _layer_reader():
     return read
 
 
-def _moved_objects(specs, locations, read):
-    """Every object of the (blue, green) spec pair with its image under the move at the selected locations.
+def _moved_objects(objects, locations, read):
+    """Every (graph, weight) object trails.pattern_objects gives, with its image under the move at the locations.
 
     Yields (key, weight, trails, image key, image pattern, image weights)
-    per object, in the order and with the weight trails.pattern_objects
-    gives, blue families outer and green inner.  A key is the
-    graph's: its frame's columns and rows, then the blue and the green
-    east and north masks.  A pattern is the pair of (starts, ends) tuples
+    per object, in the order objects gives them.  A key is the graph's:
+    its frame's columns and rows, then the blue and the green east and
+    north masks.  A pattern is the pair of (starts, ends) tuples
     that read, the caller's _layer_reader, gives for the two image
     layers.  Every location is traced, so a location no trail or two
     trails start at raises; its trail is taken unless the location is
     the far end of one already taken, and the taken trails are
     recoloured together.
     """
-    for graph, weight in pattern_objects(*specs):
+    for graph, weight in objects:
         taken = []
         for location in locations:
             trail = trail_at_terminal(graph, location)
@@ -182,7 +181,8 @@ def bijection_audit(lam, N=None) -> AuditReport:
     read = _layer_reader()
     # with N = 1 and every part 0 the probe's path has no edge: the object is its own image
     selected = (probe,) if probe != keep_end else ()
-    for _, weight_before, taken, image, reached, image_weights in _moved_objects(left, selected, read):
+    moves = _moved_objects(pattern_objects(*left), selected, read)
+    for _, weight_before, taken, image, reached, image_weights in moves:
         far = taken[0].end if taken else probe
         if far == protected:
             raise RuntimeError("trail from %r reached the protected point %r" % (probe, protected))
@@ -305,7 +305,9 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     selected points the move is the identity and the result is flagged
     degenerate.  The number of objects is not known before the walk, so
     the orbit is refused after bounded work, not up front: once more than
-    MAX_AUDIT_OBJECTS objects are moved it raises ValueError.
+    MAX_AUDIT_OBJECTS objects are moved it raises ValueError, as it does
+    before moving a pattern with a blue family and more green families
+    than the bound has left, once it has listed one more than that.
 
     Every pattern reached is moved by one shared step, the one
     bijection_audit runs on its left side, and the reached pattern, a pair
@@ -338,6 +340,7 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     weights = (Counter(), Counter())
     image_of = {}
     read = _layer_reader()
+    refusal = ValueError("the orbit moves more than MAX_AUDIT_OBJECTS = %d objects" % (MAX_AUDIT_OBJECTS,))
 
     while pending:
         pattern = pending.popleft()
@@ -346,11 +349,12 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
         processed += 1
         side = _side_of(pattern, original_colours)
         objects = 0
-        for key, weight, _, image_key, reached, _ in _moved_objects(pattern, sel_locations, read):
+        listed = pattern_objects(*pattern, MAX_AUDIT_OBJECTS - moved, refusal)
+        for key, weight, _, image_key, reached, _ in _moved_objects(listed, sel_locations, read):
             objects += 1
             moved += 1
             if moved > MAX_AUDIT_OBJECTS:
-                raise ValueError("the orbit moves more than MAX_AUDIT_OBJECTS = %d objects" % (MAX_AUDIT_OBJECTS,))
+                raise refusal
             weights[side][weight] += 1
             if degenerate:
                 continue

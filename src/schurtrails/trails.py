@@ -35,6 +35,7 @@ direction), ``backward`` means left-downwards.
 from __future__ import annotations
 
 import math
+from itertools import chain, islice
 
 from .partitions import Value
 from .polyring import monomial_mul, x_var
@@ -260,7 +261,7 @@ def build_graph(blue, green) -> TwoColouredGraph:
     return TwoColouredGraph(blue, green)
 
 
-def pattern_objects(blue_spec, green_spec):
+def pattern_objects(blue_spec, green_spec, most=None, refusal=None):
     """(graph, weight) for every object of a (blue, green) TerminalSpec pair, blue families outer.
 
     A family is a tableau of schur.spec_tableaux: path i runs from
@@ -269,6 +270,10 @@ def pattern_objects(blue_spec, green_spec):
     tableau weight is built once, the green ones listed and the blue ones
     streamed; an object is TwoColouredGraph._unchecked of its two layers,
     each a tableau's family, and its weight is the product of theirs.
+    One blue family is read first, so a pair without one lists nothing.
+    With most given, a pair with a blue family and more than most green
+    ones, so more than most objects, raises refusal before it gives any
+    object, having listed at most most + 1 green families.
     """
     frame = _Frame.of(pair for spec in (blue_spec, green_spec) for pair in zip(spec.starts, spec.ends))
 
@@ -276,10 +281,14 @@ def pattern_objects(blue_spec, green_spec):
         for t in spec_tableaux(spec):
             yield _Layer.of(((s, row, spec.N) for s, row in zip(spec.starts, t.rows)), frame), tableau_weight(t)
 
-    greens = list(read(green_spec))
+    blues = read(blue_spec)
+    first = next(blues, None)
+    greens = [] if first is None else list(islice(read(green_spec), None if most is None else most + 1))
+    if most is not None and len(greens) > most:
+        raise refusal
     if not greens:
         return
-    for blue_layer, blue_weight in read(blue_spec):
+    for blue_layer, blue_weight in chain((first,), blues):
         for green_layer, green_weight in greens:
             yield TwoColouredGraph._unchecked((blue_layer, green_layer)), monomial_mul(blue_weight, green_weight)
 

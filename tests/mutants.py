@@ -63,6 +63,16 @@ MUTANTS = [
         ("tests/test_polyring.py::test_determinant_reaches_the_packing_bound[0]",),
     ),
     Mutant(
+        "sum_of_products_drops_the_coefficient",
+        "polyring.py",
+        "[(p, c * v) for p, v in _pack(a, place)]",
+        "[(p, v) for p, v in _pack(a, place)]",
+        (
+            "tests/test_identities.py::test_dodgson_two_by_two",
+            "tests/test_identities.py::test_ciucu_pairs",
+        ),
+    ),
+    Mutant(
         "matrix_takes_ragged_rows",
         "polyring.py",
         """        if len({len(row) for row in entries}) > 1:
@@ -150,6 +160,13 @@ MUTANTS = [
         ("tests/test_bench_bindings.py::test_traced_cli_call_runs[verify]",),
     ),
     Mutant(
+        "orbit_lists_every_green_family",
+        "replay.py",
+        "pattern_objects(*pattern, MAX_AUDIT_OBJECTS - moved, refusal)",
+        "pattern_objects(*pattern)",
+        ("tests/test_identities.py::test_orbit_refuses_a_pattern_before_listing_its_green_side",),
+    ),
+    Mutant(
         "recolour_in_degree",
         "trails.py",
         """for twice, degree in ((east & north, "out"), (east << n & north << 1, "in")):""",
@@ -202,9 +219,12 @@ MUTANTS = [
     Mutant(
         "argument_refuses_a_negative_number",
         "cli.py",
-        r"""or re.fullmatch(r"-\d+|-\d*\.\d+", token)""",
-        "or False",
-        ("tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[negative-argument]",),
+        r"""return re.fullmatch(r"-\d+|-\d*\.\d+", token)""",
+        "return None",
+        (
+            "tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[negative-argument]",
+            "tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[negative-extra-argument]",
+        ),
     ),
     Mutant(
         "unknown_option_wins_over_help",

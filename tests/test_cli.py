@@ -145,9 +145,14 @@ def test_help_lists_every_option_with_its_help_text(runner, monkeypatch, argv, e
         (["catalan", "--frob", "--help"], 0, "usage: schurtrails catalan [OPTIONS]"),
         (["verify", "nosuch"], 2, "Error: No such command 'nosuch'."),
         (["verify", "general", "--lambda", "--help"], 2, "Error: expected comma-separated integers, got '--help'"),
+        (["catalan", "--points", "8", "-1.5"], 2, "Error: Got unexpected extra argument (-1.5)"),
+        (["--help=x"], 2, "Error: Option '--help' does not take a value."),
+        (["verify", "--help=x"], 2, "Error: Option '--help' does not take a value."),
+        (["catalan", "--help=x"], 2, "Error: Option '--help' does not take a value."),
     ],
     ids=["last-value-wins", "equals", "missing-value", "close-match", "short-option", "extra-arguments",
-         "negative-argument", "help-after-unknown", "no-such-command", "help-as-value"],
+         "negative-argument", "help-after-unknown", "no-such-command", "help-as-value", "negative-extra-argument",
+         "help-value-root", "help-value-group", "help-value-command"],
 )
 def test_each_token_is_read_as_an_option_a_value_or_an_argument(runner, argv, exit_code, expected):
     # the first line of the output, or the error that ends the usage block

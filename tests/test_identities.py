@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from schurtrails import identities, replay, schur, trails
+from schurtrails import identities, polyring, replay, schur, trails
 from schurtrails.identities import (
     MAX_PRODUCT_DIGITS,
     IdentityReport,
@@ -158,6 +158,16 @@ def test_kirillov_preset():
     assert rep.lhs == base.lhs and rep.rhs == base.rhs
     with pytest.raises(ValueError):
         verify_kirillov(2, 0)
+
+
+def test_each_side_of_a_schur_identity_is_decoded_once(monkeypatch):
+    verify_general((3, 2, 1), 3)  # caches the factors
+    decoded = []
+    unpack = polyring._unpack
+    monkeypatch.setattr(polyring, "_unpack", lambda *args: decoded.append(args) or unpack(*args))
+    assert verify_general((3, 2, 1), 3).equal
+    # one packed sum per side: the left side's one product, the right side's two
+    assert len(decoded) == 2
 
 
 # ---------------------------------------------------------------- dodgson
@@ -720,6 +730,28 @@ def test_audit_and_orbit_build_no_paths_on_passing_inputs(monkeypatch):
     monkeypatch.setattr(schur.Tableau, "__init__", refuse)
     assert [call().to_json() for call in calls] == expected
     assert [list(enumerate_families(spec)) for spec in specs] == families
+
+
+def test_orbit_refuses_a_pattern_before_listing_its_green_side(monkeypatch):
+    listed = []
+
+    def counting(spec):
+        for t in schur.spec_tableaux(spec):
+            listed.append(t)
+            yield t
+
+    monkeypatch.setattr(trails, "spec_tableaux", counting)
+    monkeypatch.setattr(replay, "MAX_AUDIT_OBJECTS", 5)
+    # s_1 * s_33 in three letters: 3 blue families times 10 green ones
+    with pytest.raises(ValueError, match="^the orbit moves more than MAX_AUDIT_OBJECTS = 5 objects$"):
+        explore_orbit((1,), (3, 3), N=3)
+    # one blue family, then one green family more than the bound
+    assert len(listed) == 1 + 6
+    # a pair without a blue family is never refused, and its green side is not listed
+    listed.clear()
+    no_blue = TerminalSpec([(0, 1)], [(-1, 3)], 3)
+    assert list(trails.pattern_objects(no_blue, TerminalSpec.from_shape((3, 3), 3), 0, ValueError())) == []
+    assert listed == []
 
 
 def test_audit_refuses_more_objects_than_the_limit():

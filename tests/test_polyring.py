@@ -21,8 +21,8 @@ from schurtrails.polyring import (
     monomial_degree,
     monomial_mul,
     monomial_str,
+    sum_of_products,
     x_var,
-    _packed_product,
 )
 from schurtrails.partitions import Partition
 from schurtrails.identities import verify_dodgson, verify_pluecker
@@ -137,9 +137,26 @@ def test_ring_axioms(p, q, r):
 @given(polys_st, polys_st)
 @settings(max_examples=50, deadline=None)
 def test_packed_product_matches_the_merge(p, q):
-    packed = _packed_product(p.coeffs, q.coeffs)
-    assert Polynomial(packed) == merged_product(p, q) == p * q
-    assert all(c for c in packed.values())
+    packed = sum_of_products([(1, p, q)])
+    assert packed == merged_product(p, q) == p * q
+    assert all(packed.coeffs.values())
+
+
+terms_st = st.lists(st.tuples(st.integers(-3, 3), polys_st, polys_st), max_size=4)
+
+
+@given(terms_st)
+@settings(max_examples=50, deadline=None)
+def test_sum_of_products_matches_the_merged_sum(terms):
+    expected = Polynomial.zero()
+    for c, p, q in terms:
+        expected = expected + c * merged_product(p, q)
+    total = sum_of_products(terms)
+    assert total == expected
+    assert canonical_keys(total) and all(total.coeffs.values())
+    # each term and its negation cancel to the zero polynomial; no term at all is zero too
+    assert sum_of_products(terms + [(-c, q, p) for c, p, q in terms]).coeffs == {}
+    assert sum_of_products([]).coeffs == {}
 
 
 a12 = a_var(1, 2)

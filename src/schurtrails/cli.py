@@ -208,9 +208,9 @@ def _no_such_option(arg, flags):
     return "%s Did you mean %r?" % (message, close[0]) if close else message
 
 
-def _negative(token):
-    """Whether the token is a negative number, which is an argument, not an option."""
-    return re.fullmatch(r"-\d+|-\d*\.\d+", token)
+def _is_option(token):
+    """Whether the token is read as an option: as in argparse, '-', a negative number or a text with a space is not."""
+    return token[:1] == "-" and token != "-" and " " not in token and not re.fullmatch(r"-\d+|-\d*\.\d+", token)
 
 
 def _read(options, args):
@@ -234,15 +234,14 @@ def _read(options, args):
         elif flag == "--help" and equals:
             raise UsageError(_no_such_option(token, []))
         elif not (equals and flag in flags):
-            # as in argparse, '-', a negative number or a text with a space is an argument, not an option
-            if arguments and (token[:1] != "-" or token == "-" or " " in token or _negative(token)):
+            if arguments and not _is_option(token):
                 values[arguments.pop(0).dest] = token
             else:
                 rest.append(token)
             continue
         option = flags[flag]
         values[option.dest] = values.get(option.dest, []) + [value] if isinstance(option.default, list) else value
-    unknown = [token for token in rest if token.startswith("-") and token != "-" and not _negative(token)]
+    unknown = [token for token in rest if _is_option(token)]
     if "--help" in rest:
         return None
     if unknown:
@@ -303,8 +302,7 @@ def main(argv=None):
             if name == "--help":
                 return _help(prog, command)
             if name not in command:
-                raise UsageError(_no_such_option(name, []) if name.startswith("-") and name != "-"
-                                 else "No such command %r." % name)
+                raise UsageError(_no_such_option(name, []) if _is_option(name) else "No such command %r." % name)
             prog, command = "%s %s" % (prog, name), command[name]
         fn, options = command
         values = _read(options, args)

@@ -409,9 +409,9 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
     column-reduced shapes at corner k, plus an alternating sum over
     nested families of border strips straddling corner k: each family
     adds its strips to one factor and removes them from the other, with
-    sign (-1)^(m-1) for m nested strips.  A family whose strips cannot
-    all be removed contributes zero and is skipped.  N follows the
-    module's one rule: the most parts among the shapes that appear.
+    sign (-1)^(m-1) for m nested strips.  Every family's strips can be
+    removed: with n corners there are C(n + 1, k) products.  N follows
+    the module's one rule: the most parts among the shapes that appear.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     encoding = corner_encoding(lam)
@@ -424,12 +424,7 @@ def verify_kleber(lam, k, N=None) -> IdentityReport:
     for pairs in _nested_strip_pairs(n, k):
         sign = -1 if len(pairs) % 2 == 0 else 1
         grown = partition_from_corners(apply_nested(encoding, BorderStripSpec(pairs, BORDER_ADD))).parts
-        try:
-            shrunk = partition_from_corners(
-                apply_nested(encoding, BorderStripSpec(pairs, BORDER_REMOVE))
-            ).parts
-        except ValueError:
-            continue
+        shrunk = partition_from_corners(apply_nested(encoding, BorderStripSpec(pairs, BORDER_REMOVE))).parts
         products.append((sign, grown, shrunk))
     params = {
         "lambda": list(lam.parts),

@@ -16,10 +16,10 @@ rule that sets N are identities' _window_exchange and _alphabet.
 
 Objects compare as graph keys: the frame's columns and rows and each
 colour's east and north edge masks over it.  A pattern is a (blue,
-green) pair of (starts, ends) tuples, read off a layer's masks by
-trails.edge_pattern; its TerminalSpecs feed trails.pattern_objects,
-which writes the objects straight from tableaux.  Zero-length paths
-carry no edges, so they are part of neither.  No path family is built:
+green) pair of (starts, ends) tuples of the paths with an edge, read by
+trails.edge_pattern off an image's layers and by trails.spec_pattern
+off a TerminalSpec pair.  The specs feed trails.pattern_objects, which
+writes the objects straight from tableaux.  No path family is built:
 one is spelled out only for a message.
 """
 
@@ -40,6 +40,7 @@ from .trails import (
     edge_pattern,
     pattern_objects,
     recolour,
+    spec_pattern,
     terminal_points_from_sets,
     trail_at_terminal,
 )
@@ -143,11 +144,11 @@ def bijection_audit(lam, N=None) -> AuditReport:
     left side has more than MAX_AUDIT_OBJECTS objects.
 
     The left side is moved by the step explore_orbit runs on every
-    pattern.  The right side is counted, not enumerated: trails.edge_pattern
-    reads each layout's pattern off the layer of its first object and each
-    image's pattern and weight off the image's layers, and the distinct
-    images in a layout must number its hook-content count.  Zero-length
-    paths have no edges, so a layout's pattern is compared without them.
+    pattern.  The right side is counted, not enumerated: trails.spec_pattern
+    keys each layout by its specs and trails.edge_pattern reads each image's
+    pattern and weight off the image's layers, both leaving zero-length
+    paths out, and the distinct images in a layout must number its
+    hook-content count.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     parts = lam.parts
@@ -173,9 +174,7 @@ def bijection_audit(lam, N=None) -> AuditReport:
         # an empty layout matches no image: at N = 1, less its zero-length paths, it can look like the other
         size[kind] = objects(term)
         if size[kind]:
-            # read off the layout's first object, as an image is read
-            first, _ = next(pattern_objects(*layout(term)))
-            kind_of[tuple(edge_pattern(layer)[0] for layer in first.layers)] = kind
+            kind_of[tuple(map(spec_pattern, layout(term)))] = kind
 
     images = {}  # each image to its layout
     read = _layer_reader()
@@ -312,7 +311,8 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     Every pattern reached is moved by one shared step, the one
     bijection_audit runs on its left side, and the reached pattern, a pair
     of (starts, ends) tuples, is read off the image's layers as the audit
-    reads it.  Its TerminalSpecs are built once, when it is queued.
+    reads it; the input's is keyed by trails.spec_pattern, as the audit's
+    layouts are.  A pattern's TerminalSpecs are built once, when queued.
     Objects compare as graph keys, and the step's reader keeps one copy
     of each distinct image layer.
     """
@@ -334,7 +334,7 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
 
     cap = 2 ** len(q_points) if q_points else 1
     pending = deque([initial])
-    queued = {tuple((spec.starts, spec.ends) for spec in initial)}
+    queued = {tuple(map(spec_pattern, initial))}
     processed = moved = 0
     counts = ({}, {})
     weights = (Counter(), Counter())

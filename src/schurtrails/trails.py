@@ -174,6 +174,12 @@ def edge_pattern(layer):
     return tuple(map(frame.points, _ends(layer))), tuple((x_var(y), k) for y, k in counts if k)
 
 
+def spec_pattern(spec) -> tuple:
+    """(starts, ends) of a TerminalSpec's paths that have an edge: what edge_pattern reads off each of its families."""
+    moving = [i for i, (start, end) in enumerate(zip(spec.starts, spec.ends)) if start != end]
+    return tuple(spec.starts[i] for i in moving), tuple(spec.ends[i] for i in moving)
+
+
 def _family_of(layer) -> PathFamily:
     """A layer's paths, each start bit walked along the masks and each mark a zero-length path.
 

@@ -167,6 +167,27 @@ MUTANTS = [
         ("tests/test_identities.py::test_orbit_refuses_a_pattern_before_listing_its_green_side",),
     ),
     Mutant(
+        "orbit_keys_its_input_by_raw_terminals",
+        "replay.py",
+        "queued = {tuple(map(spec_pattern, initial))}",
+        "queued = {tuple((spec.starts, spec.ends) for spec in initial)}",
+        (
+            "tests/test_identities.py::test_orbit_keys_its_input_without_zero_length_paths",
+            "tests/test_identities.py::test_seeded_orbit_and_audit_sweep_keeps_its_outcomes",
+        ),
+    ),
+    Mutant(
+        "spec_pattern_keeps_zero_length_paths",
+        "trails.py",
+        "enumerate(zip(spec.starts, spec.ends)) if start != end]",
+        "enumerate(zip(spec.starts, spec.ends))]",
+        (
+            "tests/test_cli.py::test_audit_all_zero_window_at_one_variable[0,0]",
+            "tests/test_identities.py::test_audit_single_variable_is_forced",
+            "tests/test_trails.py::test_every_object_reads_as_the_spec_pattern_of_its_specs",
+        ),
+    ),
+    Mutant(
         "recolour_in_degree",
         "trails.py",
         """for twice, degree in ((east & north, "out"), (east << n & north << 1, "in")):""",
@@ -219,12 +240,21 @@ MUTANTS = [
     Mutant(
         "argument_refuses_a_negative_number",
         "cli.py",
-        r"""return re.fullmatch(r"-\d+|-\d*\.\d+", token)""",
-        "return None",
+        r""" and not re.fullmatch(r"-\d+|-\d*\.\d+", token)""",
+        "",
         (
             "tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[negative-argument]",
             "tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[negative-extra-argument]",
+            "tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[negative-command-root]",
+            "tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[negative-command-group]",
         ),
+    ),
+    Mutant(
+        "option_may_hold_a_space",
+        "cli.py",
+        """ and " " not in token""",
+        "",
+        ("tests/test_cli.py::test_each_token_is_read_as_an_option_a_value_or_an_argument[spaced-extra-argument]",),
     ),
     Mutant(
         "unknown_option_wins_over_help",

@@ -149,10 +149,14 @@ def test_help_lists_every_option_with_its_help_text(runner, monkeypatch, argv, e
         (["--help=x"], 2, "Error: Option '--help' does not take a value."),
         (["verify", "--help=x"], 2, "Error: Option '--help' does not take a value."),
         (["catalan", "--help=x"], 2, "Error: Option '--help' does not take a value."),
+        (["-1.5"], 2, "Error: No such command '-1.5'."),
+        (["verify", "-1.5"], 2, "Error: No such command '-1.5'."),
+        (["catalan", "--points", "8", "-a b"], 2, "Error: Got unexpected extra argument (-a b)"),
     ],
     ids=["last-value-wins", "equals", "missing-value", "close-match", "short-option", "extra-arguments",
          "negative-argument", "help-after-unknown", "no-such-command", "help-as-value", "negative-extra-argument",
-         "help-value-root", "help-value-group", "help-value-command"],
+         "help-value-root", "help-value-group", "help-value-command", "negative-command-root",
+         "negative-command-group", "spaced-extra-argument"],
 )
 def test_each_token_is_read_as_an_option_a_value_or_an_argument(runner, argv, exit_code, expected):
     # the first line of the output, or the error that ends the usage block

@@ -23,7 +23,7 @@ from schurtrails.identities import (
     verify_kleber,
     verify_pluecker,
 )
-from schurtrails.partitions import Partition, SkewShape
+from schurtrails.partitions import Partition, SkewShape, corner_encoding
 from schurtrails.polyring import (
     FormalMatrix,
     Polynomial,
@@ -284,6 +284,20 @@ def test_kleber_has_at_most_a_binomial_count_of_terms():
     for n in range(1, 9):
         for k in range(1, n + 1):
             assert 1 + sum(1 for _ in identities._nested_strip_pairs(n, k)) == math.comb(n + 1, k)
+
+
+def test_kleber_lists_a_term_for_every_nested_family(monkeypatch):
+    # every family of strips can be removed, so none is skipped: 923 shapes
+    # in a 6 x 6 box and 13,358 families, listed and never expanded
+    monkeypatch.setattr(identities, "_product_identity", lambda identity, params, lhs, rhs: rhs)
+    shapes = families = 0
+    for parts in itertools.combinations_with_replacement(range(6, -1, -1), 6):
+        n = corner_encoding(parts).n
+        shapes += n > 0
+        for k in range(1, n + 1):
+            assert len(verify_kleber(parts, k)) == math.comb(n + 1, k), (parts, k)
+            families += math.comb(n + 1, k) - 1
+    assert (shapes, families) == (923, 13358)
 
 
 @pytest.mark.parametrize("schur_input", [{"lam": (3, 1)}, {"sigma": (9,)}, {"N": 7}])
@@ -591,6 +605,17 @@ def test_orbit_traces_every_selected_point():
     assert str(caught.value) == "2 changing trails start at (-2, 1)"
 
 
+def test_orbit_keys_its_input_without_zero_length_paths():
+    # at N = 1 the blue path of (0,) starts where it ends; the image of the
+    # one green object lands back on the input pattern, which must not be
+    # queued again as a pattern with one path fewer
+    res = explore_orbit((0,), (1,), t=-2, selected=(3,), N=1)
+    assert res.selected == ((-3, 1),)
+    assert res.counts0 == {((0,), (0,), (1,), (0,)): 1}
+    assert res.counts1 == {((1,), (0,), (), ()): 1}
+    assert res.O0_size == res.O1_size == 1
+
+
 @st.composite
 def skew_shapes(draw):
     outer = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)), reverse=True)
@@ -842,6 +867,6 @@ def test_seeded_orbit_and_audit_sweep_keeps_its_outcomes():
     # purpose (the N = 1 involution failures, say) records a new one.
     outcomes = [_sweep_outcome(*call) for call in _sweep_calls()]
     kinds = collections.Counter("report" if o.startswith("{") else o.split(":")[0] for o in outcomes)
-    assert kinds == {"report": 1227, "ValueError": 414, "RuntimeError": 59}
+    assert kinds == {"report": 1249, "ValueError": 414, "RuntimeError": 37}
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "8e399eb27a6f71855a638da51d7a296c1fd920e442067e650966381589873378"
+    assert digest == "8b9dbda1a971ba28dd6e5a0dd37fea8c0500dff2ad260acaeaeb2420b9bd46fc"

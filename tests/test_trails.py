@@ -1,4 +1,4 @@
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -25,8 +25,10 @@ from schurtrails.trails import (
     all_trails,
     build_graph,
     count_noncrossing_matchings,
+    edge_pattern,
     pattern_objects,
     recolour,
+    spec_pattern,
     terminal_matching,
     terminal_points,
     trace_trail,
@@ -648,6 +650,18 @@ def test_pattern_objects_share_one_frame_and_match_built_graphs(data):
             # a recoloured graph keeps every mark no flipped edge reaches
             ends = {v for edge, _, _ in trail.steps for v in edge}
             assert all(colour in image.vertices[point] for point, colour in marks.items() if point not in ends)
+
+
+@given(n=st.integers(1, 3), t=st.integers(-2, 1), blue=skew_shapes_st(), green=skew_shapes_st())
+@example(n=1, t=-2, blue=SkewShape((0,)), green=SkewShape((1,)))  # the blue path has zero length
+@example(n=1, t=0, blue=SkewShape((2, 1), (1, 1)), green=SkewShape((3, 0), (3, 0)))
+@settings(max_examples=80, deadline=None)
+def test_every_object_reads_as_the_spec_pattern_of_its_specs(n, t, blue, green):
+    # the one rule that keys a pattern: the terminals of the paths with an edge
+    specs = TerminalSpec.from_shape(blue, n), TerminalSpec.from_shape(green, n, t)
+    pattern = tuple(map(spec_pattern, specs))
+    for graph, _ in pattern_objects(*specs):
+        assert tuple(edge_pattern(layer)[0] for layer in graph.layers) == pattern
 
 
 @pytest.mark.parametrize(

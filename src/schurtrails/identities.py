@@ -34,19 +34,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .partitions import (
-    BORDER_ADD,
-    BORDER_REMOVE,
-    BorderStripSpec,
-    Partition,
-    SkewShape,
-    Value,
-    apply_nested,
-    apply_omega,
-    corner_encoding,
-    partition_from_corners,
-    partition_from_set,
-)
+from .partitions import Partition, SkewShape, Value, beads, from_beads, partition_from_set
 from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_str, sum_of_products
 from .schur import schur_poly, ssyt_count
 
@@ -233,14 +221,6 @@ def _padded(p: Partition, n: int) -> tuple:
     return parts + (0,) * (n - len(parts))
 
 
-def _coords_to_partition(coords) -> tuple:
-    """Endpoint coordinates sorted to c_1 > c_2 > ... read back as parts c_i + i.
-
-    A negative part is kept: its Schur factor vanishes (see schur_of).
-    """
-    return tuple(c + i for i, c in enumerate(sorted(coords, reverse=True), start=1))
-
-
 def _decreasing_sort_sign(coords) -> int:
     """Sign of the sort taking coords into strictly decreasing order; 0 on a repeat."""
     sign = 1
@@ -351,13 +331,12 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
         return IdentityReport("pluecker", {"mode": mode, "n": n, "r_list": list(r_list)}, *sides)
 
     top_parts, bottom_parts = _padded(lam, n), _padded(sigma, n)
-    coords = ([v - p for p, v in enumerate(parts, start=1)] for parts in (top_parts, bottom_parts))
     _refuse_terms(math.comb(n, len(r_list)))
     terms = []
-    for first, second in _exchanges(*coords, r_list):
+    for first, second in _exchanges(beads(top_parts), beads(bottom_parts), r_list):
         sign = _decreasing_sort_sign(first) * _decreasing_sort_sign(second)
         if sign:
-            terms.append((sign, _coords_to_partition(first), _coords_to_partition(second)))
+            terms.append((sign, from_beads(sorted(first, reverse=True)), from_beads(sorted(second, reverse=True))))
     products = [[list(a), list(b)] + ([-1] if sign < 0 else []) for sign, a, b in terms]
     params = {"mode": mode, "n": n, "r_list": list(r_list), "lambda": list(top_parts),
               "sigma": list(bottom_parts), "N": N, "products": products}
@@ -394,38 +373,45 @@ def verify_ciucu(T, k, N=None) -> IdentityReport:
     return _product_identity("ciucu", {"T": list(elems), "k": k, "N": N}, splits, [alternating])
 
 
-def _nested_strip_pairs(n: int, k: int):
-    """Nonempty pair lists ((i_1,j_1),...,(i_m,j_m)) with i_1<...<i_m <= k <= j_m<...<j_1 <= n."""
-    for m in range(1, min(k, n - k + 1) + 1):
-        for i_combo in itertools.combinations(range(1, k + 1), m):
-            for j_combo in itertools.combinations(range(k, n + 1), m):
-                yield tuple(zip(i_combo, tuple(reversed(j_combo))))
+def _kleber_terms(lam, k):
+    """Kleber's product terms at corner k of lam, each (sign, grown, shrunk), as the bead moves verify_kleber states."""
+    def parts(moved):
+        return tuple(p for p in from_beads(sorted(moved, reverse=True)) if p)
+
+    beta = beads(lam.without_zeros().parts + (0,))
+    u = [b for a, b in zip((None,) + beta, beta) if a != b + 1]
+    v = [b - 1 for b, c in zip(beta, beta[1:] + (None,)) if c != b - 1][:k]
+    yield (1, parts(b + 1 if b > u[k] else b for b in beta), parts(b - 1 if b > u[k] else b for b in beta))
+    beta = set(beta)
+    for m in range(1, min(k, len(u) - k) + 1):
+        for V in itertools.combinations(v, m):
+            for U in itertools.combinations(u[k:], m):
+                yield ((-1) ** (m - 1), parts(beta - set(U) | set(V)),
+                       parts(beta - {b + 1 for b in V} | {b + 1 for b in U}))
 
 
 def verify_kleber(lam, k, N=None) -> IdentityReport:
-    """Square expansion of s_lam pinned at its k-th corner.
+    """Square expansion of s_lam pinned at its k-th corner, its terms read as bead moves.
 
-    The square equals the product of the column-augmented and
-    column-reduced shapes at corner k, plus an alternating sum over
-    nested families of border strips straddling corner k: each family
-    adds its strips to one factor and removes them from the other, with
-    sign (-1)^(m-1) for m nested strips.  Every family's strips can be
-    removed: with n corners there are C(n + 1, k) products.  N follows
-    the module's one rule: the most parts among the shapes that appear.
+    lam's beads beta are those of its nonzero parts and one zero part,
+    and consecutive beads form runs from the top: run i is corner i, and
+    run n + 1 ends with the zero part's bead.  u_i is the top bead of run
+    i and v_i the place below its bottom bead.  The square is grown *
+    shrunk, every bead of runs 1..k moved up and down one place, plus,
+    for m = 1..min(k, n - k + 1), each V of m places among v_1..v_k and in
+    it each U of m beads among u_(k+1)..u_(n+1), (-1)^(m-1) times grown =
+    beta - U + V by shrunk = beta - (V + 1) + (U + 1), m nested border
+    strips at corner k.  Sets read back by from_beads drop zero parts, and
+    n corners give C(n + 1, k) products.  N follows the module's one rule:
+    the most parts among the shapes that appear.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    encoding = corner_encoding(lam)
-    n = encoding.n
+    n = len(set(lam.parts) - {0})
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError("corner index %d out of range for %d corners" % (k, n))
-    products = [(1, apply_omega(lam, k, +1).parts, apply_omega(lam, k, -1).parts)]
     _refuse_terms(math.comb(n + 1, k))
-    for pairs in _nested_strip_pairs(n, k):
-        sign = -1 if len(pairs) % 2 == 0 else 1
-        grown = partition_from_corners(apply_nested(encoding, BorderStripSpec(pairs, BORDER_ADD))).parts
-        shrunk = partition_from_corners(apply_nested(encoding, BorderStripSpec(pairs, BORDER_REMOVE))).parts
-        products.append((sign, grown, shrunk))
+    products = list(_kleber_terms(lam, k))
     params = {
         "lambda": list(lam.parts),
         "k": k,

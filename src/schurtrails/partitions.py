@@ -1,15 +1,21 @@
-"""Integer partitions, skew shapes, corner-coordinate surgery, and the Value base.
+"""Integer partitions, skew shapes, bead coordinates, corner-coordinate surgery, and the Value base.
 
 A partition is stored as a weakly decreasing tuple of nonnegative parts.
 Trailing zero parts are significant: (3, 1, 0) and (3, 1) are different
 shapes because the declared number of rows feeds into lattice-path
 terminal positions.
 
+Every part <-> coordinate reading goes through beads (p_i - i + shift)
+and its inverse from_beads: path terminals, Jacobi-Trudi indices and the
+terms of Kleber, Ciucu and Schur-mode Plücker.
+
 The corner encoding represents a partition by the column coordinates of
 its outside corners x_1 > x_2 > ... > x_n > 0 together with the
 cumulative row counts y_i = #{parts >= x_i}.  Border strips are added or
 removed by shifting contiguous ranges of these coordinates, and a column
-of cells by shifting a prefix of the x's.
+of cells by shifting a prefix of the x's.  No library module calls this
+surgery: the tests check Kleber's bead moves against it, and the
+benchmark's tracer binds it.
 """
 
 BORDER_ADD = "add"
@@ -312,12 +318,22 @@ def apply_omega(p, k, sign):
     return partition_from_corners(out)
 
 
+def beads(parts, shift=0):
+    """Bead coordinates p_i - i + shift of the parts p_1, p_2, ..., i counted from 1: strictly decreasing for a partition."""
+    return tuple(p - i + shift for i, p in enumerate(parts, start=1))
+
+
+def from_beads(coordinates, shift=0):
+    """Inverse of beads: the parts c_i + i - shift of the coordinates c_1, c_2, ..., in the order given."""
+    return tuple(c + i - shift for i, c in enumerate(coordinates, start=1))
+
+
 def partition_from_set(t):
-    """Partition (t_r - r + 1, ..., t_2 - 1, t_1) of a strictly increasing positive set."""
-    elems = sorted(set(int(v) for v in t))
-    if len(elems) != len(tuple(t)):
-        raise ValueError("set elements must be distinct: %r" % (t,))
-    if elems and elems[0] < 1:
-        raise ValueError("set elements must be positive: %r" % (t,))
-    r = len(elems)
-    return Partition(elems[r - 1 - a] - (r - 1 - a) for a in range(r))
+    """Partition (t_r - r + 1, ..., t_2 - 1, t_1) of positive integers t_1 < ... < t_r: from_beads(t_r, ..., t_1, shift=r)."""
+    listed = tuple(t) if iter(t) is t else t  # an iterator is read once
+    elems = sorted({int(v) for v in listed}, reverse=True)
+    if len(elems) != len(listed):
+        raise ValueError("set elements must be distinct: %r" % (listed,))
+    if elems and elems[-1] < 1:
+        raise ValueError("set elements must be positive: %r" % (listed,))
+    return Partition(from_beads(elems, len(elems)))

@@ -22,7 +22,7 @@ Listed tableaux and their families are built through Value._unchecked.
 
 import itertools
 
-from .partitions import Partition, SkewShape, Value
+from .partitions import Partition, SkewShape, Value, beads, from_beads
 from .polyring import (
     ONE,
     FormalMatrix,
@@ -137,8 +137,8 @@ def jacobi_trudi_matrix(outer, inner=None, N=None):
     if not isinstance(outer, Partition):
         outer = Partition(outer)
     d = len(outer)
-    inner_parts = (0,) * d if inner is None else tuple(inner) + (0,) * (d - len(tuple(inner)))
-    index = [[outer.parts[i] - inner_parts[j] - i + j for j in range(d)] for i in range(d)]
+    columns = beads((() if inner is None else tuple(inner)) + (0,) * d)[:d]
+    index = [[row - column for column in columns] for row in beads(outer.parts)]
     # each distinct h_m is built once and shared by the entries that carry it
     h = {m: formal_h(m) if N is None else complete_homogeneous(m, N) for m in set().union(*index)}
     return FormalMatrix._unchecked(tuple(tuple(h[m] for m in row) for row in index))
@@ -369,9 +369,8 @@ class TerminalSpec(Value):
         """Terminals of the shape's path picture: path i from (inner_i - i + t, 1) to (outer_i - i + t, N)."""
         if not isinstance(shape, SkewShape):
             shape = SkewShape(shape)
-        starts = [(shape.inner.parts[i] - (i + 1) + offset, 1) for i in range(shape.n_rows)]
-        ends = [(shape.outer.parts[i] - (i + 1) + offset, N) for i in range(shape.n_rows)]
-        return cls(starts, ends, N)
+        starts = [(x, 1) for x in beads(shape.inner.parts, offset)]
+        return cls(starts, [(x, N) for x in beads(shape.outer.parts, offset)], N)
 
     @classmethod
     def from_family(cls, family, N):
@@ -386,18 +385,16 @@ class TerminalSpec(Value):
         and shift is the least start x + i, so the smallest inner part
         is 0.  outer need not contain inner: then no family fits.
         """
-        shift = min((x + i for i, (x, _) in enumerate(self.starts, start=1)), default=0)
-        inner = tuple(x + i - shift for i, (x, _) in enumerate(self.starts, start=1))
-        outer = tuple(x + i - shift for i, (x, _) in enumerate(self.ends, start=1))
-        return outer, inner, shift
+        starts = [x for x, _ in self.starts]
+        shift = min(from_beads(starts), default=0)
+        return from_beads((x for x, _ in self.ends), shift), from_beads(starts, shift), shift
 
 
 def tableau_to_paths(t, offset=0):
     """Path i from (inner_i - i + offset, 1) up to height N, east at row i's heights; disjoint, so built unchecked."""
-    offset = int(offset)
     paths = (
-        LatticePath._unchecked((m - i - 1 + offset, 1), NORTH.join(EAST * row.count(k) for k in range(1, t.N + 1)))
-        for i, (m, row) in enumerate(zip(t.shape.inner.parts, t.rows))
+        LatticePath._unchecked((x, 1), NORTH.join(EAST * row.count(k) for k in range(1, t.N + 1)))
+        for x, row in zip(beads(t.shape.inner.parts, int(offset)), t.rows)
     )
     return PathFamily._unchecked(tuple(paths))
 
@@ -414,8 +411,8 @@ def paths_to_tableau(f, offset=0, N=None):
     if {p.start[1] for p in f} != {1} or len(n_level) != 1:
         raise ValueError("family not of tableau type: terminals off the y=1 / y=N lines")
     N = n_level.pop()
-    inner = [p.start[0] + i - offset for i, p in enumerate(f, start=1)]
-    outer = [p.end[0] + i - offset for i, p in enumerate(f, start=1)]
+    inner = from_beads((p.start[0] for p in f), offset)
+    outer = from_beads((p.end[0] for p in f), offset)
     try:
         shape = SkewShape(Partition(outer), Partition(inner))
     except ValueError as exc:

@@ -151,6 +151,41 @@ MUTANTS = [
         ("tests/test_identities.py::test_audit_splits_objects",),
     ),
     Mutant(
+        "kleber_lists_u_before_v",
+        "identities.py",
+        """        for V in itertools.combinations(v, m):
+            for U in itertools.combinations(u[k:], m):
+""",
+        """        for U in itertools.combinations(u[k:], m):
+            for V in itertools.combinations(v, m):
+""",
+        (
+            "tests/test_identities.py::test_kleber_lists_a_term_for_every_nested_family",
+            "tests/test_cli.py::test_bead_identities_keep_their_cli_bytes",
+        ),
+    ),
+    Mutant(
+        "kleber_shrinks_without_moving_up",
+        "identities.py",
+        "parts(beta - {b + 1 for b in V} | {b + 1 for b in U})",
+        "parts(beta - set(V) | set(U))",
+        (
+            "tests/test_identities.py::test_kleber_lists_a_term_for_every_nested_family",
+            "tests/test_cli.py::test_bead_identities_keep_their_cli_bytes",
+        ),
+    ),
+    Mutant(
+        "beads_count_from_zero",
+        "partitions.py",
+        "    return tuple(p - i + shift for i, p in enumerate(parts, start=1))\n",
+        "    return tuple(p - i + shift for i, p in enumerate(parts))\n",
+        (
+            "tests/test_partitions.py::test_beads_examples",
+            "tests/test_partitions.py::test_from_beads_inverts_beads_and_reads_index_sets",
+            "tests/test_schur.py::test_fig_paths_straight_shape",
+        ),
+    ),
+    Mutant(
         "cli_leaves_polyring_unregistered",
         "cli.py",
         """identities, partitions, polyring, replay, schur, svg, trails = map(

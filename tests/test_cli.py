@@ -1,4 +1,6 @@
+import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -319,6 +321,33 @@ def test_verify_output_is_deterministic(runner):
     second = runner.invoke(main, argv)
     assert first.output == second.output
     assert first.exit_code == second.exit_code == 0
+
+
+def _box(rows, largest):
+    """--lambda texts of the partitions with at most rows parts, each at most largest, zero parts left out."""
+    return [",".join(str(p) for p in parts if p)
+            for parts in itertools.combinations_with_replacement(range(largest, -1, -1), rows)]
+
+
+def test_bead_identities_keep_their_cli_bytes(runner):
+    # Kleber at every corner of the 4 x 4 box, Ciucu over the 4-subsets of
+    # 1..7 and Schur-mode Pluecker over the 3 x 3 box squared, which build
+    # their terms from bead coordinates: one digest of argv, exit code and
+    # stdout, recorded when they were stated in other coordinates
+    calls = [["verify", "kleber", "--lambda", lam, "--k", str(k)]
+             for lam in _box(4, 4) for k in range(1, len(set(lam.split(",")) - {""}) + 1)]
+    calls += [["verify", "ciucu", "--set", ",".join(map(str, t)), "--k", "2"] for t in itertools.combinations(range(1, 8), 4)]
+    calls += [["verify", "pluecker", "--mode", "schur", "--lambda", lam, "--sigma", sigma, "--rlist", rlist]
+              for lam in _box(3, 3) for sigma in _box(3, 3) for rlist in ("1", "1,2", "2,3")]
+    digest, failed = hashlib.sha256(), []
+    for argv in calls:
+        argv += ["--format", "json"]
+        result = runner.invoke(main, argv)
+        if result.exit_code:
+            failed.append((argv, result.output))
+        digest.update(json.dumps([argv, result.exit_code, result.stdout]).encode() + b"\n")
+    assert (len(calls), failed) == (1375, [])
+    assert digest.hexdigest() == "b31064b72e36f68899356aec1c68624cc72b721be499a197a4bc85a27f43068a"
 
 
 @pytest.mark.parametrize(

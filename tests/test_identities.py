@@ -23,7 +23,17 @@ from schurtrails.identities import (
     verify_kleber,
     verify_pluecker,
 )
-from schurtrails.partitions import Partition, SkewShape, corner_encoding
+from schurtrails.partitions import (
+    BORDER_ADD,
+    BORDER_REMOVE,
+    BorderStripSpec,
+    Partition,
+    SkewShape,
+    apply_nested,
+    apply_omega,
+    corner_encoding,
+    partition_from_corners,
+)
 from schurtrails.polyring import (
     FormalMatrix,
     Polynomial,
@@ -260,7 +270,7 @@ def test_pluecker_formal_counts_its_term_pairs_before_expanding(monkeypatch):
         # C(2k, k) splits
         ("partition_from_set", lambda: verify_ciucu(range(1, 17), 8), lambda: verify_ciucu(range(1, 15), 7), 12870),
         # at most C(n + 1, k) terms with n corners
-        ("_nested_strip_pairs", lambda: verify_kleber(range(16, 0, -1), 8),
+        ("_kleber_terms", lambda: verify_kleber(range(16, 0, -1), 8),
          lambda: verify_kleber(range(14, 0, -1), 7), 24310),
         # C(n, |r|) exchanges
         ("_exchanges", lambda: verify_pluecker(16, range(1, 9), mode="schur", lam=(1,), sigma=(1,)),
@@ -281,21 +291,40 @@ def test_schur_identities_count_their_terms_before_listing_them(monkeypatch, lis
 
 
 def test_kleber_has_at_most_a_binomial_count_of_terms():
+    # the staircase (n, ..., 1) has n corners, and C(n + 1, k) terms at corner k
     for n in range(1, 9):
         for k in range(1, n + 1):
-            assert 1 + sum(1 for _ in identities._nested_strip_pairs(n, k)) == math.comb(n + 1, k)
+            assert sum(1 for _ in identities._kleber_terms(Partition(range(n, 0, -1)), k)) == math.comb(n + 1, k)
+
+
+def _kleber_by_corner_surgery(parts, k):
+    """verify_kleber's products built on the corner encoding: the column at corner k, then each nested strip family."""
+    lam = Partition(parts)
+    encoding = corner_encoding(lam)
+    products = [[1, list(apply_omega(lam, k, +1).parts), list(apply_omega(lam, k, -1).parts)]]
+    for m in range(1, min(k, encoding.n - k + 1) + 1):
+        for i_combo in itertools.combinations(range(1, k + 1), m):
+            for j_combo in itertools.combinations(range(k, encoding.n + 1), m):
+                pairs = tuple(zip(i_combo, reversed(j_combo)))
+                products.append([(-1) ** (m - 1)] + [
+                    list(partition_from_corners(apply_nested(encoding, BorderStripSpec(pairs, direction))).parts)
+                    for direction in (BORDER_ADD, BORDER_REMOVE)])
+    return products
 
 
 def test_kleber_lists_a_term_for_every_nested_family(monkeypatch):
     # every family of strips can be removed, so none is skipped: 923 shapes
-    # in a 6 x 6 box and 13,358 families, listed and never expanded
-    monkeypatch.setattr(identities, "_product_identity", lambda identity, params, lhs, rhs: rhs)
+    # in a 6 x 6 box and 13,358 families, listed and never expanded; the
+    # bead moves list the products corner surgery builds, in its order
+    monkeypatch.setattr(identities, "_product_identity", lambda identity, params, lhs, rhs: params["products"])
     shapes = families = 0
     for parts in itertools.combinations_with_replacement(range(6, -1, -1), 6):
         n = corner_encoding(parts).n
         shapes += n > 0
         for k in range(1, n + 1):
-            assert len(verify_kleber(parts, k)) == math.comb(n + 1, k), (parts, k)
+            products = verify_kleber(parts, k)
+            assert len(products) == math.comb(n + 1, k), (parts, k)
+            assert products == _kleber_by_corner_surgery(parts, k), (parts, k)
             families += math.comb(n + 1, k) - 1
     assert (shapes, families) == (923, 13358)
 

@@ -14,7 +14,9 @@ from schurtrails.partitions import (
     apply_nested,
     apply_omega,
     apply_pi,
+    beads,
     corner_encoding,
+    from_beads,
     partition_from_corners,
     partition_from_set,
 )
@@ -221,6 +223,8 @@ def test_partition_from_set_examples():
     assert partition_from_set({1, 3}).parts == (2, 1)
     assert partition_from_set({1, 2, 3, 4}).parts == (1, 1, 1, 1)
     assert partition_from_set(()) == Partition()
+    # a one-shot iterable is read once
+    assert partition_from_set(iter((1, 3))) == Partition((2, 1))
     with pytest.raises(ValueError):
         partition_from_set((1, 1, 2))
     with pytest.raises(ValueError):
@@ -231,6 +235,19 @@ def test_partition_from_set_examples():
 def test_partition_from_set_always_partition(t):
     p = partition_from_set(t)
     assert len(p) == len(t)  # weak decrease is checked by the constructor
+
+
+def test_beads_examples():
+    assert beads((3, 1, 0)) == (2, -1, -3)
+    assert beads((3, 1, 0), 3) == (5, 2, 0)
+    assert from_beads((5, 2, 0), 3) == (3, 1, 0)
+    assert beads(()) == from_beads(()) == ()
+
+
+@given(partitions_st, st.integers(-5, 5), st.sets(st.integers(1, 30), max_size=8))
+def test_from_beads_inverts_beads_and_reads_index_sets(p, shift, t):
+    assert from_beads(beads(p.parts, shift), shift) == p.parts
+    assert partition_from_set(t).parts == from_beads(sorted(t, reverse=True), len(t))
 
 
 # ---------------------------------------------------------------- values

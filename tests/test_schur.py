@@ -17,6 +17,7 @@ from schurtrails.schur import (
     TerminalSpec,
     enumerate_families,
     enumerate_ssyt,
+    jacobi_trudi_matrix,
     path_weight,
     paths_to_tableau,
     schur_poly,
@@ -114,6 +115,13 @@ def test_jacobi_trudi_matches_tableaux():
         for n in (2, 3):
             p = Partition(parts)
             assert schur_poly(p, n, method="jacobi_trudi") == schur_poly(p, n), parts
+
+
+def test_jacobi_trudi_matrix_reads_its_inner_shape_once():
+    # zeros pad inner up to outer's rows, and parts past them are left out
+    expected = jacobi_trudi_matrix((3, 2, 1), (1, 1, 0))
+    assert jacobi_trudi_matrix((3, 2, 1), iter((1, 1))) == jacobi_trudi_matrix((3, 2, 1), (1, 1)) == expected
+    assert jacobi_trudi_matrix((3, 2), iter((1, 1, 0, 0))) == jacobi_trudi_matrix((3, 2), (1, 1))
 
 
 def test_jacobi_trudi_rejects_skew():

@@ -29,7 +29,7 @@ from collections import Counter, deque
 
 from .identities import _alphabet, _window_exchange
 from .partitions import Partition, SkewShape, Value
-from .polyring import Polynomial, monomial_mul, monomial_str
+from .polyring import Polynomial, monomial_str
 from .schur import TerminalSpec, ssyt_count
 from .trails import (
     BLACK,
@@ -37,35 +37,36 @@ from .trails import (
     GREEN,
     WHITE,
     TwoColouredGraph,
+    _Layer,
+    _recoloured,
+    _terminal_trail,
+    _weight_key,
     edge_pattern,
     pattern_objects,
-    recolour,
     spec_pattern,
     terminal_points_from_sets,
-    trail_at_terminal,
 )
 
 
 def _path_texts(key) -> tuple:
-    """An object's graph key as (blue, green) path texts, rightmost path first, for messages."""
-    graph = TwoColouredGraph.from_key(key)
+    """An object's key as (blue, green) path texts, rightmost path first, for messages."""
+    graph = TwoColouredGraph.from_key((key[0].cols, key[0].rows) + key[1:])
     return tuple(graph.blue.to_text()), tuple(graph.green.to_text())
 
 
-def _layer_reader():
-    """A memo of edge_pattern over image layers: layer -> ((east, north), pattern, weight).
+def _frame_reader():
+    """A memo of frames: frame -> (the first frame read with its columns and rows, that frame's image memo).
 
-    It keys on the frame's columns and rows and the two masks.  A hit
-    returns the masks first read, so one copy of each distinct image
-    layer is kept.
+    An image memo maps a layer's (east, north) to ((east, north), pattern,
+    weight), edge_pattern's reading of the layer; a hit returns the masks
+    first read, so one copy of each distinct image layer is kept.
     """
-    memo = {}
+    frames = {}
 
-    def read(layer):
-        key = layer.frame.cols, layer.frame.rows, layer.east, layer.north
-        got = memo.get(key)
+    def read(frame):
+        got = frames.get((frame.cols, frame.rows))
         if got is None:
-            got = memo[key] = (key[2:], *edge_pattern(layer))
+            got = frames[frame.cols, frame.rows] = frame, {}
         return got
 
     return read
@@ -74,37 +75,54 @@ def _layer_reader():
 def _moved_objects(objects, locations, read):
     """Every (graph, weight) object trails.pattern_objects gives, with its image under the move at the locations.
 
-    Yields (key, weight, trails, image key, image pattern, image weights)
-    per object, in the order objects gives them.  A key is the graph's:
-    its frame's columns and rows, then the blue and the green east and
-    north masks.  A pattern is the pair of (starts, ends) tuples
-    that read, the caller's _layer_reader, gives for the two image
+    Yields (key, weight, ends, image key, image pattern, image weight) per
+    object, in the order objects gives them.  A key is the frame that
+    read, the caller's _frame_reader, gives for the graph's frame, then the
+    blue and the green east and north masks; weights are packed in that
+    frame.  A pattern is the pair of (starts, ends) tuples of the two image
     layers.  Every location is traced, so a location no trail or two
-    trails start at raises; its trail is taken unless the location is
-    the far end of one already taken, and the taken trails are
-    recoloured together.
+    trails start at raises; its trail is taken unless the location is the
+    far end of one already taken, and ends holds the far ends' bits of the
+    taken trails.  The move runs on masks: trails._terminal_trail traces,
+    trails._recoloured flips, and an image layer is built only when the
+    frame's image memo misses it.
     """
+    frame = None
     for graph, weight in objects:
-        taken = []
-        for location in locations:
-            trail = trail_at_terminal(graph, location)
-            if not any(other.end == location for other in taken):
-                taken.append(trail)
-        (blue_masks, blue_reached, blue_after), (green_masks, green_reached, green_after) = map(
-            read, recolour(graph, taken).layers
-        )
-        key = graph._key()
-        image_key = key[:2] + blue_masks + green_masks
-        yield key, weight, taken, image_key, (blue_reached, green_reached), (blue_after, green_after)
+        layers = graph.layers
+        if layers[0].frame is not frame:
+            frame = layers[0].frame
+            first, memo = read(frame)
+            bits = [(location, frame.index(location)) for location in locations]
+        both = layers[0].points & layers[1].points
+        taken, ends = [], []
+        for location, v in bits:
+            flips, end, runs = _terminal_trail(layers, both, v, location)
+            if v not in ends:
+                taken.append((frame, flips, runs))
+                ends.append(end)
+        images = []
+        for masks in _recoloured(frame, layers, taken)[0]:
+            image = memo.get(masks)
+            if image is None:
+                image = memo[masks] = (masks, *edge_pattern(_Layer(frame, *masks)))
+            images.append(image)
+        (blue_masks, blue_reached, blue_after), (green_masks, green_reached, green_after) = images
+        blue, green = layers
+        key, image = (first, blue.east, blue.north, green.east, green.north), (first, *blue_masks, *green_masks)
+        yield key, weight, ends, image, (blue_reached, green_reached), blue_after + green_after
 
 
 #: Most objects bijection_audit replays: s_lead(1^N) * s_trail(1^N) above
-#: this is refused before any family is enumerated.  An audit takes about
-#: 42 us per object ((7,4,1) at N = 4, 75600 objects in 3.2 s, best of
-#: three; 2-vCPU VM, CPython 3.11.7), so the limit is about 4 s.  The
-#: r = 2 Dodgson audit, (7,5,3) at N = 4 with 264,600 objects, stays over it.
-#: explore_orbit moves each object by the same step, so it stops once it
-#: has moved more objects than this.
+#: this is refused before any family is enumerated.  The limit was set for
+#: about 4 s of audit at 42 us per object.  Since the move runs on masks an
+#: object costs about 12 us ((7,4,1) at N = 4, 75,600 objects in 0.93 s at
+#: the reference speed of bench/refspeed.py, best of three; 2-vCPU VM,
+#: CPython 3.11.7), so the limit now stands for about 1.2 s.  The r = 2
+#: Dodgson audit, (7,5,3) at N = 4 with 264,600 objects, stays over it,
+#: though it took 3.3 s at the reference speed.  explore_orbit moves each
+#: object by the same step, so it stops once it has moved more objects
+#: than this.
 MAX_AUDIT_OBJECTS = 100_000
 
 class AuditReport(Value):
@@ -177,12 +195,11 @@ def bijection_audit(lam, N=None) -> AuditReport:
             kind_of[tuple(map(spec_pattern, layout(term)))] = kind
 
     images = {}  # each image to its layout
-    read = _layer_reader()
     # with N = 1 and every part 0 the probe's path has no edge: the object is its own image
     selected = (probe,) if probe != keep_end else ()
-    moves = _moved_objects(pattern_objects(*left), selected, read)
-    for _, weight_before, taken, image, reached, image_weights in moves:
-        far = taken[0].end if taken else probe
+    moves = _moved_objects(pattern_objects(*left), selected, _frame_reader())
+    for key, weight_before, ends, image, reached, weight_after in moves:
+        far = key[0].point(ends[0]) if ends else probe
         if far == protected:
             raise RuntimeError("trail from %r reached the protected point %r" % (probe, protected))
         if far not in (keep_end, exchange_end):
@@ -197,11 +214,10 @@ def bijection_audit(lam, N=None) -> AuditReport:
         # and only the image itself tells the cases apart
         if keep_end != exchange_end and kind != ("A" if far == keep_end else "B"):
             raise RuntimeError("far endpoint %r disagrees with the image layout %s" % (far, kind))
-        weight_after = monomial_mul(*image_weights)
         if weight_before != weight_after:
             raise RuntimeError(
                 "recolouring changed the weight: %s -> %s"
-                % (monomial_str(weight_before), monomial_str(weight_after))
+                % tuple(monomial_str(_weight_key(key[0], weight)) for weight in (weight_before, weight_after))
             )
     tally = Counter(images.values())
     for kind, count in size.items():
@@ -313,8 +329,9 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     of (starts, ends) tuples, is read off the image's layers as the audit
     reads it; the input's is keyed by trails.spec_pattern, as the audit's
     layouts are.  A pattern's TerminalSpecs are built once, when queued.
-    Objects compare as graph keys, and the step's reader keeps one copy
-    of each distinct image layer.
+    Objects compare as keys, and the step's reader keeps one copy of each
+    distinct image layer.  A pattern's weights are tallied packed and
+    decoded once each, in its frame, into the summed weights.
     """
     blue = blue if isinstance(blue, SkewShape) else SkewShape(blue)
     green = green if isinstance(green, SkewShape) else SkewShape(green)
@@ -339,7 +356,7 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
     counts = ({}, {})
     weights = (Counter(), Counter())
     image_of = {}
-    read = _layer_reader()
+    read = _frame_reader()
     refusal = ValueError("the orbit moves more than MAX_AUDIT_OBJECTS = %d objects" % (MAX_AUDIT_OBJECTS,))
 
     while pending:
@@ -348,20 +365,22 @@ def explore_orbit(blue, green, t=0, selected=(), N=None) -> OrbitResult:
             raise RuntimeError("closure exceeded %d terminal patterns without settling" % (cap,))
         processed += 1
         side = _side_of(pattern, original_colours)
-        objects = 0
+        objects, tally = 0, Counter()  # the pattern's packed weights, decoded once each in its frame
         listed = pattern_objects(*pattern, MAX_AUDIT_OBJECTS - moved, refusal)
         for key, weight, _, image_key, reached, _ in _moved_objects(listed, sel_locations, read):
             objects += 1
             moved += 1
             if moved > MAX_AUDIT_OBJECTS:
                 raise refusal
-            weights[side][weight] += 1
+            tally[weight] += 1
             if degenerate:
                 continue
             image_of[key] = image_key
             if reached not in queued:
                 queued.add(reached)
                 pending.append(tuple(TerminalSpec(*terminals, N) for terminals in reached))
+        for weight, count in tally.items():
+            weights[side][_weight_key(key[0], weight)] += count
         if objects:
             canon = _canonical_pattern(pattern)
             counts[side][canon] = counts[side].get(canon, 0) + objects

@@ -132,12 +132,17 @@ def jacobi_trudi_matrix(outer, inner=None, N=None):
     """Matrix with (i,j) entry h_{outer_i - inner_j - i + j}.
 
     With N given the entries are expanded complete homogeneous
-    polynomials in x_1..x_N; with N=None they stay formal h symbols.
+    polynomials in x_1..x_N; with N=None they stay formal h symbols.  An
+    inner shape with a nonzero part past outer's rows is refused, as
+    SkewShape refuses it.
     """
     if not isinstance(outer, Partition):
         outer = Partition(outer)
     d = len(outer)
-    columns = beads((() if inner is None else tuple(inner)) + (0,) * d)[:d]
+    inner = () if inner is None else tuple(inner)
+    if any(inner[d:]):
+        raise ValueError("inner shape sticks out of outer: %r / %r" % (outer, inner))
+    columns = beads(inner + (0,) * d)[:d]
     index = [[row - column for column in columns] for row in beads(outer.parts)]
     # each distinct h_m is built once and shared by the entries that carry it
     h = {m: formal_h(m) if N is None else complete_homogeneous(m, N) for m in set().union(*index)}

@@ -20,13 +20,25 @@ tableau row already is; so pattern_objects writes a terminal pattern's
 objects straight from its tableaux, in the one frame its terminals fix.
 Tracing and recolouring are integer operations, and edge_pattern reads
 a layer's terminals and weight off its masks; edge sets, point colours
-and coordinate steps are views.  A trail keeps its frame, its integer
-steps and its flip masks.  Graphs compare as frame and masks, so a
-zero-length path, which has no edge, is kept only as its layer's mark,
-and a recoloured graph keeps every mark no flipped edge reaches.  A
-graph holds its two layers and nothing else: its families, its JSON and
-its terminals are read off them, marks included, by one reader of a
-layer's starts and ends, so they agree.
+and coordinate steps are views.  A weight is one integer, a digit per
+row of the frame, so the weight of two layers is the sum of theirs.
+
+A trail is walked run by run: a run is a stretch in one colour and one
+orientation, along the path through its first point, up to the next
+point of both colours, where the walk switches both.  Along a path the
+bits ascend, so with the path's point mask, which each layer keeps in a
+table filled once per path, a run's end and its flipped edges are a few
+mask operations.  A trail keeps its frame, its flip masks, its start and
+end bits and its runs; its steps are spelled from the runs, and its edge
+instances from the flip masks, when first read.  The move has two cores that work on masks
+alone: _terminal_trail traces the trail at a terminal, and _recoloured
+flips trails and runs every check of recolour; trail_at_terminal and
+recolour wrap them, and the replay calls them directly.  Graphs compare
+as frame and masks, so a zero-length path, which has no edge, is kept
+only as its layer's mark, and a recoloured graph keeps every mark no
+flipped edge reaches.  A graph holds its two layers and nothing else:
+its families, its JSON and its terminals are read off them, marks
+included, by one reader of a layer's starts and ends, so they agree.
 
 Orientation vocabulary: ``forward`` means right-upwards (the paths' own
 direction), ``backward`` means left-downwards.
@@ -38,7 +50,7 @@ import math
 from itertools import chain, islice
 
 from .partitions import Value
-from .polyring import monomial_mul, x_var
+from .polyring import x_var
 from .schur import EAST, NORTH, LatticePath, PathFamily, spec_tableaux, tableau_weight
 
 BLUE = "blue"
@@ -74,12 +86,18 @@ def _bits(mask) -> list:
 
 
 class _Frame:
-    """The columns and rows a graph's edges touch; point (x, y) is bit column * n + row, n the rows."""
+    """The columns and rows a graph's edges touch; point (x, y) is bit column * n + row, n the rows.
 
-    __slots__ = ("cols", "rows", "n", "_col", "_row")
+    A weight in the frame packs into one integer with a digit of bits bits
+    per row: a colour has at most one east edge per point, so the exponent
+    of x_y in one object, both colours summed, is under 2 * len(cols) and
+    never carries into the next digit.
+    """
+
+    __slots__ = ("cols", "rows", "n", "bits", "_col", "_row")
 
     def __init__(self, cols, rows):
-        self.cols, self.rows, self.n = cols, rows, len(rows)
+        self.cols, self.rows, self.n, self.bits = cols, rows, len(rows), (2 * len(cols)).bit_length()
         self._col = {x: c for c, x in enumerate(cols)}
         self._row = {y: r for r, y in enumerate(rows)}
 
@@ -127,14 +145,18 @@ class _Layer:
 
     A family is vertex-disjoint, so each point has at most one in- and one
     out-edge of a colour, and trails are deterministic.  marked has the
-    marks' bits, and points a bit at every edge end and mark.
+    marks' bits; tails a bit at every edge's tail, heads at every edge's
+    head, and points at both and at every mark.  paths is the table _path
+    fills: each bit of a path the walk has entered, mapped to the path's
+    point mask.
     """
 
-    __slots__ = ("frame", "east", "north", "marks", "marked", "points")
+    __slots__ = ("frame", "east", "north", "marks", "marked", "tails", "heads", "points", "paths")
 
     def __init__(self, frame, east, north, marks=frozenset(), marked=0):
+        tails, heads = east | north, east << frame.n | north << 1
         self.frame, self.east, self.north, self.marks, self.marked = frame, east, north, marks, marked
-        self.points = east | north | east << frame.n | north << 1 | marked
+        self.tails, self.heads, self.points, self.paths = tails, heads, tails | heads | marked, {}
 
     @classmethod
     def of(cls, paths, frame):
@@ -158,20 +180,31 @@ class _Layer:
 
 def _ends(layer) -> tuple:
     """(starts, ends) masks of a layer: an edge's tail and no edge's head, and the reverse; marks are in neither."""
-    tails, heads = layer.east | layer.north, layer.east << layer.frame.n | layer.north << 1
-    return tails & ~heads, heads & ~tails
+    return layer.tails & ~layer.heads, layer.heads & ~layer.tails
+
+
+def _packed(frame, weight) -> int:
+    """A monomial key in x_y, y rows of the frame, packed: digit r is the exponent of row r's x."""
+    return sum(e << frame._row[y] * frame.bits for (_, y), e in weight)
+
+
+def _weight_key(frame, packed) -> tuple:
+    """The monomial key of a weight packed in the frame: the inverse of _packed."""
+    digit, bits = (1 << frame.bits) - 1, frame.bits
+    counts = ((y, packed >> r * bits & digit) for r, y in enumerate(frame.rows))
+    return tuple((x_var(y), k) for y, k in counts if k)
 
 
 def edge_pattern(layer):
     """((starts, ends), weight) of one colour's layer, each terminal tuple rightmost first.
 
     The terminals are _ends', so a zero-length path is not read.  The weight
-    is x_y per east edge in row y.
+    is x_y per east edge in row y, packed in the layer's frame.
     """
     frame, east, n = layer.frame, layer.east, layer.frame.n
     row = ((1 << n * len(frame.cols)) - 1) // ((1 << n) - 1) if n else 0  # the bottom row's bits
-    counts = ((y, (east >> r & row).bit_count()) for r, y in enumerate(frame.rows))
-    return tuple(map(frame.points, _ends(layer))), tuple((x_var(y), k) for y, k in counts if k)
+    weight = sum((east >> r & row).bit_count() << r * frame.bits for r in range(n))
+    return tuple(map(frame.points, _ends(layer))), weight
 
 
 def spec_pattern(spec) -> tuple:
@@ -275,8 +308,9 @@ def pattern_objects(blue_spec, green_spec, most=None, refusal=None):
     share the frame of the specs' starts and ends.  Each layer and
     tableau weight is built once, the green ones listed and the blue ones
     streamed; an object is TwoColouredGraph._unchecked of its two layers,
-    each a tableau's family, and its weight is the product of theirs.
-    One blue family is read first, so a pair without one lists nothing.
+    each a tableau's family.  A weight is packed in the frame (_packed),
+    so an object's weight, the product of its tableaux', is the sum of
+    theirs.  One blue family is read first, so a pair without one lists nothing.
     With most given, a pair with a blue family and more than most green
     ones, so more than most objects, raises refusal before it gives any
     object, having listed at most most + 1 green families.
@@ -285,7 +319,8 @@ def pattern_objects(blue_spec, green_spec, most=None, refusal=None):
 
     def read(spec):
         for t in spec_tableaux(spec):
-            yield _Layer.of(((s, row, spec.N) for s, row in zip(spec.starts, t.rows)), frame), tableau_weight(t)
+            layer = _Layer.of(((s, row, spec.N) for s, row in zip(spec.starts, t.rows)), frame)
+            yield layer, _packed(frame, tableau_weight(t))
 
     blues = read(blue_spec)
     first = next(blues, None)
@@ -296,7 +331,7 @@ def pattern_objects(blue_spec, green_spec, most=None, refusal=None):
         return
     for blue_layer, blue_weight in chain((first,), blues):
         for green_layer, green_weight in greens:
-            yield TwoColouredGraph._unchecked((blue_layer, green_layer)), monomial_mul(blue_weight, green_weight)
+            yield TwoColouredGraph._unchecked((blue_layer, green_layer)), blue_weight + green_weight
 
 
 class TerminalPoint(Value):
@@ -352,6 +387,30 @@ def terminal_points_from_sets(blue_starts, blue_ends, green_starts, green_ends) 
     return points
 
 
+def _spell(frame, step) -> tuple:
+    """(edge, colour, orientation) of an integer step."""
+    return frame.edge(step >> 2 & 1, step >> 3), _COLOURS[step >> 1 & 1], _ORIENTATIONS[step & 1]
+
+
+def _steps_of(runs) -> list:
+    """The integer steps of runs, in walk order: a forward run's tails ascend, a backward run's descend."""
+    steps = []
+    for k, east, north in runs:
+        tails = _bits(east | north)
+        steps += [v << 3 | (north >> v & 1) << 2 | k for v in (tails if k & 1 else reversed(tails))]
+    return steps
+
+
+def _one_turn_rule(frame, runs) -> None:
+    """Colour and orientation change together, so every run has the same colour ^ orientation; raises otherwise."""
+    turn = runs[0][0] ^ runs[0][0] >> 1
+    for i, (k, _, _) in enumerate(runs):
+        if (k ^ k >> 1 ^ turn) & 1:
+            last, first = _steps_of(runs[i - 1 : i])[-1], _steps_of(runs[i : i + 1])[0]
+            spelled = _spell(frame, last), _spell(frame, first)
+            raise ValueError("colour change must flip orientation: %r -> %r" % spelled)
+
+
 class ChangingTrail(Value):
     """Maximal alternating walk; steps are (edge, colour, orientation) triples.
 
@@ -359,31 +418,22 @@ class ChangingTrail(Value):
     colours share the orientation, a colour change flips it.  A
     path_like trail has genuine endpoints; a cycle_like trail closes up
     and its step sequence starts at an arbitrary rotation.  Trails are
-    only traced: each keeps its graph's frame, its integer steps and its
-    flip masks, and spells steps out on first read.
+    only traced: each keeps its graph's frame, its flip masks, its start
+    and end bits and its runs, and spells steps and edge instances out on
+    first read.
     """
 
-    __slots__ = ("kind", "_frame", "_ints", "_flips", "_steps")
+    __slots__ = ("kind", "_frame", "_flips", "_start", "_end", "_runs", "_steps", "_instances")
 
     @classmethod
-    def _traced(cls, kind, frame, ints, flips) -> "ChangingTrail":
-        trail = cls._unchecked(kind, frame, ints, flips, None)
-        # colour and orientation change together, so all steps share colour ^ orientation
-        if len({(step ^ step >> 1) & 1 for step in ints}) > 1:
-            a, b = next((a, b) for a, b in zip(ints, ints[1:]) if (a ^ a >> 1 ^ b ^ b >> 1) & 1)
-            raise ValueError("colour change must flip orientation: %r -> %r" % (trail._spell(a), trail._spell(b)))
-        return trail
-
-    def _spell(self, step) -> tuple:
-        return self._frame.edge(step >> 2 & 1, step >> 3), _COLOURS[step >> 1 & 1], _ORIENTATIONS[step & 1]
-
-    def _point(self, step, at_head) -> tuple:
-        return self._frame.point((step >> 3) + (1 if step & 4 else self._frame.n) * at_head)
+    def _traced(cls, kind, frame, flips, start, end, runs) -> "ChangingTrail":
+        """A trail of the walk's flip masks and runs, which nothing changes after: they are kept as they are."""
+        return cls._unchecked(kind, frame, flips, start, end, runs, None, None)
 
     @property
     def steps(self) -> tuple:
         if self._steps is None:
-            object.__setattr__(self, "_steps", tuple(map(self._spell, self._ints)))
+            object.__setattr__(self, "_steps", tuple(_spell(self._frame, step) for step in _steps_of(self._runs)))
         return self._steps
 
     def _key(self):
@@ -392,13 +442,8 @@ class ChangingTrail(Value):
     def __repr__(self):
         return "ChangingTrail(kind=%r, steps=%r)" % (self.kind, self.steps)
 
-    @property
-    def start(self):
-        return self._point(self._ints[0], self._ints[0] & 1)
-
-    @property
-    def end(self):
-        return self._point(self._ints[-1], ~self._ints[-1] & 1)
+    start = property(lambda self: self._frame.point(self._start))
+    end = property(lambda self: self._frame.point(self._end))
 
     @property
     def endpoints(self):
@@ -408,57 +453,116 @@ class ChangingTrail(Value):
         return (self.start, self.end)
 
     def edge_instances(self) -> frozenset:
-        return frozenset((edge, colour) for edge, colour, _ in self.steps)
+        """(edge, colour) of every step, read off the flip masks on first read."""
+        if self._instances is None:
+            frame, flips = self._frame, enumerate(self._flips)
+            instances = frozenset((frame.edge(k & 1, v), _COLOURS[k >> 1]) for k, mask in flips for v in _bits(mask))
+            object.__setattr__(self, "_instances", instances)
+        return self._instances
 
     def visited_vertices(self):
         """Vertices in walk order: begin of first step, then each arrival."""
-        return (self.start,) + tuple(self._point(step, ~step & 1) for step in self._ints)
+        frame = self._frame
+        heads = ((s >> 3) + (~s & 1) * (1 if s & 4 else frame.n) for s in _steps_of(self._runs))
+        return (self.start,) + tuple(map(frame.point, heads))
 
 
-def _leave(layers, n, v, colour, backward):
-    """The integer step leaving bit v in the colour and orientation, or None; v - 1 never wraps onto a north edge."""
-    east, north = layers[colour].east, layers[colour].north
-    if not backward:
-        return v << 3 | colour << 1 if east >> v & 1 else v << 3 | 4 | colour << 1 if north >> v & 1 else None
-    if v >= n and east >> (v - n) & 1:
-        return (v - n) << 3 | colour << 1 | 1
-    return (v - 1) << 3 | 4 | colour << 1 | 1 if v and north >> (v - 1) & 1 else None
+def _path(layer, v) -> int:
+    """The point mask of the layer's path through bit v, a mark's being its own bit, or 0 off the layer.
 
-
-def _walk(layers, n, both, seed, flips):
-    """Integer steps after seed on its trail, in walk order, and whether the walk came back to seed.
-
-    Each step is set in flips, the trail's four masks.
+    The path is walked from v back to its start and on to its end, and
+    every bit of it is entered in the layer's table.
     """
-    steps, step = [], seed
+    if not layer.points >> v & 1:
+        return 0
+    east, heads, tails, n = layer.east, layer.heads, layer.tails, layer.frame.n
+    on, u, path = [v], v, 1 << v
+    while heads >> u & 1:
+        u -= n if u >= n and east >> u - n & 1 else 1
+        path |= 1 << u
+        on.append(u)
+    while tails >> v & 1:
+        v += n if east >> v & 1 else 1
+        path |= 1 << v
+        on.append(v)
+    paths = layer.paths
+    for u in on:
+        paths[u] = path
+    return path
+
+
+def _walk(layers, both, v, colour, backward, flips, runs, seed=(-1, -1, -1)):
+    """Walk run by run from bit v, leaving it in the colour and orientation; returns (the last bit reached, closed).
+
+    A run follows the colour's path through v to the next point of both
+    colours or to the path's end.  Along a path the bits ascend, so going
+    forward that is the lowest bit of path & both above v, and going
+    backward the highest below it.  A run's east and north steps are set
+    in flips, the trail's four masks, and it is appended to runs as
+    (colour << 1 | backward, east, north).  At a point of both colours the
+    walk switches colour and orientation; it stops at an empty run or at a
+    point of one colour.  With seed = (colour, backward, tail bit) given,
+    a run in the seed's colour and orientation that reaches the seed's
+    step stops short of it, and the walk has closed a cycle.
+    """
+    seed_colour, seed_backward, seed_tail = seed
     while True:
-        v, colour, backward = step >> 3, step >> 1 & 1, step & 1
-        if not backward:
-            v += 1 if step & 4 else n  # arrive at the head
-        if both >> v & 1:
-            colour, backward = colour ^ 1, backward ^ 1
-        step = _leave(layers, n, v, colour, backward)
-        if step is None or step == seed:
-            return steps, step is not None
-        k, bit = (step & 2) | (step >> 2 & 1), 1 << (step >> 3)
-        assert not flips[k] & bit, "trail revisited an edge instance"
-        flips[k] |= bit
-        steps.append(step)
+        layer = layers[colour]
+        path = layer.paths.get(v) or _path(layer, v)
+        if not path:
+            return v, False
+        if backward:
+            below = path & both & (1 << v) - 1
+            lo, hi = (below.bit_length() if below else (path & -path).bit_length()) - 1, v
+        else:
+            above = path & both & -(2 << v)
+            lo, hi = v, ((above & -above).bit_length() if above else path.bit_length()) - 1
+        closed = colour == seed_colour and backward == seed_backward and lo <= seed_tail < hi and path >> seed_tail & 1
+        if closed:
+            lo, hi = (seed_tail + 1, hi) if backward else (lo, seed_tail)
+        if lo == hi:
+            return v, closed
+        on = path & (1 << hi) - (1 << lo)
+        east = layer.east & on
+        north, k = on ^ east, colour << 1
+        assert not (flips[k] & east or flips[k | 1] & north), "trail revisited an edge instance"
+        flips[k] |= east
+        flips[k | 1] |= north
+        runs.append((k | backward, east, north))
+        end = lo if backward else hi
+        if closed or not both >> end & 1:
+            return end, closed
+        v, colour, backward = end, colour ^ 1, backward ^ 1
 
 
 def _trace(graph, seed) -> ChangingTrail:
-    """The trail through an integer step: walk on from its reversal back to the start, then on from seed."""
+    """The trail through an integer step: on from seed, and unless that closes a cycle, back from its start too."""
     layers = graph.layers
     frame = layers[0].frame
     both = layers[0].points & layers[1].points
+    tail, north, colour, backward = seed >> 3, seed >> 2 & 1, seed >> 1 & 1, seed & 1
     flips = [0, 0, 0, 0]
-    flips[(seed & 2) | (seed >> 2 & 1)] = 1 << (seed >> 3)
-    back, closed = _walk(layers, frame.n, both, seed ^ 1, flips)
-    steps = [step ^ 1 for step in reversed(back)]
-    steps.append(seed)
-    if not closed:
-        steps += _walk(layers, frame.n, both, seed, flips)[0]
-    return ChangingTrail._traced(CYCLE_LIKE if closed else PATH_LIKE, frame, tuple(steps), tuple(flips))
+    flips[colour << 1 | north] = 1 << tail
+    head = tail + (1 if north else frame.n)
+    here, there = (head, tail) if backward else (tail, head)  # where the seed leaves and where it arrives
+    own = (seed & 3, 0 if north else 1 << tail, 1 << tail if north else 0)
+    if (layers[colour ^ 1].north if north else layers[colour ^ 1].east) >> tail & 1:
+        # a doubly-coloured edge is its own two-step cycle: both its ends are points of both colours, so the
+        # walk turns back along it in the other colour and then meets the seed.  Most trails of a fresh graph
+        # of two overlapping layouts are such cycles, and this spares them a walk and their table fills.
+        flips[(colour ^ 1) << 1 | north] = 1 << tail
+        return ChangingTrail._traced(CYCLE_LIKE, frame, flips, there, there, [(own[0] ^ 3, *own[1:]), own])
+    # arriving at a point of both colours switches colour and orientation
+    swap, ahead = both >> there & 1, []
+    end, closed = _walk(layers, both, there, colour ^ swap, backward ^ swap, flips, ahead, (colour, backward, tail))
+    if closed:
+        runs, start, end = ahead + [own], there, there
+    else:
+        swap, behind = both >> here & 1, []
+        start = _walk(layers, both, here, colour ^ swap, backward ^ 1 ^ swap, flips, behind)[0]
+        runs = [(k ^ 1, east, north) for k, east, north in reversed(behind)] + [own] + ahead
+    _one_turn_rule(frame, runs)
+    return ChangingTrail._traced(CYCLE_LIKE if closed else PATH_LIKE, frame, flips, start, end, runs)
 
 
 def trace_trail(graph: TwoColouredGraph, start) -> ChangingTrail:
@@ -482,6 +586,34 @@ def trace_trail(graph: TwoColouredGraph, start) -> ChangingTrail:
     return _trace(graph, at[1] << 3 | at[0] << 2 | _INDEX[colour] << 1 | _INDEX[orientation])
 
 
+def _terminal_trail(layers, both, v, location) -> tuple:
+    """(flips, end bit, runs) of the trail with an endpoint at bit v, the location's bit or None outside the frame.
+
+    A step leaving v has no predecessor when its reversal, which arrives at
+    v, has no successor; the trail is walked from the one such step, and
+    trail_at_terminal documents the refusals.
+    """
+    candidates = []
+    if v is not None:
+        (blue, green), swap = layers, both >> v & 1
+        leaves = (blue.tails >> v & 1, green.tails >> v & 1), (blue.heads >> v & 1, green.heads >> v & 1)
+        for colour, backward in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            if leaves[backward][colour] and not leaves[backward ^ 1 ^ swap][colour ^ swap]:
+                candidates.append((colour, backward))
+    if not candidates:
+        raise ValueError("no changing trail starts at %r" % (location,))
+    if len(candidates) > 1:
+        raise ValueError("%d changing trails start at %r" % (len(candidates), location))
+    flips, runs = [0, 0, 0, 0], []
+    end = _walk(layers, both, v, *candidates[0], flips, runs)[0]
+    _one_turn_rule(layers[0].frame, runs)
+    # terminal-started trails stay clear of doubly-coloured edges, which live on their own two-step cycles
+    (blue, green), (blue_east, blue_north, green_east, green_north) = layers, flips
+    doubly = (blue_east | green_east) & blue.east & green.east or (blue_north | green_north) & blue.north & green.north
+    assert not doubly, "terminal-started trail entered a doubly-coloured edge"
+    return flips, end, runs
+
+
 def trail_at_terminal(graph: TwoColouredGraph, location) -> ChangingTrail:
     """The trail with an endpoint at the given lattice point.
 
@@ -494,25 +626,10 @@ def trail_at_terminal(graph: TwoColouredGraph, location) -> ChangingTrail:
     """
     location = (int(location[0]), int(location[1]))
     layers = graph.layers
-    n, v = layers[0].frame.n, layers[0].frame.index(location)
-    candidates = []
-    if v is not None:
-        swap = (layers[0].points & layers[1].points) >> v & 1
-        for colour, backward in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            # a step has no predecessor when its reversal, which arrives at v, has no successor
-            step = _leave(layers, n, v, colour, backward)
-            if step is not None and _leave(layers, n, v, colour ^ swap, backward ^ 1 ^ swap) is None:
-                candidates.append(step)
-    if not candidates:
-        raise ValueError("no changing trail starts at %r" % (location,))
-    if len(candidates) > 1:
-        raise ValueError("%d changing trails start at %r" % (len(candidates), location))
-    trail = _trace(graph, candidates[0])
-    # terminal-started trails stay clear of doubly-coloured edges, which live on their own two-step cycles
-    (blue, green), (blue_east, blue_north, green_east, green_north) = layers, trail._flips
-    doubly = (blue_east | green_east) & blue.east & green.east or (blue_north | green_north) & blue.north & green.north
-    assert not doubly, "terminal-started trail entered a doubly-coloured edge"
-    return trail
+    frame = layers[0].frame
+    v = frame.index(location)
+    flips, end, runs = _terminal_trail(layers, layers[0].points & layers[1].points, v, location)
+    return ChangingTrail._traced(PATH_LIKE, frame, flips, v, end, runs)
 
 
 def all_trails(graph: TwoColouredGraph) -> tuple:
@@ -532,26 +649,22 @@ def all_trails(graph: TwoColouredGraph) -> tuple:
     return tuple(trails)
 
 
-def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
-    """Flip the colour of every edge instance on the given trails.
+def _recoloured(frame, layers, trails) -> tuple:
+    """The move on masks: each colour's (east, north) after flipping the trails, and the (east, north) edges that moved.
 
-    Each trail must be traced in a graph of an equal frame, and brings its
-    flip masks.  The trails must be pairwise instance-disjoint, lie in the
-    graph and flip both instances of a doubly-coloured edge, so the edge
-    multiset and the total path weight are conserved.  Each colour must
-    still leave (east & north) and enter (east << rows & north << 1) every
-    point at most once.
+    trails are (frame, flips, runs) triples, each trail traced in a graph
+    of an equal frame.  recolour documents the checks; they are all here,
+    and the messages name points and steps through the frame.
     """
-    frame, flips = graph.frame, [0, 0, 0, 0]
-    for trail in trails:
-        if not trail._frame.same(frame):
+    flips = [0, 0, 0, 0]
+    for own_frame, own, runs in trails:
+        if not own_frame.same(frame):
             raise ValueError("trail edges do not all belong to the graph")
-        own = trail._flips
         if flips[0] & own[0] or flips[1] & own[1] or flips[2] & own[2] or flips[3] & own[3]:
-            shared = next(step for step in trail._ints if flips[step & 2 | step >> 2 & 1] >> (step >> 3) & 1)
-            raise ValueError("overlapping trails share the edge instance %r" % (trail._spell(shared)[:2],))
+            shared = next(step for step in _steps_of(runs) if flips[step & 2 | step >> 2 & 1] >> (step >> 3) & 1)
+            raise ValueError("overlapping trails share the edge instance %r" % (_spell(frame, shared)[:2],))
         flips = [flips[0] | own[0], flips[1] | own[1], flips[2] | own[2], flips[3] | own[3]]
-    (blue, green), (blue_east, blue_north, green_east, green_north) = graph.layers, flips
+    (blue, green), (blue_east, blue_north, green_east, green_north) = layers, flips
     # an edge flipped in both colours keeps them; an edge flipped from a colour it lacks is stray
     to_blue = green_east & ~blue_east, green_north & ~blue_north
     to_green = blue_east & ~green_east, blue_north & ~green_north
@@ -559,7 +672,8 @@ def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
     half = to_blue[0] & blue.east | to_green[0] & green.east, to_blue[1] & blue.north | to_green[1] & green.north
     if stray[0] or stray[1] or half[0] or half[1]:
         # name the first step on a faulty edge, in trail order
-        faulty, steps = (stray[0] | half[0], stray[1] | half[1]), (step for trail in trails for step in trail._ints)
+        faulty = stray[0] | half[0], stray[1] | half[1]
+        steps = (step for *_, runs in trails for step in _steps_of(runs))
         north, v = next((s >> 2 & 1, s >> 3) for s in steps if faulty[s >> 2 & 1] >> (s >> 3) & 1)
         if not stray[north] >> v & 1:
             raise ValueError("the doubly-coloured edge %r must flip both colours or neither" % (frame.edge(north, v),))
@@ -574,11 +688,27 @@ def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
             if twice:
                 point = frame.point(twice.bit_length() - 1)
                 raise ValueError("vertex %r has %s-degree 2 within one colour" % (point, degree))
+    return new, (to_blue[0] | to_green[0], to_blue[1] | to_green[1])
+
+
+def recolour(graph: TwoColouredGraph, trails) -> TwoColouredGraph:
+    """Flip the colour of every edge instance on the given trails.
+
+    Each trail must be traced in a graph of an equal frame, and brings its
+    flip masks.  The trails must be pairwise instance-disjoint, lie in the
+    graph and flip both instances of a doubly-coloured edge, so the edge
+    multiset and the total path weight are conserved.  Each colour must
+    still leave (east & north) and enter (east << rows & north << 1) every
+    point at most once.  The masks come from _recoloured; this adds the
+    marks and the graph.
+    """
+    frame = graph.frame
+    new, (moved_east, moved_north) = _recoloured(frame, graph.layers, [(t._frame, t._flips, t._runs) for t in trails])
     # a marked point that a flipped edge reaches is held by its edges alone
-    moved_east, moved_north = to_blue[0] | to_green[0], to_blue[1] | to_green[1]
+    n = frame.n
     touched = moved_east | moved_north | moved_east << n | moved_north << 1
     layers = []
-    for layer, (east, north) in zip((blue, green), new):
+    for layer, (east, north) in zip(graph.layers, new):
         marks, marked = layer.marks, layer.marked
         if marked & touched:
             marks, marked = marks.difference(frame.points(marked & touched)), marked & ~touched

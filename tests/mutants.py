@@ -82,6 +82,18 @@ MUTANTS = [
         ("tests/test_polyring.py::test_determinant_basics",),
     ),
     Mutant(
+        "jacobi_trudi_drops_inner_parts_past_outer",
+        "schur.py",
+        """    if any(inner[d:]):
+        raise ValueError(""",
+        """    if False:
+        raise ValueError(""",
+        (
+            "tests/test_schur.py::test_jacobi_trudi_matrix_refuses_an_inner_part_past_the_outer_rows[None]",
+            "tests/test_schur.py::test_jacobi_trudi_matrix_refuses_an_inner_part_past_the_outer_rows[2]",
+        ),
+    ),
+    Mutant(
         "family_paths_share_a_vertex",
         "schur.py",
         """                if v in seen:
@@ -146,7 +158,7 @@ MUTANTS = [
     Mutant(
         "pattern_weight_from_blue_alone",
         "trails.py",
-        "monomial_mul(blue_weight, green_weight)",
+        "blue_weight + green_weight",
         "blue_weight",
         ("tests/test_identities.py::test_audit_splits_objects",),
     ),
@@ -246,13 +258,21 @@ MUTANTS = [
     Mutant(
         "walk_keeps_colour_at_doubly_coloured_points",
         "trails.py",
-        """        if both >> v & 1:
-            colour, backward = colour ^ 1, backward ^ 1
-""",
-        "",
+        "        v, colour, backward = end, colour ^ 1, backward ^ 1\n",
+        "        v = end\n",
         (
             "tests/test_trails.py::test_trace_fig3_case_a",
-            "tests/test_trails.py::test_doubly_coloured_edge_is_a_two_cycle",
+            "tests/test_trails.py::test_seeded_graphs_trace_as_the_frozenset_oracle[0]",
+        ),
+    ),
+    Mutant(
+        "run_runs_past_the_first_two_colour_point",
+        "trails.py",
+        "(above & -above).bit_length() if above",
+        "above.bit_length() if above",
+        (
+            "tests/test_trails.py::test_trace_fig3_case_a",
+            "tests/test_trails.py::test_seeded_graphs_trace_as_the_frozenset_oracle[0]",
         ),
     ),
     Mutant(

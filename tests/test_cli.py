@@ -550,7 +550,10 @@ def test_verify_refuses_an_identity_with_too_many_tableau_pairs(runner, monkeypa
 )
 def test_failed_check_exits_1_naming_its_command(runner, monkeypatch, argv, message):
     # a recolouring that changes nothing maps every object to itself, which neither check accepts
-    monkeypatch.setattr(replay, "recolour", lambda graph, trails: graph)
+    def unmoved(frame, layers, trails):
+        return tuple((layer.east, layer.north) for layer in layers), (0, 0)
+
+    monkeypatch.setattr(replay, "_recoloured", unmoved)
     result = runner.invoke(main, argv)
     assert result.exit_code == 1
     assert result.stdout == ""

@@ -48,6 +48,7 @@ from schurtrails.polyring import (
 from schurtrails.replay import MAX_AUDIT_OBJECTS, AuditReport, OrbitResult, bijection_audit, explore_orbit
 from schurtrails.schur import PathFamily, TerminalSpec, enumerate_families, jacobi_trudi_matrix, path_weight, ssyt_count
 from schurtrails.trails import (
+    _weight_key,
     build_graph,
     edge_pattern,
     recolour,
@@ -681,7 +682,7 @@ def test_orbit_reads_the_reached_pattern_off_the_edges(data):
     for layer, family in zip(image.layers, (image.blue, image.green)):
         family = PathFamily(path for path in family if path.steps)
         terminals, weight = edge_pattern(layer)
-        edge_read = _outcome(lambda t: (TerminalSpec(*t, N), weight), terminals)
+        edge_read = _outcome(lambda t: (TerminalSpec(*t, N), _weight_key(layer.frame, weight)), terminals)
         assert edge_read == _outcome(lambda f: (TerminalSpec.from_family(f, N), path_weight(f)), family)
 
 
@@ -717,22 +718,27 @@ def test_audit_four_part_window():
     assert rep.case_b == 64
 
 
+def unmoved(frame, layers, trails):
+    """A move on masks that changes nothing: every object is its own image."""
+    return tuple((layer.east, layer.north) for layer in layers), (0, 0)
+
+
 def test_audit_refuses_an_image_outside_the_layouts(monkeypatch):
-    monkeypatch.setattr(replay, "recolour", lambda graph, trails: graph)
+    monkeypatch.setattr(replay, "_recoloured", unmoved)
     with pytest.raises(RuntimeError, match=r"image \(\('\(.*is not an object of either layout"):
         bijection_audit((2, 1), N=2)
 
 
 def test_audit_refuses_a_repeated_image(monkeypatch):
-    move = replay.recolour
+    move = replay._recoloured
     first = []
 
-    def to_the_first_image(graph, trails):
+    def to_the_first_image(frame, layers, trails):
         if not first:
-            first.append(move(graph, trails))
+            first.append(move(frame, layers, trails))
         return first[0]
 
-    monkeypatch.setattr(replay, "recolour", to_the_first_image)
+    monkeypatch.setattr(replay, "_recoloured", to_the_first_image)
     with pytest.raises(RuntimeError, match=r"two objects recoloured to the same image \(\('\("):
         bijection_audit((2, 1), N=2)
 

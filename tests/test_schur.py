@@ -118,10 +118,21 @@ def test_jacobi_trudi_matches_tableaux():
 
 
 def test_jacobi_trudi_matrix_reads_its_inner_shape_once():
-    # zeros pad inner up to outer's rows, and parts past them are left out
+    # zeros pad inner up to outer's rows, and zero parts past them are left out
     expected = jacobi_trudi_matrix((3, 2, 1), (1, 1, 0))
     assert jacobi_trudi_matrix((3, 2, 1), iter((1, 1))) == jacobi_trudi_matrix((3, 2, 1), (1, 1)) == expected
     assert jacobi_trudi_matrix((3, 2), iter((1, 1, 0, 0))) == jacobi_trudi_matrix((3, 2), (1, 1))
+
+
+@pytest.mark.parametrize("N", [None, 2])
+def test_jacobi_trudi_matrix_refuses_an_inner_part_past_the_outer_rows(N):
+    # a cell of inner below outer's last row is not left out: no skew shape has it, as SkewShape says
+    with pytest.raises(ValueError, match=r"^inner shape sticks out of outer: "):
+        SkewShape((1,), (1, 1))
+    with pytest.raises(ValueError, match=r"^inner shape sticks out of outer: Partition\(\(1,\)\) / \(0, 1\)$"):
+        jacobi_trudi_matrix((1,), (0, 1), N=N)
+    with pytest.raises(ValueError, match=r"^inner shape sticks out of outer: "):
+        jacobi_trudi_matrix((2, 1), iter((1, 1, 1)), N=N)
 
 
 def test_jacobi_trudi_rejects_skew():

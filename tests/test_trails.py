@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,8 @@ from schurtrails.trails import (
     PATH_LIKE,
     WHITE,
     NoncrossingMatching,
+    _packed,
+    _weight_key,
     TerminalPoint,
     TwoColouredGraph,
     all_trails,
@@ -507,6 +511,98 @@ def test_masks_agree_with_the_frozenset_oracle(data):
         _same_move(graph, oracle, data.draw(st.lists(st.sampled_from(foreign), min_size=1, max_size=3)))
 
 
+def oracle_trace(oracle, seed):
+    """(kind, steps) of the trail through a seed step: back from its reversal, then, unless that closed, on from it."""
+    seen = {(seed[0], seed[1])}
+    back, closed = _oracle_walk(oracle.maps, _reverse(seed), seen)
+    steps = [_reverse(step) for step in reversed(back)] + [seed]
+    if closed:
+        return CYCLE_LIKE, tuple(steps)
+    return PATH_LIKE, tuple(steps + _oracle_walk(oracle.maps, seed, seen)[0])
+
+
+def oracle_all_trails(oracle):
+    """Every trail once, each traced from its least instance: tails ascend, north before east, blue first."""
+    def order(instance):
+        ((x, y), (u, w)), colour = instance
+        return (x, y), u != x, colour == GREEN
+
+    instances = sorted(((edge, colour) for colour in (BLUE, GREEN) for edge in oracle.edges[colour]), key=order)
+    seen, trails = set(), []
+    for edge, colour in instances:
+        if (edge, colour) not in seen:
+            trails.append(oracle_trace(oracle, (edge, colour, FORWARD)))
+            seen |= {(e, c) for e, c, _ in trails[-1][1]}
+    return trails
+
+
+def _spelled_like_the_oracle(graph, trail, want):
+    """The trail's kind, steps, flip masks, start and end against an oracle's (kind, steps)."""
+    kind, steps = want
+    assert (trail.kind, trail.steps) == want
+    flips = [0, 0, 0, 0]
+    for edge, colour, _ in steps:
+        north, v = graph.frame.locate(edge)
+        flips[(colour == GREEN) << 1 | north] |= 1 << v
+    assert list(trail._flips) == flips
+    (first, _), _, way = steps[0]
+    assert trail.start == (first if way == FORWARD else steps[0][0][1])
+    (tail, last), _, way = steps[-1]
+    assert trail.end == (last if way == FORWARD else tail)
+    if kind == CYCLE_LIKE:
+        assert trail.start == trail.end
+
+
+def _seeded_graph(rng):
+    """A blue and a green family at N = 1..3, sometimes of one layout so that edges are doubly coloured."""
+    n, t = rng.randint(1, 3), rng.randint(-2, 2)
+    shapes = []
+    for _ in range(2):
+        outer = sorted((rng.randint(0, 3) for _ in range(rng.randint(1, 3))), reverse=True)
+        inner = sorted((rng.randint(0, part) for part in outer), reverse=True)
+        shapes.append(SkewShape(Partition(outer), Partition([min(i, o) for i, o in zip(inner, outer)])))
+    if rng.random() < 0.3:
+        shapes[1], t = shapes[0], rng.choice((0, t))
+    blues = list(enumerate_families(TerminalSpec.from_shape(shapes[0], n)))
+    greens = list(enumerate_families(TerminalSpec.from_shape(shapes[1], n, offset=t)))
+    if not blues or not greens:
+        return None
+    return rng.choice(blues), rng.choice(greens)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_seeded_graphs_trace_as_the_frozenset_oracle(seed):
+    # the run walker against the step-by-step oracle: from every point, every instance and every graph's
+    # least instances (all_trails); the sweep must meet cycles, two-step cycles on a doubly-coloured edge
+    # and zero-length marks
+    rng, met = random.Random(seed), set()
+    for _ in range(60):
+        families = _seeded_graph(rng)
+        if families is None:
+            continue
+        graph, oracle = build_graph(*families), OracleGraph.of(*families)
+        if any(not path.steps for family in families for path in family):
+            met.add("mark")
+        for point in sorted(graph.vertices):
+            trail = _outcome(trail_at_terminal, graph, point)
+            want = _outcome(oracle_trail_at_terminal, oracle, point)
+            if isinstance(trail, str) or isinstance(want, str):
+                assert trail == want
+            else:
+                _spelled_like_the_oracle(graph, trail, want)
+        for edge, colour in graph.instances():
+            for orientation in (FORWARD, BACKWARD):
+                _spelled_like_the_oracle(graph, trace_trail(graph, (edge, colour, orientation)),
+                                         oracle_trace(oracle, (edge, colour, orientation)))
+        trails, wanted = all_trails(graph), oracle_all_trails(oracle)
+        assert len(trails) == len(wanted)
+        for trail, want in zip(trails, wanted):
+            _spelled_like_the_oracle(graph, trail, want)
+            if trail.kind == CYCLE_LIKE:
+                met.add("two-step cycle" if len(trail.steps) == 2 and len(trail.edge_instances()) == 2 else "cycle")
+    assert met >= {"cycle", "two-step cycle", "mark"}
+
+
 def distinct_trails(graph, locations):
     trails = {}
     for location in locations:
@@ -634,7 +730,9 @@ def test_pattern_objects_share_one_frame_and_match_built_graphs(data):
         assert graph._key() == built._key() and (graph.blue, graph.green) == (fb, fg)
         assert [(layer.marks, layer.marked) for layer in graph.layers] == [(b.marks, b.marked) for b in built.layers]
         assert _picture(graph) == _picture(built)
-        assert weight == monomial_mul(path_weight(fb), path_weight(fg))
+        # packed in the frame, the product of the two families' weights is the sum of theirs
+        assert weight == _packed(graph.frame, path_weight(fb)) + _packed(graph.frame, path_weight(fg))
+        assert _weight_key(graph.frame, weight) == monomial_mul(path_weight(fb), path_weight(fg))
         marks = {path.start: colour for colour, f in ((BLUE, fb), (GREEN, fg)) for path in f if not path.steps}
         for location in terminals:
             trail = _outcome(trail_at_terminal, graph, location)

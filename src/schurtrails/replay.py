@@ -116,13 +116,13 @@ def _moved_objects(objects, locations, read):
 #: Most objects bijection_audit replays: s_lead(1^N) * s_trail(1^N) above
 #: this is refused before any family is enumerated.  The limit was set for
 #: about 4 s of audit at 42 us per object.  Since the move runs on masks an
-#: object costs about 12 us ((7,4,1) at N = 4, 75,600 objects in 0.93 s at
+#: object costs about 14 us ((7,4,1) at N = 4, 75,600 objects in 1.07 s at
 #: the reference speed of bench/refspeed.py, best of three; 2-vCPU VM,
-#: CPython 3.11.7), so the limit now stands for about 1.2 s.  The r = 2
-#: Dodgson audit, (7,5,3) at N = 4 with 264,600 objects, stays over it,
-#: though it took 3.3 s at the reference speed.  explore_orbit moves each
-#: object by the same step, so it stops once it has moved more objects
-#: than this.
+#: CPython 3.11.7), so the limit now stands for about 1.4 s.  The r = 2
+#: Dodgson audit, (7,5,3) at N = 4 with 264,600 objects, stays over it: it
+#: took 4.1-4.2 s at the reference speed, over the 4 s the limit was set for.
+#: explore_orbit moves each object by the same step, so it stops once it
+#: has moved more objects than this.
 MAX_AUDIT_OBJECTS = 100_000
 
 class AuditReport(Value):

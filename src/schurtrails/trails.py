@@ -25,12 +25,12 @@ row of the frame, so the weight of two layers is the sum of theirs.
 
 A trail is walked run by run: a run is a stretch in one colour and one
 orientation, along the path through its first point, up to the next
-point of both colours, where the walk switches both.  Along a path the
-bits ascend, so with the path's point mask, which each layer keeps in a
-table filled once per path, a run's end and its flipped edges are a few
-mask operations.  A trail keeps its frame, its flip masks, its start and
-end bits and its runs; its steps are spelled from the runs, and its edge
-instances from the flip masks, when first read.  The move has two cores that work on masks
+point of both colours, where the walk switches both.  A run is stepped
+along its colour's masks, its east and north edges gathered into two
+masks, and the trail's flips and runs grow by a run at a time.  A trail
+keeps its frame, its flip masks, its start and end bits and its runs;
+its steps are spelled from the runs, and its edge instances from the
+flip masks, when first read.  The move has two cores that work on masks
 alone: _terminal_trail traces the trail at a terminal, and _recoloured
 flips trails and runs every check of recolour; trail_at_terminal and
 recolour wrap them, and the replay calls them directly.  Graphs compare
@@ -146,17 +146,15 @@ class _Layer:
     A family is vertex-disjoint, so each point has at most one in- and one
     out-edge of a colour, and trails are deterministic.  marked has the
     marks' bits; tails a bit at every edge's tail, heads at every edge's
-    head, and points at both and at every mark.  paths is the table _path
-    fills: each bit of a path the walk has entered, mapped to the path's
-    point mask.
+    head, and points at both and at every mark.
     """
 
-    __slots__ = ("frame", "east", "north", "marks", "marked", "tails", "heads", "points", "paths")
+    __slots__ = ("frame", "east", "north", "marks", "marked", "tails", "heads", "points")
 
     def __init__(self, frame, east, north, marks=frozenset(), marked=0):
         tails, heads = east | north, east << frame.n | north << 1
         self.frame, self.east, self.north, self.marks, self.marked = frame, east, north, marks, marked
-        self.tails, self.heads, self.points, self.paths = tails, heads, tails | heads | marked, {}
+        self.tails, self.heads, self.points = tails, heads, tails | heads | marked
 
     @classmethod
     def of(cls, paths, frame):
@@ -467,72 +465,63 @@ class ChangingTrail(Value):
         return (self.start,) + tuple(map(frame.point, heads))
 
 
-def _path(layer, v) -> int:
-    """The point mask of the layer's path through bit v, a mark's being its own bit, or 0 off the layer.
-
-    The path is walked from v back to its start and on to its end, and
-    every bit of it is entered in the layer's table.
-    """
-    if not layer.points >> v & 1:
-        return 0
-    east, heads, tails, n = layer.east, layer.heads, layer.tails, layer.frame.n
-    on, u, path = [v], v, 1 << v
-    while heads >> u & 1:
-        u -= n if u >= n and east >> u - n & 1 else 1
-        path |= 1 << u
-        on.append(u)
-    while tails >> v & 1:
-        v += n if east >> v & 1 else 1
-        path |= 1 << v
-        on.append(v)
-    paths = layer.paths
-    for u in on:
-        paths[u] = path
-    return path
-
-
 def _walk(layers, both, v, colour, backward, flips, runs, seed=(-1, -1, -1)):
     """Walk run by run from bit v, leaving it in the colour and orientation; returns (the last bit reached, closed).
 
-    A run follows the colour's path through v to the next point of both
-    colours or to the path's end.  Along a path the bits ascend, so going
-    forward that is the lowest bit of path & both above v, and going
-    backward the highest below it.  A run's east and north steps are set
-    in flips, the trail's four masks, and it is appended to runs as
+    A run steps along the colour's path, forward or backward, to the next
+    point of both colours or to the path's end, gathering its east and
+    north edges (their tail bits) into two masks.  The masks are set in
+    flips, the trail's four masks, and the run is appended to runs as
     (colour << 1 | backward, east, north).  At a point of both colours the
     walk switches colour and orientation; it stops at an empty run or at a
     point of one colour.  With seed = (colour, backward, tail bit) given,
-    a run in the seed's colour and orientation that reaches the seed's
-    step stops short of it, and the walk has closed a cycle.
+    a run in the seed's colour and orientation that takes the seed's step
+    stops short of it, and the walk has closed a cycle.
     """
     seed_colour, seed_backward, seed_tail = seed
+    n = layers[0].frame.n
     while True:
-        layer = layers[colour]
-        path = layer.paths.get(v) or _path(layer, v)
-        if not path:
-            return v, False
+        layer, u, east, north = layers[colour], v, 0, 0
+        east_mask, north_mask = layer.east, layer.north
         if backward:
-            below = path & both & (1 << v) - 1
-            lo, hi = (below.bit_length() if below else (path & -path).bit_length()) - 1, v
+            while True:  # bits descend: an east edge into u has its tail at u - n, a north one at u - 1
+                if u >= n and east_mask >> u - n & 1:
+                    u -= n
+                    east |= 1 << u
+                elif u and north_mask >> u - 1 & 1:
+                    u -= 1
+                    north |= 1 << u
+                else:
+                    break
+                if both >> u & 1:
+                    break
         else:
-            above = path & both & -(2 << v)
-            lo, hi = v, ((above & -above).bit_length() if above else path.bit_length()) - 1
-        closed = colour == seed_colour and backward == seed_backward and lo <= seed_tail < hi and path >> seed_tail & 1
-        if closed:
-            lo, hi = (seed_tail + 1, hi) if backward else (lo, seed_tail)
-        if lo == hi:
+            while True:  # bits ascend: an east step adds the number of rows, a north step 1
+                if east_mask >> u & 1:
+                    east |= 1 << u
+                    u += n
+                elif north_mask >> u & 1:
+                    north |= 1 << u
+                    u += 1
+                else:
+                    break
+                if both >> u & 1:
+                    break
+        closed = colour == seed_colour and backward == seed_backward and (east | north) >> seed_tail & 1
+        if closed:  # keep the steps before the seed's: tails above it going backward, below it going forward
+            keep = -(2 << seed_tail) if backward else (1 << seed_tail) - 1
+            u = seed_tail + (1 if north >> seed_tail & 1 else n) if backward else seed_tail
+            east, north = east & keep, north & keep
+        if not east | north:
             return v, closed
-        on = path & (1 << hi) - (1 << lo)
-        east = layer.east & on
-        north, k = on ^ east, colour << 1
+        k = colour << 1
         assert not (flips[k] & east or flips[k | 1] & north), "trail revisited an edge instance"
         flips[k] |= east
         flips[k | 1] |= north
         runs.append((k | backward, east, north))
-        end = lo if backward else hi
-        if closed or not both >> end & 1:
-            return end, closed
-        v, colour, backward = end, colour ^ 1, backward ^ 1
+        if closed or not both >> u & 1:
+            return u, closed
+        v, colour, backward = u, colour ^ 1, backward ^ 1
 
 
 def _trace(graph, seed) -> ChangingTrail:
@@ -546,12 +535,6 @@ def _trace(graph, seed) -> ChangingTrail:
     head = tail + (1 if north else frame.n)
     here, there = (head, tail) if backward else (tail, head)  # where the seed leaves and where it arrives
     own = (seed & 3, 0 if north else 1 << tail, 1 << tail if north else 0)
-    if (layers[colour ^ 1].north if north else layers[colour ^ 1].east) >> tail & 1:
-        # a doubly-coloured edge is its own two-step cycle: both its ends are points of both colours, so the
-        # walk turns back along it in the other colour and then meets the seed.  Most trails of a fresh graph
-        # of two overlapping layouts are such cycles, and this spares them a walk and their table fills.
-        flips[(colour ^ 1) << 1 | north] = 1 << tail
-        return ChangingTrail._traced(CYCLE_LIKE, frame, flips, there, there, [(own[0] ^ 3, *own[1:]), own])
     # arriving at a point of both colours switches colour and orientation
     swap, ahead = both >> there & 1, []
     end, closed = _walk(layers, both, there, colour ^ swap, backward ^ swap, flips, ahead, (colour, backward, tail))

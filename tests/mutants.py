@@ -258,18 +258,28 @@ MUTANTS = [
     Mutant(
         "walk_keeps_colour_at_doubly_coloured_points",
         "trails.py",
-        "        v, colour, backward = end, colour ^ 1, backward ^ 1\n",
-        "        v = end\n",
+        "        v, colour, backward = u, colour ^ 1, backward ^ 1\n",
+        "        v = u\n",
         (
             "tests/test_trails.py::test_trace_fig3_case_a",
-            "tests/test_trails.py::test_seeded_graphs_trace_as_the_frozenset_oracle[0]",
+            "tests/test_trails.py::test_doubly_coloured_edge_is_a_two_cycle",
         ),
     ),
     Mutant(
         "run_runs_past_the_first_two_colour_point",
         "trails.py",
-        "(above & -above).bit_length() if above",
-        "above.bit_length() if above",
+        """                    north |= 1 << u
+                    u += 1
+                else:
+                    break
+                if both >> u & 1:
+                    break
+""",
+        """                    north |= 1 << u
+                    u += 1
+                else:
+                    break
+""",
         (
             "tests/test_trails.py::test_trace_fig3_case_a",
             "tests/test_trails.py::test_seeded_graphs_trace_as_the_frozenset_oracle[0]",

@@ -11,10 +11,11 @@ Every Schur identity here -- the window exchange and its kirillov
 preset, Schur-mode Plücker, the balanced split and the square expansion
 -- reads sum c * s_alpha * s_beta = sum c' * s_alpha' * s_beta'.  Each
 verifier states its two sides as lists of (c, alpha, beta) terms, and
-one function, _product_identity, expands each side in one packed pass,
-polyring.sum_of_products, as Dodgson's right side and both sides of
-formal Plücker are expanded; it first bounds the key digits their
-products handle and refuses more than MAX_PRODUCT_DIGITS.
+one function, _product_identity, expands both sides in one packed pass,
+polyring.sums_of_products, as both sides of Dodgson and of formal
+Plücker are expanded; it first bounds the key digits their products
+handle, refuses more than MAX_PRODUCT_DIGITS and drops every product
+whose bound is zero before either factor is expanded.
 Ciucu, Kleber and Schur-mode Plücker count their terms before they list
 them, and refuse more than MAX_PRODUCT_TERMS.  The window exchange is
 stated once, by _window_exchange, and verify_general, verify_kirillov
@@ -35,7 +36,7 @@ import math
 from functools import lru_cache
 
 from .partitions import Partition, SkewShape, Value, beads, from_beads, partition_from_set
-from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_str, sum_of_products
+from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_str, sums_of_products
 from .schur import schur_poly, ssyt_count
 
 
@@ -136,21 +137,24 @@ def _product_identity(identity, params, lhs, rhs) -> IdentityReport:
 
     A side is a list of (c, alpha, beta) terms read as the sum of
     c * s_alpha * s_beta; schur_of takes the factors in x_1..x_N, left
-    side first, term by term, alpha before beta.  params["N"] is the N
-    asked for, and _alphabet settles it; the report records the N used
-    in its place.  Raises ValueError, before any factor is expanded,
-    when N < 1 or when the products handle more than MAX_PRODUCT_DIGITS
-    key digits in all.
+    side first, term by term, alpha before beta, and is not asked for
+    either factor of a product whose term bound is zero, as when a
+    window is lowered to -1.  params["N"] is the N asked for, and
+    _alphabet settles it; the report records the N used in its place.
+    Raises ValueError, before any factor is expanded, when N < 1 or when
+    the products handle more than MAX_PRODUCT_DIGITS key digits in all.
     """
     N = _alphabet(params["N"], lhs + rhs)
-    digits = N * sum(_terms_at_most(alpha, N) * _terms_at_most(beta, N) for _, alpha, beta in lhs + rhs)
+    sides = [[(c, alpha, beta, _terms_at_most(alpha, N) * _terms_at_most(beta, N)) for c, alpha, beta in terms]
+             for terms in (lhs, rhs)]
+    digits = N * sum(bound for side in sides for *_, bound in side)
     if digits > MAX_PRODUCT_DIGITS:
         raise ValueError(
             "the identity's products have %d key digits, more than MAX_PRODUCT_DIGITS = %d"
             % (digits, MAX_PRODUCT_DIGITS)
         )
-    sides = [sum_of_products((c, schur_of(alpha, N), schur_of(beta, N)) for c, alpha, beta in terms)
-             for terms in (lhs, rhs)]
+    sides = sums_of_products([(c, schur_of(alpha, N), schur_of(beta, N)) for c, alpha, beta, bound in side if bound]
+                             for side in sides)
     return IdentityReport(identity, dict(params, N=N), *sides)
 
 
@@ -206,10 +210,10 @@ def verify_dodgson(r) -> IdentityReport:
     central = tuple(range(2, r + 1))
     head = tuple(range(1, r + 1))
     tail = tuple(range(2, r + 2))
-    lhs = determinant(matrix) * minor(matrix, central, central)
-    rhs = sum_of_products([(1, minor(matrix, head, head), minor(matrix, tail, tail)),
-                           (-1, minor(matrix, tail, head), minor(matrix, head, tail))])
-    return IdentityReport("dodgson", {"r": r}, lhs, rhs)
+    sides = sums_of_products([[(1, determinant(matrix), minor(matrix, central, central))],
+                              [(1, minor(matrix, head, head), minor(matrix, tail, tail)),
+                               (-1, minor(matrix, tail, head), minor(matrix, head, tail))]])
+    return IdentityReport("dodgson", {"r": r}, *sides)
 
 
 def _padded(p: Partition, n: int) -> tuple:
@@ -326,8 +330,8 @@ def verify_pluecker(n=None, r_list=(), mode="formal", lam=None, sigma=None, N=No
         matrix = FormalMatrix.generic(2 * n, n)
         top, bottom = tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))
 
-        sides = [sum_of_products((1, minor(matrix, first, top), minor(matrix, second, top)) for first, second in rows)
-                 for rows in ([(top, bottom)], _exchanges(top, bottom, r_list))]
+        sides = sums_of_products([(1, minor(matrix, first, top), minor(matrix, second, top)) for first, second in rows]
+                                 for rows in ([(top, bottom)], _exchanges(top, bottom, r_list)))
         return IdentityReport("pluecker", {"mode": mode, "n": n, "r_list": list(r_list)}, *sides)
 
     top_parts, bottom_parts = _padded(lam, n), _padded(sigma, n)

@@ -8,10 +8,11 @@ equality and hashing; monomial() is the one constructor that canonicalises
 and monomial_mul() keeps keys canonical.  Every sum of products and every
 determinant packs each key into one integer: one digit per variable, of
 base 1 + the sum of the factors' top exponents, so no digit carries and a
-product of keys is one addition.  sum_of_products adds a whole list of
-products in place into one packed dict and decodes once; a product is
-its one-term case, and a determinant, adding its products by the same
-loop, decodes only its full minor.  A polynomial maps canonical keys to
+product of keys is one addition.  sums_of_products packs the operands of
+several lists of products once, in one base, adds each list in place into
+its own packed dict and decodes each distinct sum once; a product is its
+one-term case, and a determinant, adding its products by the same loop,
+decodes only its full minor.  A polynomial maps canonical keys to
 (arbitrary precision) integer coefficients and never stores zeros.
 Polynomials and matrices are immutable partitions.Value's.  Their
 public constructors check outside input; the ring's own sums, products,
@@ -155,7 +156,7 @@ def _pack(coeffs, place):
 
 
 def _unpack(acc, base, place):
-    """Canonical coefficient dict of a packed one, zero coefficients dropped.
+    """Canonical coefficient dict of a packed one that holds no zeros.
 
     The low half of the digits decodes to the first half of the key; each
     half is decoded once per distinct value and the halves are joined.
@@ -169,9 +170,8 @@ def _unpack(acc, base, place):
     half = base**split
     out = {}
     for p, c in acc.items():
-        if c:
-            hi, lo = divmod(p, half)
-            out[low[lo] + high[hi]] = c
+        hi, lo = divmod(p, half)
+        out[low[lo] + high[hi]] = c
     return out
 
 
@@ -266,7 +266,7 @@ class Polynomial(Value):
             return Polynomial._unchecked({m: c * other for m, c in self.coeffs.items()} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return sum_of_products([(1, self, other)])
+        return sums_of_products([[(1, self, other)]])[0]
 
     __rmul__ = __mul__
 
@@ -339,23 +339,34 @@ class Polynomial(Value):
         return " ".join(bits)
 
 
-def sum_of_products(terms):
-    """The sum of c * a * b over (c, a, b) triples of an int and two polynomials, in one packed pass.
+def sums_of_products(sides):
+    """The sum of c * a * b over each side's (c, a, b) triples of an int and two polynomials, in one packed pass.
 
-    The whole list packs in one base, 1 + the top exponent of every a plus
-    that of every b (see _places); the sum is decoded once, zeros dropped.
-    A triple with a zero coefficient or operand is dropped before anything is scanned.
+    Every side packs in one base, 1 + the top exponent of every a plus
+    that of every b (see _places), and each distinct operand is packed
+    once.  Each side is added into its own packed dict, zeros dropped; as
+    packing is injective, a side whose packed dict equals an earlier
+    side's shares that side's polynomial, and any other is decoded.  A
+    triple with a zero coefficient or operand is dropped before anything
+    is scanned.  Returns a tuple of polynomials, one per side.
     """
-    terms = [(c, a.coeffs, b.coeffs) for c, a, b in terms if c and a and b]
-    if not terms:
-        return Polynomial._unchecked({})
-    base, place = _places(([a for _, a, _ in terms], [b for _, _, b in terms]))
-    acc = {}
-    for c, a, b in terms:
-        if len(a) > len(b):
-            a, b = b, a
-        _accumulate(acc, [(p, c * v) for p, v in _pack(a, place)], _pack(b, place))
-    return Polynomial._unchecked(_unpack(acc, base, place))
+    sides = [[(c, a.coeffs, b.coeffs) for c, a, b in terms if c and a and b] for terms in sides]
+    if not any(sides):
+        return (Polynomial._unchecked({}),) * len(sides)
+    base, place = _places([[term[i] for side in sides for term in side] for i in (1, 2)])
+    operands = {id(f): f for side in sides for _, a, b in side for f in (a, b)}
+    packed = {key: _pack(f, place) for key, f in operands.items()}
+    done = []
+    for side in sides:
+        acc = {}
+        for c, a, b in side:
+            if len(a) > len(b):
+                a, b = b, a
+            _accumulate(acc, [(p, c * v) for p, v in packed[id(a)]], packed[id(b)])
+        acc = {p: c for p, c in acc.items() if c}
+        same = [poly for seen, poly in done if seen == acc]
+        done.append((acc, same[0] if same else Polynomial._unchecked(_unpack(acc, base, place))))
+    return tuple(poly for _, poly in done)
 
 
 def complete_homogeneous(m, n_vars):

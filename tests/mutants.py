@@ -63,13 +63,24 @@ MUTANTS = [
         ("tests/test_polyring.py::test_determinant_reaches_the_packing_bound[0]",),
     ),
     Mutant(
-        "sum_of_products_drops_the_coefficient",
+        "sums_of_products_drops_the_coefficient",
         "polyring.py",
-        "[(p, c * v) for p, v in _pack(a, place)]",
-        "[(p, v) for p, v in _pack(a, place)]",
+        "[(p, c * v) for p, v in packed[id(a)]]",
+        "[(p, v) for p, v in packed[id(a)]]",
         (
             "tests/test_identities.py::test_dodgson_two_by_two",
             "tests/test_identities.py::test_ciucu_pairs",
+        ),
+    ),
+    Mutant(
+        "sides_share_a_decode_unequal",
+        "polyring.py",
+        "[poly for seen, poly in done if seen == acc]",
+        "[poly for seen, poly in done]",
+        (
+            "tests/test_identities.py::test_each_side_of_a_schur_identity_is_decoded_once",
+            "tests/test_identities.py::test_a_false_window_exchange_names_its_first_differing_monomial[last-term-dropped]",
+            "tests/test_identities.py::test_a_false_window_exchange_names_its_first_differing_monomial[sign-flipped]",
         ),
     ),
     Mutant(

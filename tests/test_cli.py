@@ -350,6 +350,28 @@ def test_bead_identities_keep_their_cli_bytes(runner):
     assert digest.hexdigest() == "b31064b72e36f68899356aec1c68624cc72b721be499a197a4bc85a27f43068a"
 
 
+def test_packed_product_identities_keep_their_cli_bytes(runner):
+    # the window exchange of every window of 2 to 4 parts up to 5 at N = 2..4,
+    # Dodgson for k = 1..5 and formal Pluecker for n <= 4 on every r-list,
+    # whose sides are expanded together: one digest of argv, exit code and
+    # stdout, recorded when each side was expanded on its own
+    calls = [["verify", "general", "--lambda", ",".join(map(str, parts)), "--vars", str(N)]
+             for length in (2, 3, 4) for parts in itertools.combinations_with_replacement(range(5, -1, -1), length)
+             for N in (2, 3, 4)]
+    calls += [["verify", "dodgson", "--k", str(k)] for k in range(1, 6)]
+    calls += [["verify", "pluecker", "--k", str(n), "--rlist", ",".join(map(str, rlist))]
+              for n in range(1, 5) for size in range(n + 1) for rlist in itertools.combinations(range(1, n + 1), size)]
+    digest, failed = hashlib.sha256(), []
+    for argv in calls:
+        argv += ["--format", "json"]
+        result = runner.invoke(main, argv)
+        if result.exit_code:
+            failed.append((argv, result.output))
+        digest.update(json.dumps([argv, result.exit_code, result.stdout]).encode() + b"\n")
+    assert (len(calls), failed) == (644, [])
+    assert digest.hexdigest() == "75c1196df3409627a6058a10da78cdc409a13495204852bee3765bebbd5f3c73"
+
+
 @pytest.mark.parametrize(
     "argv, exit_code, check",
     [

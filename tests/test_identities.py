@@ -176,9 +176,43 @@ def test_each_side_of_a_schur_identity_is_decoded_once(monkeypatch):
     decoded = []
     unpack = polyring._unpack
     monkeypatch.setattr(polyring, "_unpack", lambda *args: decoded.append(args) or unpack(*args))
+    # both sides are summed in one packed pass, and the right side, packed equal to the left, shares its decode
     assert verify_general((3, 2, 1), 3).equal
-    # one packed sum per side: the left side's one product, the right side's two
-    assert len(decoded) == 2
+    assert len(decoded) == 1
+    # the sides of a false identity are each decoded
+    lhs, rhs = identities._window_exchange((3, 2, 1))
+    assert not identities._product_identity("general", {"N": 3}, lhs, rhs[:-1]).equal
+    assert len(decoded) == 3
+
+
+@pytest.mark.parametrize(
+    "broken, witness",
+    [
+        (lambda rhs: rhs[:-1], "x1^5*x2^3: 1 versus 0"),
+        (lambda rhs: rhs[:-1] + [(-c, a, b) for c, a, b in rhs[-1:]], "x1^5*x2^3: 1 versus -1"),
+    ],
+    ids=["last-term-dropped", "sign-flipped"],
+)
+def test_a_false_window_exchange_names_its_first_differing_monomial(broken, witness):
+    # s_(3,2) * s_(2,1) = s_(2) * s_(3,2,1) + s_(1,0) * s_(4,3) at N = 3: x1^5*x2^3 comes only from the last term
+    lhs, rhs = identities._window_exchange((3, 2, 1))
+    rep = identities._product_identity("general", {"N": 3}, lhs, broken(rhs))
+    assert not rep.equal
+    assert rep.witness == witness
+    assert rep.to_json()["witness"] == witness
+
+
+def test_no_vanishing_product_expands_its_other_factor(monkeypatch):
+    asked = []
+    expand = identities.schur_of
+    monkeypatch.setattr(identities, "schur_of", lambda parts, N: asked.append(tuple(parts)) or expand(parts, N))
+    # the lowered window (2, -1) vanishes, so the raised window (7, 4) is never expanded
+    assert verify_general((6, 3, 0), 4).equal
+    assert asked == [(6, 3), (3, 0), (3,), (6, 3, 0)]
+    asked.clear()
+    # nor is kirillov's raised window (1, 1), beside its lowered (-1, -1)
+    assert verify_kirillov(0, 2).equal
+    assert asked == [(0, 0), (0, 0), (0,), (0, 0, 0)]
 
 
 # ---------------------------------------------------------------- dodgson

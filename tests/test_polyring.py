@@ -21,7 +21,7 @@ from schurtrails.polyring import (
     monomial_degree,
     monomial_mul,
     monomial_str,
-    sum_of_products,
+    sums_of_products,
     x_var,
 )
 from schurtrails.partitions import Partition
@@ -137,7 +137,7 @@ def test_ring_axioms(p, q, r):
 @given(polys_st, polys_st)
 @settings(max_examples=50, deadline=None)
 def test_packed_product_matches_the_merge(p, q):
-    packed = sum_of_products([(1, p, q)])
+    (packed,) = sums_of_products([[(1, p, q)]])
     assert packed == merged_product(p, q) == p * q
     assert all(packed.coeffs.values())
 
@@ -145,18 +145,27 @@ def test_packed_product_matches_the_merge(p, q):
 terms_st = st.lists(st.tuples(st.integers(-3, 3), polys_st, polys_st), max_size=4)
 
 
-@given(terms_st)
+@given(st.lists(terms_st, max_size=3))
 @settings(max_examples=50, deadline=None)
-def test_sum_of_products_matches_the_merged_sum(terms):
-    expected = Polynomial.zero()
-    for c, p, q in terms:
-        expected = expected + c * merged_product(p, q)
-    total = sum_of_products(terms)
-    assert total == expected
-    assert canonical_keys(total) and all(total.coeffs.values())
-    # each term and its negation cancel to the zero polynomial; no term at all is zero too
-    assert sum_of_products(terms + [(-c, q, p) for c, p, q in terms]).coeffs == {}
-    assert sum_of_products([]).coeffs == {}
+def test_sum_of_products_matches_the_merged_sum(sides):
+    # each side is followed by an equal one: its terms in reverse order, each product's operands swapped
+    sides = [side for terms in sides for side in (terms, [(c, q, p) for c, p, q in reversed(terms)])]
+    totals = sums_of_products(sides)
+    assert len(totals) == len(sides)
+    for terms, total in zip(sides, totals):
+        expected = Polynomial.zero()
+        for c, p, q in terms:
+            expected = expected + c * merged_product(p, q)
+        assert total == expected
+        assert canonical_keys(total) and all(total.coeffs.values())
+    # equal sides share one decoded dict, unequal ones do not
+    for s, t in itertools.combinations(totals, 2):
+        assert (s.coeffs is t.coeffs) == (s == t)
+    # each term and its negation cancel to the zero polynomial; no term at all is zero too, and no side no sum
+    cancelled = sums_of_products([terms + [(-c, q, p) for c, p, q in terms] for terms in sides])
+    assert [total.coeffs for total in cancelled] == [{}] * len(sides)
+    assert sums_of_products([[]])[0].coeffs == {}
+    assert sums_of_products([]) == ()
 
 
 a12 = a_var(1, 2)

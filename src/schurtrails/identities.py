@@ -12,10 +12,14 @@ preset, Schur-mode Plücker, the balanced split and the square expansion
 -- reads sum c * s_alpha * s_beta = sum c' * s_alpha' * s_beta'.  Each
 verifier states its two sides as lists of (c, alpha, beta) terms, and
 one function, _product_identity, expands both sides in one packed pass,
-polyring.sums_of_products, as both sides of Dodgson and of formal
-Plücker are expanded; it first bounds the key digits their products
-handle, refuses more than MAX_PRODUCT_DIGITS and drops every product
-whose bound is zero before either factor is expanded.
+polyring.packed_sums; both sides of Dodgson and of formal Plücker go
+through polyring.sums_of_products, which packs them for it.  It first
+bounds the key digits the products handle, refuses more than
+MAX_PRODUCT_DIGITS and drops every product whose bound is zero before
+either factor is expanded.  The factors are schur's tableau sums,
+cached as packed dicts at one digit width per identity, wide enough
+for the largest alpha_1 + beta_1, and multiplied without repacking;
+schur_of decodes a factor for other callers.
 Ciucu, Kleber and Schur-mode Plücker count their terms before they list
 them, and refuse more than MAX_PRODUCT_TERMS.  The window exchange is
 stated once, by _window_exchange, and verify_general, verify_kirillov
@@ -35,16 +39,23 @@ import itertools
 import math
 from functools import lru_cache
 
-from .partitions import Partition, SkewShape, Value, beads, from_beads, partition_from_set
-from .polyring import FormalMatrix, Polynomial, determinant, minor, monomial_str, sums_of_products
-from .schur import schur_poly, ssyt_count
+from .partitions import Partition, Value, beads, from_beads, partition_from_set
+from .polyring import FormalMatrix, Polynomial, _unpack, determinant, minor, monomial_str, packed_sums, sums_of_products
+from .schur import _strip_sum, letter_places, ssyt_count
 
 
 @lru_cache(maxsize=None)
-def _schur_cached(parts: tuple, N: int) -> Polynomial:
+def _schur_cached(parts: tuple, N: int, width: int) -> dict:
+    """s_parts(x_1..x_N) as the packed dict of schur._strip_sum at the width; {} for a negative part.
+
+    Every caller gets the same dict, so each only reads it.
+    """
     if any(p < 0 for p in parts):
-        return Polynomial.zero()
-    return schur_poly(SkewShape(Partition(parts)), N)
+        return {}
+    if N < 1:
+        raise ValueError("alphabet bound must be >= 1")
+    parts = Partition(parts).parts
+    return _strip_sum(parts, (0,) * len(parts), N, width)
 
 
 def schur_of(parts, N: int) -> Polynomial:
@@ -53,10 +64,12 @@ def schur_of(parts, N: int) -> Polynomial:
     Window shifts in the exchange identities can push a part down to
     -1; such a factor is a determinant with an impossible row and
     vanishes identically, so any negative part gives the zero
-    polynomial.  Results are cached: the checkers reuse the same
-    factors heavily.
+    polynomial.  The packed factors are cached, as the checkers reuse
+    the same factors heavily; this decodes one.
     """
-    return _schur_cached(tuple(int(p) for p in parts), int(N))
+    parts, N = tuple(int(p) for p in parts), int(N)
+    width = sum(parts[:1]).bit_length()
+    return Polynomial._unchecked(_unpack(_schur_cached(parts, N, width), *letter_places(N, width)))
 
 
 class IdentityReport(Value):
@@ -125,10 +138,12 @@ def _alphabet(N, terms) -> int:
 #: products over both sides' terms c * s_alpha * s_beta and multiplies by
 #: N, since a packed key carries one digit per variable.  Above the limit
 #: the identity is refused before any factor is expanded.  The window
-#: exchange of (6,6,6) at N = 6 has 5.3e8 and took 14-16 s, of
-#: (5,4,3,2,1) at N = 6 4.9e8 and 2-3 s; (7,6,6) at N = 6, refused at
-#: 7.2e8, took 33 s, and (3,3) at N = 30, refused at 1.4e9, 47 s and
-#: 1.2 GB (2-vCPU VM, CPython 3.11.7).
+#: exchange of (6,6,6) at N = 6 has 5.3e8 and took 3.4 s, of
+#: (5,4,3,2,1) at N = 6 4.9e8 and 0.8 s, and of (9,9,9) at N = 5 5.8e8
+#: and 3.6-4.0 s, and (7,6,6) at N = 6, refused at 7.2e8, 5.8 s, with
+#: bench/refspeed.py's reference loop at 0.7 ms (2-vCPU VM, CPython
+#: 3.11.7).  (3,3) at N = 30, refused at 1.4e9, took 47 s and 1.2 GB
+#: in an earlier, slower run.
 MAX_PRODUCT_DIGITS = 650_000_000
 
 
@@ -136,11 +151,13 @@ def _product_identity(identity, params, lhs, rhs) -> IdentityReport:
     """Expand the two signed product lists of a Schur identity and report on them.
 
     A side is a list of (c, alpha, beta) terms read as the sum of
-    c * s_alpha * s_beta; schur_of takes the factors in x_1..x_N, left
-    side first, term by term, alpha before beta, and is not asked for
-    either factor of a product whose term bound is zero, as when a
-    window is lowered to -1.  params["N"] is the N asked for, and
-    _alphabet settles it; the report records the N used in its place.
+    c * s_alpha * s_beta; _schur_cached packs the factors in x_1..x_N,
+    left side first, term by term, alpha before beta, and is not asked
+    for either factor of a product whose term bound is zero, as when a
+    window is lowered to -1.  Every factor is packed at one width: the
+    bit length of the largest alpha_1 + beta_1 of a kept product.
+    params["N"] is the N asked for, and _alphabet settles it; the report
+    records the N used in its place.
     Raises ValueError, before any factor is expanded, when N < 1 or when
     the products handle more than MAX_PRODUCT_DIGITS key digits in all.
     """
@@ -153,8 +170,12 @@ def _product_identity(identity, params, lhs, rhs) -> IdentityReport:
             "the identity's products have %d key digits, more than MAX_PRODUCT_DIGITS = %d"
             % (digits, MAX_PRODUCT_DIGITS)
         )
-    sides = sums_of_products([(c, schur_of(alpha, N), schur_of(beta, N)) for c, alpha, beta, bound in side if bound]
-                             for side in sides)
+    kept = [[(c, tuple(map(int, alpha)), tuple(map(int, beta))) for c, alpha, beta, bound in side if bound]
+            for side in sides]
+    # a digit of a product is at most alpha_1 + beta_1, so none carries at this width
+    width = max((sum(alpha[:1] + beta[:1]) for side in kept for _, alpha, beta in side), default=0).bit_length()
+    sides = packed_sums([[(c, _schur_cached(alpha, N, width), _schur_cached(beta, N, width)) for c, alpha, beta in side]
+                         for side in kept], *letter_places(N, width))
     return IdentityReport(identity, dict(params, N=N), *sides)
 
 

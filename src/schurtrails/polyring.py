@@ -5,15 +5,19 @@ formal symbol h_2, ('a', 1, 2) is the generic matrix entry a_{1,2}.
 A monomial is a canonical tuple key ((var, exp), ...): variables strictly
 increasing, exponents positive, ONE = ().  Plain tuples give immutability,
 equality and hashing; monomial() is the one constructor that canonicalises
-and monomial_mul() keeps keys canonical.  Every sum of products and every
-determinant packs each key into one integer: one digit per variable, of
-base 1 + the sum of the factors' top exponents, so no digit carries and a
-product of keys is one addition.  sums_of_products packs the operands of
-several lists of products once, in one base, adds each list in place into
-its own packed dict and decodes each distinct sum once; a product is its
-one-term case, and a determinant, adding its products by the same loop,
-decodes only its full minor.  A polynomial maps canonical keys to
-(arbitrary precision) integer coefficients and never stores zeros.
+and monomial_mul() keeps keys canonical.  Packed integers are the ring's
+one working form: a packed dict maps a key packed into one integer, one
+digit per variable in a base where no digit of a product carries, to its
+coefficient, so a product of keys is one addition.  packed_sums adds
+several lists of products of packed dicts, each in place into its own
+packed dict, and decodes each distinct sum once; the Schur identities
+hand it the tableau sums, packed as schur builds them.
+sums_of_products packs polynomial operands for it, each once, in base
+1 + the sum of the factors' top exponents; a product is its one-term
+case.  A determinant packs its entries the same way, adds its products
+by the same loop and decodes only its full minor.  A polynomial maps
+canonical keys to (arbitrary precision) integer coefficients and never
+stores zeros.
 Polynomials and matrices are immutable partitions.Value's.  Their
 public constructors check outside input; the ring's own sums, products,
 determinants and minors are built through Value._unchecked.
@@ -151,8 +155,8 @@ def _places(groups):
 
 
 def _pack(coeffs, place):
-    """(packed key, coefficient) pairs of a coefficient dict."""
-    return [(sum(place[v] * e for v, e in m), c) for m, c in coeffs.items()]
+    """The packed dict of a coefficient dict: packed key -> coefficient."""
+    return {sum(place[v] * e for v, e in m): c for m, c in coeffs.items()}
 
 
 def _unpack(acc, base, place):
@@ -344,25 +348,35 @@ def sums_of_products(sides):
 
     Every side packs in one base, 1 + the top exponent of every a plus
     that of every b (see _places), and each distinct operand is packed
-    once.  Each side is added into its own packed dict, zeros dropped; as
-    packing is injective, a side whose packed dict equals an earlier
-    side's shares that side's polynomial, and any other is decoded.  A
-    triple with a zero coefficient or operand is dropped before anything
-    is scanned.  Returns a tuple of polynomials, one per side.
+    once; packed_sums adds and decodes the sides.  A triple with a zero
+    coefficient or operand is dropped before anything is scanned.
+    Returns a tuple of polynomials, one per side.
     """
     sides = [[(c, a.coeffs, b.coeffs) for c, a, b in terms if c and a and b] for terms in sides]
     if not any(sides):
         return (Polynomial._unchecked({}),) * len(sides)
     base, place = _places([[term[i] for side in sides for term in side] for i in (1, 2)])
-    operands = {id(f): f for side in sides for _, a, b in side for f in (a, b)}
-    packed = {key: _pack(f, place) for key, f in operands.items()}
+    packed = {id(f): _pack(f, place) for side in sides for _, a, b in side for f in (a, b)}
+    return packed_sums([[(c, packed[id(a)], packed[id(b)]) for c, a, b in side] for side in sides], base, place)
+
+
+def packed_sums(sides, base, place):
+    """The sum of c * a * b over each side's (c, a, b) triples of an int and two packed dicts, decoded.
+
+    The operands' keys are packed in the base and places that decode
+    them (see _unpack), and no digit of a product may carry.  Each side
+    is added into its own packed dict, zeros dropped; as packing is
+    injective, a side whose packed dict equals an earlier side's shares
+    that side's polynomial, and any other is decoded.  Returns a tuple
+    of polynomials, one per side.
+    """
     done = []
     for side in sides:
         acc = {}
         for c, a, b in side:
             if len(a) > len(b):
                 a, b = b, a
-            _accumulate(acc, [(p, c * v) for p, v in packed[id(a)]], packed[id(b)])
+            _accumulate(acc, [(p, c * v) for p, v in a.items()], b.items())
         acc = {p: c for p, c in acc.items() if c}
         same = [poly for seen, poly in done if seen == acc]
         done.append((acc, same[0] if same else Polynomial._unchecked(_unpack(acc, base, place))))
@@ -370,21 +384,26 @@ def sums_of_products(sides):
 
 
 def complete_homogeneous(m, n_vars):
-    """Sum of all monomials of degree m in x_1..x_n; 1 for m=0, 0 for m<0.
+    """Sum of all monomials of degree m in x_1..x_n; 1 for m=0, 0 for m<0."""
+    h = complete_homogeneous_upto(m, n_vars)
+    return h[m] if h else Polynomial.zero()
 
-    Has C(m + n - 1, n - 1) terms.  A monomial of degree d in x_1..x_i is
-    one of degree d - e in x_1..x_(i-1) times x_i^e, for e = 0..d.
+
+def complete_homogeneous_upto(m, n_vars):
+    """[h_0, .., h_m] in x_1..x_n, from one pass over the variables; [] for m < 0.
+
+    h_d has C(d + n - 1, n - 1) terms.  A monomial of degree d in
+    x_1..x_i is one of degree d - e in x_1..x_(i-1) times x_i^e, for
+    e = 0..d.
     """
     if n_vars < 1:
         raise ValueError("alphabet bound must be >= 1")
-    if m < 0:
-        return Polynomial.zero()
     keys = [[((x_var(1), d),) if d else ONE] for d in range(m + 1)]
     for v in map(x_var, range(2, n_vars + 1)):
         keys = [keys[d] + [k + ((v, e),) for e in range(1, d + 1) for k in keys[d - e]] for d in range(m + 1)]
-    coeffs = dict.fromkeys(keys[m], 1)
-    assert len(coeffs) == comb(m + n_vars - 1, n_vars - 1)
-    return Polynomial._unchecked(coeffs)
+    h = [Polynomial._unchecked(dict.fromkeys(ks, 1)) for ks in keys]
+    assert all(len(p.coeffs) == comb(d + n_vars - 1, n_vars - 1) for d, p in enumerate(h))
+    return h
 
 
 def formal_h(m):
@@ -468,7 +487,7 @@ def determinant(matrix):
     base, place = _places([e.coeffs for e in row] for row in matrix.entries)
     minors = {0: {0: 1}}
     for row in reversed(matrix.entries):
-        entries = [(1 << j, _pack(e.coeffs, place)) for j, e in enumerate(row) if e]
+        entries = [(1 << j, _pack(e.coeffs, place).items()) for j, e in enumerate(row) if e]
         entries = [(bit, terms, [(p, -c) for p, c in terms]) for bit, terms in entries]
         grown = {}
         for mask, sub in minors.items():

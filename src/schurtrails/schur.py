@@ -9,10 +9,13 @@ generating function of either side is the (skew) Schur polynomial.
 
 Schur polynomials are computed two independent ways: summing tableau
 weights, and as the determinant det(h_{outer_i - inner_j - i + j}) of
-complete homogeneous pieces.  The tableau sum does not list the tableaux
-one by one: it runs once over the letters 1..N and adds, at letter n,
-the horizontal strip of the cells that hold n, which is the branching
-rule of Schur polynomials.  It shares no code with the determinant, so
+complete homogeneous pieces, built in one pass for h_0..h_m.  The
+tableau sum does not list the tableaux one by one: it runs once over
+the letters 1..N and adds, at letter n, the horizontal strip of the
+cells that hold n, which is the branching rule of Schur polynomials.
+It writes packed keys, letter n's exponent as the digit at bit
+width * (n - 1), which the Schur identities multiply as they are and
+schur_poly decodes once.  It shares no code with the determinant, so
 each route checks the other.  Both are exact polynomials at a fixed
 variable count N.  enumerate_ssyt lists single tableaux in one loop
 that never recurses; spec_tableaux gives those of a TerminalSpec, which
@@ -24,10 +27,10 @@ import itertools
 
 from .partitions import Partition, SkewShape, Value, beads, from_beads
 from .polyring import (
-    ONE,
     FormalMatrix,
     Polynomial,
-    complete_homogeneous,
+    _unpack,
+    complete_homogeneous_upto,
     determinant,
     formal_h,
     x_monomial,
@@ -145,14 +148,23 @@ def jacobi_trudi_matrix(outer, inner=None, N=None):
     columns = beads(inner + (0,) * d)[:d]
     index = [[row - column for column in columns] for row in beads(outer.parts)]
     # each distinct h_m is built once and shared by the entries that carry it
-    h = {m: formal_h(m) if N is None else complete_homogeneous(m, N) for m in set().union(*index)}
+    ms = set().union(*index)
+    if N is None:
+        h = {m: formal_h(m) for m in ms}
+    else:
+        upto = complete_homogeneous_upto(max(ms, default=-1), N)
+        h = {m: upto[m] if m >= 0 else Polynomial.zero() for m in ms}
     return FormalMatrix._unchecked(tuple(tuple(h[m] for m in row) for row in index))
 
 
-def _strip_sum(outer, inner, N):
-    """Sum of the tableau weights of outer/inner in x_1..x_N, as a coefficient dict.
+def _strip_sum(outer, inner, N, width):
+    """Sum of the tableau weights of outer/inner in x_1..x_N, as a packed dict.
 
-    The cells of a tableau that hold the entry n form a horizontal strip
+    A monomial x_1^k_1 .. x_N^k_N is packed as the integer whose digit
+    k_n sits at bit width * (n - 1) (see letter_places); a width of at
+    least the bit length of outer_1 holds every digit, as a letter's
+    cells form a horizontal strip, at most one per column.  The cells
+    of a tableau that hold the entry n form a horizontal strip
     mu_n/mu_(n-1), so a tableau is a chain inner = mu_0 <= .. <= mu_N =
     outer of such strips, of weight prod_n x_n^|mu_n/mu_(n-1)|.  One pass
     over the letters keeps, for each shape mu reached after letter n, the
@@ -161,8 +173,8 @@ def _strip_sum(outer, inner, N):
     nu/mu with mu_i <= nu_i <= min(outer_i, mu_(i-1)) and nu_i >=
     outer_(i+N-n), which keeps each column of outer/nu within the N - n
     letters left.  So a shape that cannot be finished is never reached,
-    and a board with a column of more than N cells gives {}.  Keys over
-    x_1..x_(n-1) stay canonical when (x_n, k) is appended.
+    and a board with a column of more than N cells gives {}.  A strip of
+    k cells adds k << width * (n - 1) to every key.
 
     A shape that takes no cell of letter n keeps its dict, uncopied, and
     the strips of smaller shapes add to it; so the shapes go largest
@@ -170,9 +182,9 @@ def _strip_sum(outer, inner, N):
     """
     rows = len(outer) - outer.count(0)  # zero rows hold no cells
     outer, inner = outer[:rows], inner[:rows]
-    reached = {inner: {ONE: 1}}
+    reached = {inner: {0: 1}}
     for n in range(1, N + 1):
-        xn = x_var(n)
+        shift = width * (n - 1)
         floor = outer[N - n :] + (0,) * min(N - n, rows)
         grown = {}
         for mu in sorted(reached, key=sum, reverse=True):
@@ -184,14 +196,19 @@ def _strip_sum(outer, inner, N):
                 if not k:
                     grown[nu] = sub
                     continue
-                suffix = ((xn, k),)
+                step = k << shift
                 acc = grown.setdefault(nu, {})
                 get = acc.get
                 for key, c in sub.items():
-                    key += suffix
+                    key += step
                     acc[key] = get(key, 0) + c
         reached = grown
     return reached.get(outer, {})
+
+
+def letter_places(N, width):
+    """(base, place) of _strip_sum's packed keys in x_1..x_N, for polyring's _unpack and packed_sums."""
+    return 1 << width, {x_var(n): 1 << width * (n - 1) for n in range(1, N + 1)}
 
 
 def ssyt_count(parts, N) -> int:
@@ -229,7 +246,9 @@ def schur_poly(shape, N, method="tableaux"):
     if N is None and method == "tableaux" or N is not None and N < 1:
         raise ValueError("alphabet bound must be >= 1")
     if method == "tableaux":
-        return Polynomial._unchecked(_strip_sum(shape.outer.parts, shape.inner.parts, N))
+        outer = shape.outer.parts
+        width = sum(outer[:1]).bit_length()
+        return Polynomial._unchecked(_unpack(_strip_sum(outer, shape.inner.parts, N, width), *letter_places(N, width)))
     if method == "jacobi_trudi":
         return determinant(jacobi_trudi_matrix(shape.outer, shape.inner.parts, N=N))
     raise ValueError("unknown method %r" % (method,))

@@ -63,10 +63,10 @@ MUTANTS = [
         ("tests/test_polyring.py::test_determinant_reaches_the_packing_bound[0]",),
     ),
     Mutant(
-        "sums_of_products_drops_the_coefficient",
+        "packed_sums_drops_the_coefficient",
         "polyring.py",
-        "[(p, c * v) for p, v in packed[id(a)]]",
-        "[(p, v) for p, v in packed[id(a)]]",
+        "[(p, c * v) for p, v in a.items()]",
+        "[(p, v) for p, v in a.items()]",
         (
             "tests/test_identities.py::test_dodgson_two_by_two",
             "tests/test_identities.py::test_ciucu_pairs",
@@ -81,6 +81,18 @@ MUTANTS = [
             "tests/test_identities.py::test_each_side_of_a_schur_identity_is_decoded_once",
             "tests/test_identities.py::test_a_false_window_exchange_names_its_first_differing_monomial[last-term-dropped]",
             "tests/test_identities.py::test_a_false_window_exchange_names_its_first_differing_monomial[sign-flipped]",
+            "tests/test_polyring.py::test_sum_of_products_matches_the_merged_sum",
+        ),
+    ),
+    Mutant(
+        "identity_width_from_the_larger_factor",
+        "identities.py",
+        "sum(alpha[:1] + beta[:1])",
+        "max(alpha[:1] + beta[:1])",
+        (
+            "tests/test_identities.py::test_product_digits_at_a_power_of_two_do_not_carry[4-4-N2]",
+            "tests/test_identities.py::test_product_digits_at_a_power_of_two_do_not_carry[2-2-N3]",
+            "tests/test_identities.py::test_product_digits_at_a_power_of_two_do_not_carry[52-33-N3]",
         ),
     ),
     Mutant(

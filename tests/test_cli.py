@@ -548,10 +548,10 @@ def test_verify_dodgson_refuses_a_determinant_over_the_expansion_guard(runner):
 
 
 def test_verify_refuses_an_identity_with_too_many_tableau_pairs(runner, monkeypatch):
-    def expand(parts, N):
+    def expand(parts, N, width):
         raise AssertionError("expanded %r at N=%d before the guard" % (parts, N))
 
-    monkeypatch.setattr(identities, "schur_of", expand)
+    monkeypatch.setattr(identities, "_schur_cached", expand)
     result = runner.invoke(main, ["verify", "general", "--lambda", "5,4,3,2,1", "--vars", "8"])
     assert result.exit_code == 2
     # 8 * (s_(5,4,3,2) * s_(4,3,2,1) + ...) with each factor's terms bounded, against the limit

@@ -46,7 +46,15 @@ from schurtrails.polyring import (
     x_var,
 )
 from schurtrails.replay import MAX_AUDIT_OBJECTS, AuditReport, OrbitResult, bijection_audit, explore_orbit
-from schurtrails.schur import PathFamily, TerminalSpec, enumerate_families, jacobi_trudi_matrix, path_weight, ssyt_count
+from schurtrails.schur import (
+    PathFamily,
+    TerminalSpec,
+    enumerate_families,
+    jacobi_trudi_matrix,
+    path_weight,
+    schur_poly,
+    ssyt_count,
+)
 from schurtrails.trails import (
     _weight_key,
     build_graph,
@@ -202,10 +210,29 @@ def test_a_false_window_exchange_names_its_first_differing_monomial(broken, witn
     assert rep.to_json()["witness"] == witness
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, N",
+    [((4,), (4,), 2), ((2,), (2,), 3), ((5, 2), (3, 3), 3), ((1,), (1,), 2), ((16,), (), 2)],
+    ids=["4-4-N2", "2-2-N3", "52-33-N3", "1-1-N2", "16-0-N2"],
+)
+def test_product_digits_at_a_power_of_two_do_not_carry(alpha, beta, N):
+    # alpha_1 + beta_1 = 2^w: x1^(2^w) needs w + 1 bits, one more than either factor's first part
+    # needs, and a narrower digit would carry into x2's; both sides would still agree
+    product = schur_poly(Partition(alpha), N) * schur_poly(Partition(beta), N)
+    rep = identities._product_identity("product", {"N": N}, [(1, alpha, beta)], [(1, beta, alpha)])
+    assert rep.lhs == product and rep.rhs == product
+    assert rep.lhs_terms == product.n_terms()
+
+
 def test_no_vanishing_product_expands_its_other_factor(monkeypatch):
     asked = []
-    expand = identities.schur_of
-    monkeypatch.setattr(identities, "schur_of", lambda parts, N: asked.append(tuple(parts)) or expand(parts, N))
+    cached = identities._schur_cached
+
+    def watched(parts, N, width):
+        asked.append(parts)
+        return cached(parts, N, width)
+
+    monkeypatch.setattr(identities, "_schur_cached", watched)
     # the lowered window (2, -1) vanishes, so the raised window (7, 4) is never expanded
     assert verify_general((6, 3, 0), 4).equal
     assert asked == [(6, 3), (3, 0), (3,), (6, 3, 0)]
@@ -857,10 +884,10 @@ def test_audit_refuses_more_objects_than_the_limit():
 
 
 def test_schur_identities_refuse_too_many_tableau_pairs(monkeypatch):
-    def expand(parts, N):
+    def expand(parts, N, width):
         raise AssertionError("expanded %r at N=%d before the guard" % (parts, N))
 
-    monkeypatch.setattr(identities, "schur_of", expand)
+    monkeypatch.setattr(identities, "_schur_cached", expand)
 
     def terms(parts, N):
         # no more terms than tableaux, nor than monomials of degree |parts| in N variables

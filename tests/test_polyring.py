@@ -4,7 +4,7 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from schurtrails import polyring
 from schurtrails.polyring import (
@@ -13,6 +13,7 @@ from schurtrails.polyring import (
     Polynomial,
     a_var,
     complete_homogeneous,
+    complete_homogeneous_upto,
     determinant,
     formal_h,
     h_var,
@@ -145,8 +146,9 @@ def test_packed_product_matches_the_merge(p, q):
 terms_st = st.lists(st.tuples(st.integers(-3, 3), polys_st, polys_st), max_size=4)
 
 
+# no shrinking: a failing example over dense operands took from 13 s to over 120 s to shrink
 @given(st.lists(terms_st, max_size=3))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 def test_sum_of_products_matches_the_merged_sum(sides):
     # each side is followed by an equal one: its terms in reverse order, each product's operands swapped
     sides = [side for terms in sides for side in (terms, [(c, q, p) for c, p, q in reversed(terms)])]
@@ -248,6 +250,11 @@ def test_complete_homogeneous_examples():
             )
             assert complete_homogeneous(m, n).coeffs == dict(reference), (m, n)
             assert len(reference) == comb(m + n - 1, n - 1)
+    # one pass gives h_0..h_m
+    assert complete_homogeneous_upto(4, 3) == [complete_homogeneous(d, 3) for d in range(5)]
+    assert complete_homogeneous_upto(-1, 3) == []
+    with pytest.raises(ValueError, match="alphabet bound"):
+        complete_homogeneous_upto(-1, 0)
 
 
 def test_formal_h():

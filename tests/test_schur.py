@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import pytest
 
 from schurtrails.partitions import Partition, SkewShape
-from schurtrails.polyring import Polynomial, complete_homogeneous, monomial, x_var
+from schurtrails.polyring import Polynomial, _unpack, complete_homogeneous, monomial, x_var
 from schurtrails.schur import (
+    _strip_sum,
     LatticePath,
     PathFamily,
     Tableau,
@@ -18,6 +19,7 @@ from schurtrails.schur import (
     enumerate_families,
     enumerate_ssyt,
     jacobi_trudi_matrix,
+    letter_places,
     path_weight,
     paths_to_tableau,
     schur_poly,
@@ -124,6 +126,15 @@ def test_jacobi_trudi_matrix_reads_its_inner_shape_once():
     assert jacobi_trudi_matrix((3, 2), iter((1, 1, 0, 0))) == jacobi_trudi_matrix((3, 2), (1, 1))
 
 
+def test_jacobi_trudi_matrix_entries_are_complete_homogeneous():
+    # entry (i, j) is h_(outer_i - inner_j - i + j), negative indices 0; the h_m come from one pass
+    outer, inner = (3, 1, 1), (2, 0, 0)
+    matrix = jacobi_trudi_matrix(outer, inner, N=3)
+    for i in range(1, 4):
+        for j in range(1, 4):
+            assert matrix.entry(i, j) == complete_homogeneous(outer[i - 1] - inner[j - 1] - i + j, 3), (i, j)
+
+
 @pytest.mark.parametrize("N", [None, 2])
 def test_jacobi_trudi_matrix_refuses_an_inner_part_past_the_outer_rows(N):
     # a cell of inner below outer's last row is not left out: no skew shape has it, as SkewShape says
@@ -213,6 +224,11 @@ def test_ssyt_meets_no_dead_end_in_a_column_of_n_cells():
 def test_strip_sum_matches_the_tableau_sum(shape, n):
     by_tableau = Polynomial(Counter(tableau_weight(t) for t in enumerate_ssyt(shape, n)))
     assert schur_poly(shape, n) == by_tableau
+    # the packed sum decodes alike at the least width that holds outer_1 and one bit wider
+    outer, inner = shape.outer.parts, shape.inner.parts
+    width = max(outer, default=0).bit_length()
+    for w in (width, width + 1):
+        assert _unpack(_strip_sum(outer, inner, n, w), *letter_places(n, w)) == by_tableau.coeffs, w
 
 
 def test_tableau_route_takes_more_letters_than_cells():
